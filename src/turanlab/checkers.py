@@ -1,17 +1,16 @@
 """Structural predicates and inequality certificates for concrete instances.
 
 Certificates never return a bare boolean: they carry every intermediate
-quantity so a failed run is inspectable, and the reciprocal/ratio sums are
-done in exact rational arithmetic so a pass is a pass.  The one floating
-comparison (the fractional-power clique chain) uses a 1e-9 relative
-tolerance.  Empty-shadow inputs short-circuit to a vacuous pass flagged in
-the report.
+quantity so a failed run is inspectable, and every comparison is decided in
+exact integer or rational arithmetic so a pass is a pass; the floats in a
+report (`lhs_float`, the fractional-power clique `chain`) are for reading
+only.  Empty-shadow inputs short-circuit to a vacuous pass flagged in the
+report.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,6 +19,7 @@ from typing import Optional
 
 from .hypergraph import (
     Hypergraph,
+    adjacency_masks,
     auxiliary_graph,
     contains_clique,
     count_cliques,
@@ -28,8 +28,6 @@ from .hypergraph import (
     shadow,
     vertices_of,
 )
-
-_REL_TOL = 1e-9
 
 
 @dataclass
@@ -58,22 +56,6 @@ class CertificateReport:
 
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def _chunked(items: list, threads: int) -> list[list]:
-    if threads <= 1 or len(items) <= 1:
-        return [items]
-    k = min(threads, len(items))
-    size = (len(items) + k - 1) // k
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def _run_chunks(fn, chunks: list[list], threads: int) -> list:
-    """Apply fn to each chunk; results merge deterministically by chunk order."""
-    if len(chunks) == 1:
-        return [fn(chunks[0])]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +165,20 @@ def is_k_free(h: Hypergraph, ell: int) -> bool:
     return not contains_clique(auxiliary_graph(h), ell + 1)
 
 
+# (r, ell) -> k_family(r, ell).members; the enumeration is a pure function of
+# its arguments and costs far more than one subgraph test
+_K_FAMILY_MEMBERS: dict[tuple[int, int], tuple[Hypergraph, ...]] = {}
+
+
 def is_k_free_direct(h: Hypergraph, ell: int) -> bool:
     """Cross-validation path: embed the minimal pair-cover members directly."""
     from .constructions import k_family
     from .hypergraph import is_subgraph
 
-    fam = k_family(h.r, ell)
-    return not any(is_subgraph(f, h) for f in fam.members)
+    key = (h.r, ell)
+    if key not in _K_FAMILY_MEMBERS:
+        _K_FAMILY_MEMBERS[key] = k_family(h.r, ell).members
+    return not any(is_subgraph(f, h) for f in _K_FAMILY_MEMBERS[key])
 
 
 def links_triangle_free(h: Hypergraph) -> bool:
@@ -207,17 +196,19 @@ def links_triangle_free(h: Hypergraph) -> bool:
 
 
 def neighborhoods_independent(h: Hypergraph) -> bool:
-    """No edge meets any shadow neighborhood N(T) in two or more vertices."""
+    """No edge meets any shadow neighborhood N(T) in two or more vertices.
+
+    An edge meets N(T) twice exactly when it covers a pair {x, y} inside
+    N(T), that is when adj[x] & N(T) != 0 for some x in N(T), with adj the
+    adjacency masks of the pair-cover (auxiliary) graph.
+    """
     if h.r != 3:
         raise ValueError("neighborhoods_independent expects r = 3")
-    for t in shadow(h):
-        nmask = 0
-        for e in h.edges:
-            if e & t == t:
-                nmask |= e ^ t
-        for e in h.edges:
-            if (e & nmask).bit_count() >= 2:
-                return False
+    adj = adjacency_masks(auxiliary_graph(h))
+    for nbrs in _shadow_neighborhoods(h).values():
+        nmask = mask_of(nbrs)
+        if any(adj[x - 1] & nmask for x in nbrs):
+            return False
     return True
 
 
@@ -234,14 +225,53 @@ def _link_sets(h: Hypergraph) -> list[set[int]]:
     return links
 
 
-def _pair_link_size(links: list[set[int]], u: int, v: int) -> int:
-    """|L(u, v)| with the diagonal convention |L(u, u)| = |L(u)| (1-based u, v)."""
-    if u == v:
-        return len(links[u - 1])
-    a, b = links[u - 1], links[v - 1]
-    if len(a) > len(b):
-        a, b = b, a
-    return sum(1 for x in a if x in b)
+def _triangle_free(edges: set[int]) -> bool:
+    """A graph given by its pair masks has no triangle: no edge {i, j} whose
+    ends have a common neighbor (adj[i] & adj[j] != 0)."""
+    adj: dict[int, int] = {}
+    for e in edges:
+        low = e & -e
+        adj[low] = adj.get(low, 0) | (e ^ low)
+        adj[e ^ low] = adj.get(e ^ low, 0) | low
+    return not any(adj[e & -e] & adj[e ^ (e & -e)] for e in edges)
+
+
+class _PairLinkTable:
+    """Every pair link L(u, v) of a 3-graph, computed once per certificate call.
+
+    size[u][v] = |L(u, v)| for 1-based u, v (symmetric; row and column 0
+    unused), with the diagonal convention |L(u, u)| = |L(u)|.  detail(u, v)
+    gives the vertex support mask of L(u, v) and whether L(u, v) is
+    triangle-free; it is computed on the first call for the unordered pair.
+    """
+
+    def __init__(self, h: Hypergraph) -> None:
+        self.links = _link_sets(h)
+        self.n = h.n
+        self.size = [[0] * (h.n + 1) for _ in range(h.n + 1)]
+        for u in range(1, h.n + 1):
+            a = self.links[u - 1]
+            row = self.size[u]
+            row[u] = len(a)
+            if a:
+                for v in range(u + 1, h.n + 1):
+                    row[v] = self.size[v][u] = len(a & self.links[v - 1])
+        self._details: dict[int, tuple[int, bool]] = {}
+
+    def detail(self, u: int, v: int) -> tuple[int, bool]:
+        """(support mask, triangle-free) of L(u, v)."""
+        if u > v:
+            u, v = v, u
+        key = u * (self.n + 1) + v
+        got = self._details.get(key)
+        if got is None:
+            a = self.links[u - 1]
+            lg = a if u == v else a & self.links[v - 1]
+            support = 0
+            for e in lg:
+                support |= e
+            got = self._details[key] = (support, _triangle_free(lg))
+        return got
 
 
 def _shadow_neighborhoods(h: Hypergraph) -> dict[int, list[int]]:
@@ -261,8 +291,11 @@ def fisher_ryan_certificate(g: Hypergraph, ell: int) -> CertificateReport:
     """Clique-count chain: the normalized i-clique densities are monotone.
 
     c_i = (k_i / C(ell, i))^(1/i) must satisfy c_ell <= ... <= c_1 for a
-    K_{ell+1}-free graph, within 1e-9 relative tolerance (k_i = 0 gives
-    c_i = 0).  A K_{ell+1} in the input is a precondition failure.
+    K_{ell+1}-free graph (k_i = 0 gives c_i = 0).  Each step c_{i+1} <= c_i
+    is decided exactly, in integers, as
+    (k_{i+1} / C(ell, i+1))^i <= (k_i / C(ell, i))^(i+1); the float chain
+    is reported for reading only.  A K_{ell+1} in the input is a
+    precondition failure.
     """
     if g.r != 2:
         raise ValueError("fisher_ryan_certificate expects a graph (r = 2)")
@@ -275,10 +308,10 @@ def fisher_ryan_certificate(g: Hypergraph, ell: int) -> CertificateReport:
     holds = True
     witness = None
     for i in range(ell - 1, 0, -1):  # compare c_{i+1} <= c_i, indices 1-based
-        hi, lo = cs[i], cs[i - 1]
-        if hi > lo * (1 + _REL_TOL) + 1e-12:
+        k_hi, k_lo = ks[i], ks[i - 1]
+        if k_hi**i * comb(ell, i) ** (i + 1) > k_lo ** (i + 1) * comb(ell, i + 1) ** i:
             holds = False
-            witness = {"i": i + 1, "c_i": hi, "c_prev": lo}
+            witness = {"i": i + 1, "c_i": cs[i], "c_prev": cs[i - 1]}
             break
     return CertificateReport(
         name="fisher-ryan",
@@ -292,8 +325,9 @@ def link_count_identity(h: Hypergraph) -> CertificateReport:
     """Each ordered pair lies in exactly |L(u, v)| of the neighborhoods N(T).
 
     The left side is tallied from shadow neighborhoods, the right side from
-    per-vertex link-set intersections, so the two sides really are computed
-    along different paths.  Holds for every 3-graph, cancellative or not.
+    per-vertex link-set intersections (the pair-link table), so the two sides
+    really are computed along different paths.  Holds for every 3-graph,
+    cancellative or not.
     """
     if h.r != 3:
         raise ValueError("link_count_identity expects r = 3")
@@ -302,12 +336,12 @@ def link_count_identity(h: Hypergraph) -> CertificateReport:
         for u in nbrs:
             for v in nbrs:
                 counts[(u, v)] += 1
-    links = _link_sets(h)
+    sizes = _PairLinkTable(h).size
     mismatch = None
     for u in range(1, h.n + 1):
         for v in range(1, h.n + 1):
             lhs = counts.get((u, v), 0)
-            rhs = _pair_link_size(links, u, v)
+            rhs = sizes[u][v]
             if lhs != rhs:
                 mismatch = {"u": u, "v": v, "containment_count": lhs, "link_size": rhs}
                 break
@@ -331,6 +365,8 @@ def inequality2_certificate(h: Hypergraph, threads: int = 1) -> CertificateRepor
 
     Exact rational sum of 1/|L(u, v)| over T in the shadow and ordered
     (u, v) in N(T)^2; every |L(u, v)| >= 1 because T itself lies in it.
+    Each |L(u, v)| is a lookup in the pair-link table.  threads is accepted
+    and ignored: the result never depended on it.
     """
     if h.r != 3:
         raise ValueError("inequality2_certificate expects r = 3")
@@ -344,22 +380,13 @@ def inequality2_certificate(h: Hypergraph, threads: int = 1) -> CertificateRepor
             holds=True,
             vacuous=True,
         )
-    links = _link_sets(h)
-
-    def tally(ts: list[int]) -> Counter:
-        hist: Counter = Counter()
-        for t in ts:
-            nbrs = sh[t]
-            for u in nbrs:
-                for v in nbrs:
-                    size = _pair_link_size(links, u, v)
-                    assert size >= 1, "T itself always lies in L(u, v)"
-                    hist[size] += 1
-        return hist
-
+    sizes = _PairLinkTable(h).size
     hist: Counter = Counter()
-    for part in _run_chunks(tally, _chunked(sorted(sh), threads), threads):
-        hist.update(part)
+    for t in sorted(sh):
+        nbrs = sh[t]
+        for u in nbrs:
+            hist.update(map(sizes[u].__getitem__, nbrs))
+    assert 0 not in hist, "T itself always lies in L(u, v)"
     lhs = sum((Fraction(cnt, size) for size, cnt in sorted(hist.items())), Fraction(0))
     rhs = h.n * h.n - 2 * len(sh)
     holds = lhs <= rhs
@@ -383,7 +410,8 @@ def theorem13_certificate(h: Hypergraph, threads: int = 1) -> CertificateReport:
 
     With z = (3|H|/|shadow|) / (n - 3|H|/|shadow|), certifies the full
     chain down to 27|H| <= n^3 plus the sharp balanced-partition bound
-    |H| <= t_3(n, 3); all comparisons in exact rationals.
+    |H| <= t_3(n, 3); all comparisons in exact rationals.  threads is
+    accepted and ignored.
     """
     if h.r != 3:
         raise ValueError("theorem13_certificate expects r = 3")
@@ -449,7 +477,9 @@ def mantel_link_bound(h: Hypergraph, threads: int = 1) -> CertificateReport:
 
     For every T in the shadow and ordered (u, v) in N(T)^2:
     the vertex set of L(u, v) misses N(T), L(u, v) is triangle-free, and
-    4|L(u, v)| <= (n - d(T))^2.
+    4|L(u, v)| <= (n - d(T))^2.  The three tests read the pair-link table.
+    The witness is the first failure with T in sorted order, then u and v
+    in N(T) order.  threads is accepted and ignored.
     """
     if h.r != 3:
         raise ValueError("mantel_link_bound expects r = 3")
@@ -463,49 +493,30 @@ def mantel_link_bound(h: Hypergraph, threads: int = 1) -> CertificateReport:
             holds=True,
             vacuous=True,
         )
-    links = _link_sets(h)
+    table = _PairLinkTable(h)
 
-    pair_link_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def pair_link(u: int, v: int) -> tuple[int, ...]:
-        key = (u, v) if u <= v else (v, u)
-        got = pair_link_cache.get(key)
-        if got is None:
-            if u == v:
-                got = tuple(sorted(links[u - 1]))
-            else:
-                got = tuple(sorted(links[u - 1] & links[v - 1]))
-            pair_link_cache[key] = got
-        return got
-
-    tf_cache: dict[tuple[int, ...], bool] = {}
-
-    def check(ts: list[int]) -> tuple[int, int, Optional[dict]]:
+    def check() -> tuple[int, int, Optional[dict]]:
         checked = 0
         max_link = 0
-        for t in ts:
+        for t in sorted(sh):
             nbrs = sh[t]
-            d = len(nbrs)
             nmask = mask_of(nbrs)
-            cap = (h.n - d) ** 2
+            cap = (h.n - len(nbrs)) ** 2
             for u in nbrs:
+                row = table.size[u]
                 for v in nbrs:
-                    lg = pair_link(u, v)
                     checked += 1
-                    size = len(lg)
-                    max_link = max(max_link, size)
-                    support = 0
-                    for a in lg:
-                        support |= a
+                    size = row[v]
+                    if size > max_link:
+                        max_link = size
+                    support, triangle_free = table.detail(u, v)
                     if support & nmask:
                         return checked, max_link, {
                             "kind": "link_meets_neighborhood",
                             "T": vertices_of(t),
                             "pair": [u, v],
                         }
-                    if lg not in tf_cache:
-                        tf_cache[lg] = not contains_clique(Hypergraph(h.n, 2, lg), 3)
-                    if not tf_cache[lg]:
+                    if not triangle_free:
                         return checked, max_link, {
                             "kind": "link_not_triangle_free",
                             "T": vertices_of(t),
@@ -521,14 +532,7 @@ def mantel_link_bound(h: Hypergraph, threads: int = 1) -> CertificateReport:
                         }
         return checked, max_link, None
 
-    checked = 0
-    max_link = 0
-    witness = None
-    for c, ml, w in _run_chunks(check, _chunked(sorted(sh), threads), threads):
-        checked += c
-        max_link = max(max_link, ml)
-        if w is not None and witness is None:
-            witness = w
+    checked, max_link, witness = check()
     return CertificateReport(
         name="mantel-link",
         quantities={

@@ -3,11 +3,19 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from turanlab import checkers
 from turanlab.checkers import (
+    _PairLinkTable,
+    _link_sets,
+    _shadow_neighborhoods,
+    _triangle_free,
     cancellative_witness,
     fisher_ryan_certificate,
     inequality2_certificate,
@@ -156,6 +164,12 @@ def test_fisher_ryan_examples():
     rep = fisher_ryan_certificate(k222, 3)
     assert rep.holds
     assert all(abs(c - 2.0) < 1e-12 for c in rep.quantities["chain"])
+    # K_{m,m,m} with ell = 3: k = (3m, 3m^2, m^3), so c_1 = c_2 = c_3 = m
+    # exactly and every step of the chain is decided at equality
+    for m in range(1, 8):
+        rep = fisher_ryan_certificate(turan_hypergraph(3 * m, 2, 3), 3)
+        assert rep.holds and rep.witness is None
+        assert rep.quantities["clique_counts"] == [3 * m, 3 * m * m, m**3]
     k4 = Hypergraph.from_edges(4, 2, itertools.combinations(range(1, 5), 2))
     with pytest.raises(ValueError):
         fisher_ryan_certificate(k4, 3)
@@ -281,3 +295,186 @@ def test_incremental_state_matches_direct_checker():
                     victim = rng.choice(current)
                     state.remove(victim)
                     current.remove(victim)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the per-(T, u, v) paths the pair-link table replaced,
+# kept here as oracles.
+
+
+def _pair_link_size(links, u, v):
+    """|L(u, v)| from the vertex links, with |L(u, u)| = |L(u)|."""
+    if u == v:
+        return len(links[u - 1])
+    a, b = links[u - 1], links[v - 1]
+    if len(a) > len(b):
+        a, b = b, a
+    return sum(1 for x in a if x in b)
+
+
+def _report(name, quantities, witness):
+    return {
+        "name": name,
+        "holds": witness is None,
+        "vacuous": False,
+        "quantities": quantities,
+        "witness": witness,
+    }
+
+
+def oracle_inequality2(h):
+    sh = _shadow_neighborhoods(h)
+    links = _link_sets(h)
+    hist = Counter()
+    for t in sorted(sh):
+        for u in sh[t]:
+            for v in sh[t]:
+                hist[_pair_link_size(links, u, v)] += 1
+    lhs = sum((Fraction(c, size) for size, c in sorted(hist.items())), Fraction(0))
+    rhs = h.n * h.n - 2 * len(sh)
+    lhs_str = f"{lhs.numerator}/{lhs.denominator}"
+    quantities = {"n": h.n, "edges": h.size, "shadow": len(sh), "lhs": lhs_str,
+                  "lhs_float": float(lhs), "rhs": rhs}
+    return _report("inequality2", quantities, None if lhs <= rhs else {"lhs": lhs_str, "rhs": rhs})
+
+
+def oracle_mantel_link(h):
+    sh = _shadow_neighborhoods(h)
+    links = _link_sets(h)
+    checked = max_link = 0
+    witness = None
+    has_triangle = {}
+    for t in sorted(sh):
+        nmask = mask_of(sh[t])
+        cap = (h.n - len(sh[t])) ** 2
+        for u, v in itertools.product(sh[t], repeat=2):
+            lg = frozenset(links[u - 1] if u == v else links[u - 1] & links[v - 1])
+            checked += 1
+            max_link = max(max_link, len(lg))
+            where = {"T": vertices_of(t), "pair": [u, v]}
+            if lg not in has_triangle:
+                has_triangle[lg] = contains_clique(Hypergraph(h.n, 2, tuple(lg)), 3)
+            if any(a & nmask for a in lg):
+                witness = {"kind": "link_meets_neighborhood", **where}
+            elif has_triangle[lg]:
+                witness = {"kind": "link_not_triangle_free", **where}
+            elif 4 * len(lg) > cap:
+                witness = {"kind": "mantel_cap", **where, "link_size": len(lg), "cap": cap / 4}
+            if witness:
+                break
+        if witness:
+            break
+    quantities = {"n": h.n, "edges": h.size, "shadow": len(sh),
+                  "pairs_checked": checked, "max_pair_link": max_link}
+    return _report("mantel-link", quantities, witness)
+
+
+def oracle_link_count(h):
+    counts = Counter()
+    for nbrs in _shadow_neighborhoods(h).values():
+        for u, v in itertools.product(nbrs, repeat=2):
+            counts[(u, v)] += 1
+    links = _link_sets(h)
+    witness = None
+    for u, v in itertools.product(range(1, h.n + 1), repeat=2):
+        lhs, rhs = counts.get((u, v), 0), _pair_link_size(links, u, v)
+        if lhs != rhs:
+            witness = {"u": u, "v": v, "containment_count": lhs, "link_size": rhs}
+            break
+    quantities = {"n": h.n, "edges": h.size, "shadow": len(_shadow_neighborhoods(h)),
+                  "ordered_pairs_checked": h.n * h.n}
+    return _report("link-count", quantities, witness)
+
+
+def oracle_neighborhoods_independent(h):
+    for t in _shadow_neighborhoods(h):
+        nmask = 0
+        for e in h.edges:
+            if e & t == t:
+                nmask |= e ^ t
+        for e in h.edges:
+            if (e & nmask).bit_count() >= 2:
+                return False
+    return True
+
+
+def cancellative_samples():
+    """Random maximal cancellative 3-graphs (n <= 9) with and without a
+    deletion perturbation, then perturbed T_3(30)."""
+    out = []
+    for seed in range(12):
+        h = random_maximal_cancellative(5 + seed % 5, seed)
+        out += [h, perturb(h, 0.2, 0, seed)]
+    out.append(perturb(turan_hypergraph(30, 3, 3), 0.05, 0, 3))
+    return out
+
+
+def test_inequality2_and_mantel_link_match_oracles():
+    for h in cancellative_samples():
+        assert inequality2_certificate(h).to_json_dict() == oracle_inequality2(h)
+        assert mantel_link_bound(h).to_json_dict() == oracle_mantel_link(h)
+
+
+def test_failing_certificates_match_oracles(monkeypatch):
+    # without the cancellative precondition both certificates can fail;
+    # the first witness, pairs_checked and max_pair_link must still agree
+    monkeypatch.setattr(checkers, "is_cancellative", lambda h: True)
+    rng = random.Random(61)
+    kinds = Counter()
+    failed_inequality = 0
+    for _ in range(150):
+        h = random_hypergraph(rng.randint(4, 9), 3, rng.uniform(0.1, 0.7), rng)
+        if not h.edges:
+            continue
+        mantel = mantel_link_bound(h).to_json_dict()
+        assert mantel == oracle_mantel_link(h)
+        ineq = inequality2_certificate(h).to_json_dict()
+        assert ineq == oracle_inequality2(h)
+        kinds[mantel["witness"]["kind"] if mantel["witness"] else None] += 1
+        failed_inequality += not ineq["holds"]
+    # a mantel_cap failure cannot come first: a triangle-free link that
+    # misses N(T) lives on n - d(T) vertices, where Mantel caps it
+    assert set(kinds) == {None, "link_meets_neighborhood", "link_not_triangle_free"}, kinds
+    assert failed_inequality > 0
+
+
+def test_link_count_and_neighborhoods_match_oracles():
+    rng = random.Random(67)
+    for _ in range(200):
+        h = random_hypergraph(rng.randint(3, 10), 3, rng.uniform(0.05, 0.5), rng)
+        assert link_count_identity(h).to_json_dict() == oracle_link_count(h)
+        assert neighborhoods_independent(h) == oracle_neighborhoods_independent(h)
+
+
+def test_pair_link_table_matches_per_pair_links():
+    rng = random.Random(71)
+    for _ in range(60):
+        h = random_hypergraph(rng.randint(3, 9), 3, rng.uniform(0.05, 0.6), rng)
+        table = _PairLinkTable(h)
+        links = _link_sets(h)
+        for u, v in itertools.product(range(1, h.n + 1), repeat=2):
+            lg = links[u - 1] if u == v else links[u - 1] & links[v - 1]
+            assert table.size[u][v] == _pair_link_size(links, u, v) == len(lg)
+            support, triangle_free = table.detail(u, v)
+            assert support == mask_of(x for a in lg for x in vertices_of(a))
+            assert triangle_free == (not contains_clique(Hypergraph(h.n, 2, tuple(lg)), 3))
+
+
+def test_triangle_free_bit_test_matches_contains_clique():
+    rng = random.Random(73)
+    for _ in range(400):
+        g = random_hypergraph(rng.randint(0, 10), 2, rng.uniform(0.05, 0.6), rng)
+        assert _triangle_free(set(g.edges)) == (not contains_clique(g, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 9).flatmap(lambda n: st.tuples(
+    st.integers(0, 2**16), st.permutations(range(1, n + 1)))))
+def test_inequality2_lhs_relabeling_invariant(case):
+    seed, perm = case
+    h = random_maximal_cancellative(len(perm), seed)
+    relabeled = Hypergraph.from_edges(h.n, 3, ([perm[v - 1] for v in vertices_of(e)] for e in h.edges))
+    assert (
+        inequality2_certificate(relabeled).quantities["lhs"]
+        == inequality2_certificate(h).quantities["lhs"]
+    )
