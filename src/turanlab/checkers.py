@@ -6,26 +6,30 @@ exact integer or rational arithmetic so a pass is a pass; the floats in a
 report (`lhs_float`, the fractional-power clique `chain`) are for reading
 only.  Empty-shadow inputs short-circuit to a vacuous pass flagged in the
 report.
+
+Every 3-graph check reads one incidence index (`_Incidence`), built from
+the edges: which vertices lie in N(T) for each shadow pair T, and from it
+the vertex links, the pair-cover adjacency and the pair-link sizes.  The
+incremental state of the cancellative search keeps its own counters.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb
-from typing import Optional
+from typing import Collection, Optional
 
 from .hypergraph import (
     Hypergraph,
-    adjacency_masks,
     auxiliary_graph,
     contains_clique,
     count_cliques,
     iter_bits,
-    mask_of,
-    shadow,
     vertices_of,
 )
 
@@ -128,19 +132,18 @@ def cancellative_witness(h: Hypergraph, allow_any_r: bool = False) -> Optional[t
     if h.r != 3 and not allow_any_r:
         raise ValueError("cancellativity checks expect r = 3 (pass allow_any_r for the general scan)")
     if h.r == 3:
-        # only pairs of edges sharing 2 vertices can violate; then superset-test A (+) B
-        by_pair: dict[int, list[int]] = {}
-        for e in h.edges:
-            for pm, _ in _CancellativeState._pairs_of(e):
-                by_pair.setdefault(pm, []).append(e)
-        for pm, group in sorted(by_pair.items()):
-            if len(group) < 2:
-                continue
-            for a, b in itertools.combinations(group, 2):
-                d = a ^ b
-                for c in by_pair.get(d, ()):
-                    return (vertices_of(a), vertices_of(b), vertices_of(c))
-                # d is a pair; any edge covering it works, and by_pair indexes pairs
+        # A (+) B inside C needs A = T + x and B = T + y with the pair {x, y}
+        # covered: take the first T and the first x < y in N(T) with y in
+        # adj[x], and for C the lowest edge covering {x, y}
+        ix = _Incidence(h)
+        for t, m in zip(ix.ts, ix.nbr):
+            for x in iter_bits(m):
+                hit = ix.adj[x] & m & ~((2 << x) - 1)
+                if hit:
+                    y = hit & -hit
+                    w = ix.nbr[bisect_left(ix.ts, (1 << x) | y)]
+                    c = (1 << x) | y | (w & -w)
+                    return (vertices_of(t | (1 << x)), vertices_of(t | y), vertices_of(c))
         return None
     # general r: brute pair scan with superset test
     for a, b in itertools.combinations(h.edges, 2):
@@ -185,14 +188,8 @@ def links_triangle_free(h: Hypergraph) -> bool:
     """Every vertex link of a 3-graph is triangle-free (a cancellativity consequence)."""
     if h.r != 3:
         raise ValueError("links_triangle_free expects r = 3")
-    for v in range(1, h.n + 1):
-        vb = 1 << (v - 1)
-        link_edges = tuple(e ^ vb for e in h.edges if e & vb)
-        if not link_edges:
-            continue
-        if contains_clique(Hypergraph(h.n, 2, link_edges), 3):
-            return False
-    return True
+    ix = _Incidence(h)
+    return all(ix.detail(u, u)[1] for u in range(h.n))
 
 
 def neighborhoods_independent(h: Hypergraph) -> bool:
@@ -204,28 +201,15 @@ def neighborhoods_independent(h: Hypergraph) -> bool:
     """
     if h.r != 3:
         raise ValueError("neighborhoods_independent expects r = 3")
-    adj = adjacency_masks(auxiliary_graph(h))
-    for nbrs in _shadow_neighborhoods(h).values():
-        nmask = mask_of(nbrs)
-        if any(adj[x - 1] & nmask for x in nbrs):
-            return False
-    return True
+    ix = _Incidence(h)
+    return not any(ix.adj[x] & m for m in ix.nbr for x in iter_bits(m))
 
 
 # ---------------------------------------------------------------------------
-# Link bookkeeping shared by the rational certificates
+# The incidence index every 3-graph reader works from
 
 
-def _link_sets(h: Hypergraph) -> list[set[int]]:
-    """links[v-1] = set of (r-1)-set masks A with A + {v} an edge."""
-    links: list[set[int]] = [set() for _ in range(h.n)]
-    for e in h.edges:
-        for b in iter_bits(e):
-            links[b].add(e ^ (1 << b))
-    return links
-
-
-def _triangle_free(edges: set[int]) -> bool:
+def _triangle_free(edges: Collection[int]) -> bool:
     """A graph given by its pair masks has no triangle: no edge {i, j} whose
     ends have a common neighbor (adj[i] & adj[j] != 0)."""
     adj: dict[int, int] = {}
@@ -236,51 +220,70 @@ def _triangle_free(edges: set[int]) -> bool:
     return not any(adj[e & -e] & adj[e ^ (e & -e)] for e in edges)
 
 
-class _PairLinkTable:
-    """Every pair link L(u, v) of a 3-graph, computed once per certificate call.
+class _Incidence:
+    """The relation u in N(T) of a 3-graph, over its shadow pairs T.
 
-    size[u][v] = |L(u, v)| for 1-based u, v (symmetric; row and column 0
-    unused), with the diagonal convention |L(u, u)| = |L(u)|.  detail(u, v)
-    gives the vertex support mask of L(u, v) and whether L(u, v) is
-    triangle-free; it is computed on the first call for the unordered pair.
+    Vertices are 0-based bit indices u, v:
+      ts[i]   -- the shadow pairs, ascending masks; for r = 3 these are
+                 exactly the pairs some edge covers
+      nbr[i]  -- N(ts[i]) as a vertex mask
+      col[u]  -- L(u) as a mask over shadow indices (bit i iff u in N(ts[i]))
+      adj[u]  -- the pair-cover (auxiliary graph) adjacency mask of u
+      size    -- size[u][v] = |L(u, v)| = popcount(col[u] & col[v]), with the
+                 diagonal |L(u, u)| = |L(u)|; built on first use
+    detail(u, v) gives the support mask of L(u, v) and whether L(u, v) is
+    triangle-free, computed on the first call for the unordered pair.
     """
 
     def __init__(self, h: Hypergraph) -> None:
-        self.links = _link_sets(h)
+        nbr_of: dict[int, int] = {}
+        get = nbr_of.get
+        for e in h.edges:
+            x = e & -e
+            y = (e ^ x) & -(e ^ x)
+            z = e ^ x ^ y
+            nbr_of[y | z] = get(y | z, 0) | x
+            nbr_of[x | z] = get(x | z, 0) | y
+            nbr_of[x | y] = get(x | y, 0) | z
         self.n = h.n
-        self.size = [[0] * (h.n + 1) for _ in range(h.n + 1)]
-        for u in range(1, h.n + 1):
-            a = self.links[u - 1]
-            row = self.size[u]
-            row[u] = len(a)
-            if a:
-                for v in range(u + 1, h.n + 1):
-                    row[v] = self.size[v][u] = len(a & self.links[v - 1])
-        self._details: dict[int, tuple[int, bool]] = {}
+        self.ts = sorted(nbr_of)
+        self.nbr = [nbr_of[t] for t in self.ts]
+        self.col = [0] * h.n
+        self.adj = [0] * h.n
+        for i, t in enumerate(self.ts):
+            for b in iter_bits(self.nbr[i]):
+                self.col[b] |= 1 << i
+            low = t & -t
+            self.adj[low.bit_length() - 1] |= t ^ low
+            self.adj[(t ^ low).bit_length() - 1] |= low
+        self._details: dict[tuple[int, int], tuple[int, bool]] = {}
+
+    @cached_property
+    def size(self) -> list[list[int]]:
+        col = self.col
+        size = [[0] * self.n for _ in range(self.n)]
+        for u, cu in enumerate(col):
+            size[u][u] = cu.bit_count()
+            if cu:
+                for v in range(u + 1, self.n):
+                    size[u][v] = size[v][u] = (cu & col[v]).bit_count()
+        return size
+
+    def link(self, u: int, v: int) -> list[int]:
+        """L(u, v) as ascending pair masks."""
+        return [self.ts[i] for i in iter_bits(self.col[u] & self.col[v])]
 
     def detail(self, u: int, v: int) -> tuple[int, bool]:
         """(support mask, triangle-free) of L(u, v)."""
-        if u > v:
-            u, v = v, u
-        key = u * (self.n + 1) + v
+        key = (u, v) if u <= v else (v, u)
         got = self._details.get(key)
         if got is None:
-            a = self.links[u - 1]
-            lg = a if u == v else a & self.links[v - 1]
+            pairs = self.link(u, v)
             support = 0
-            for e in lg:
-                support |= e
-            got = self._details[key] = (support, _triangle_free(lg))
+            for a in pairs:
+                support |= a
+            got = self._details[key] = (support, _triangle_free(pairs))
         return got
-
-
-def _shadow_neighborhoods(h: Hypergraph) -> dict[int, list[int]]:
-    """shadow mask -> sorted 1-based labels of N(T)."""
-    out: dict[int, list[int]] = {}
-    for e in h.edges:
-        for b in iter_bits(e):
-            out.setdefault(e ^ (1 << b), []).append(b + 1)
-    return {t: sorted(vs) for t, vs in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -324,35 +327,32 @@ def fisher_ryan_certificate(g: Hypergraph, ell: int) -> CertificateReport:
 def link_count_identity(h: Hypergraph) -> CertificateReport:
     """Each ordered pair lies in exactly |L(u, v)| of the neighborhoods N(T).
 
-    The left side is tallied from shadow neighborhoods, the right side from
-    per-vertex link-set intersections (the pair-link table), so the two sides
+    The left side is tallied from the neighborhood masks N(T), the right
+    side is popcount(col[u] & col[v]) over the link masks, so the two sides
     really are computed along different paths.  Holds for every 3-graph,
     cancellative or not.
     """
     if h.r != 3:
         raise ValueError("link_count_identity expects r = 3")
+    ix = _Incidence(h)
     counts: Counter = Counter()
-    for t, nbrs in _shadow_neighborhoods(h).items():
-        for u in nbrs:
-            for v in nbrs:
-                counts[(u, v)] += 1
-    sizes = _PairLinkTable(h).size
+    for m in ix.nbr:
+        vs = list(iter_bits(m))
+        counts.update(itertools.product(vs, repeat=2))
+    sizes = ix.size
     mismatch = None
-    for u in range(1, h.n + 1):
-        for v in range(1, h.n + 1):
-            lhs = counts.get((u, v), 0)
-            rhs = sizes[u][v]
-            if lhs != rhs:
-                mismatch = {"u": u, "v": v, "containment_count": lhs, "link_size": rhs}
-                break
-        if mismatch:
+    for u, v in itertools.product(range(h.n), repeat=2):
+        lhs = counts.get((u, v), 0)
+        rhs = sizes[u][v]
+        if lhs != rhs:
+            mismatch = {"u": u + 1, "v": v + 1, "containment_count": lhs, "link_size": rhs}
             break
     return CertificateReport(
         name="link-count",
         quantities={
             "n": h.n,
             "edges": h.size,
-            "shadow": len(shadow(h)),
+            "shadow": len(ix.ts),
             "ordered_pairs_checked": h.n * h.n,
         },
         holds=mismatch is None,
@@ -360,42 +360,41 @@ def link_count_identity(h: Hypergraph) -> CertificateReport:
     )
 
 
-def inequality2_certificate(h: Hypergraph, threads: int = 1) -> CertificateReport:
+def inequality2_certificate(h: Hypergraph) -> CertificateReport:
     """Reciprocal pair-link sum over shadow neighborhoods vs n^2 - 2|shadow|.
 
     Exact rational sum of 1/|L(u, v)| over T in the shadow and ordered
     (u, v) in N(T)^2; every |L(u, v)| >= 1 because T itself lies in it.
-    Each |L(u, v)| is a lookup in the pair-link table.  threads is accepted
-    and ignored: the result never depended on it.
+    Each |L(u, v)| is a lookup in the incidence index.
     """
     if h.r != 3:
         raise ValueError("inequality2_certificate expects r = 3")
     if not is_cancellative(h):
         raise ValueError("precondition failed: input is not cancellative")
-    sh = _shadow_neighborhoods(h)
-    if not sh:
+    ix = _Incidence(h)
+    if not ix.ts:
         return CertificateReport(
             name="inequality2",
             quantities={"n": h.n, "edges": 0, "shadow": 0},
             holds=True,
             vacuous=True,
         )
-    sizes = _PairLinkTable(h).size
+    sizes = ix.size
     hist: Counter = Counter()
-    for t in sorted(sh):
-        nbrs = sh[t]
-        for u in nbrs:
-            hist.update(map(sizes[u].__getitem__, nbrs))
+    for m in ix.nbr:
+        vs = list(iter_bits(m))
+        for u in vs:
+            hist.update(map(sizes[u].__getitem__, vs))
     assert 0 not in hist, "T itself always lies in L(u, v)"
     lhs = sum((Fraction(cnt, size) for size, cnt in sorted(hist.items())), Fraction(0))
-    rhs = h.n * h.n - 2 * len(sh)
+    rhs = h.n * h.n - 2 * len(ix.ts)
     holds = lhs <= rhs
     return CertificateReport(
         name="inequality2",
         quantities={
             "n": h.n,
             "edges": h.size,
-            "shadow": len(sh),
+            "shadow": len(ix.ts),
             "lhs": _frac_str(lhs),
             "lhs_float": float(lhs),
             "rhs": rhs,
@@ -405,20 +404,19 @@ def inequality2_certificate(h: Hypergraph, threads: int = 1) -> CertificateRepor
     )
 
 
-def theorem13_certificate(h: Hypergraph, threads: int = 1) -> CertificateReport:
+def theorem13_certificate(h: Hypergraph) -> CertificateReport:
     """Shadow-ratio chain bounding a cancellative 3-graph's size.
 
     With z = (3|H|/|shadow|) / (n - 3|H|/|shadow|), certifies the full
     chain down to 27|H| <= n^3 plus the sharp balanced-partition bound
-    |H| <= t_3(n, 3); all comparisons in exact rationals.  threads is
-    accepted and ignored.
+    |H| <= t_3(n, 3); all comparisons in exact rationals.
     """
     if h.r != 3:
         raise ValueError("theorem13_certificate expects r = 3")
     if not is_cancellative(h):
         raise ValueError("precondition failed: input is not cancellative")
-    sh = _shadow_neighborhoods(h)
-    if not sh:
+    degrees = [m.bit_count() for m in _Incidence(h).nbr]
+    if not degrees:
         return CertificateReport(
             name="theorem13",
             quantities={"n": h.n, "edges": 0, "shadow": 0},
@@ -429,14 +427,14 @@ def theorem13_certificate(h: Hypergraph, threads: int = 1) -> CertificateReport:
 
     n = h.n
     m = h.size
-    s = len(sh)
-    degree_sum = sum(len(v) for v in sh.values())
+    s = len(degrees)
+    degree_sum = sum(degrees)
     checks: dict[str, bool] = {}
     checks["degree_sum_is_3_edges"] = degree_sum == 3 * m
 
     q = Fraction(3 * m, s)
     z = q / (n - q)
-    hist_d: Counter = Counter(len(v) for v in sh.values())
+    hist_d: Counter = Counter(degrees)
     mantel_sum = sum(
         (cnt * Fraction(4 * d * d, (n - d) ** 2) for d, cnt in sorted(hist_d.items())),
         Fraction(0),
@@ -472,61 +470,60 @@ def theorem13_certificate(h: Hypergraph, threads: int = 1) -> CertificateReport:
     )
 
 
-def mantel_link_bound(h: Hypergraph, threads: int = 1) -> CertificateReport:
+def mantel_link_bound(h: Hypergraph) -> CertificateReport:
     """Pair links avoid N(T), stay triangle-free, and obey the Mantel cap.
 
     For every T in the shadow and ordered (u, v) in N(T)^2:
     the vertex set of L(u, v) misses N(T), L(u, v) is triangle-free, and
-    4|L(u, v)| <= (n - d(T))^2.  The three tests read the pair-link table.
+    4|L(u, v)| <= (n - d(T))^2.  The three tests read the incidence index.
     The witness is the first failure with T in sorted order, then u and v
-    in N(T) order.  threads is accepted and ignored.
+    in N(T) order.
     """
     if h.r != 3:
         raise ValueError("mantel_link_bound expects r = 3")
     if not is_cancellative(h):
         raise ValueError("precondition failed: input is not cancellative")
-    sh = _shadow_neighborhoods(h)
-    if not sh:
+    ix = _Incidence(h)
+    if not ix.ts:
         return CertificateReport(
             name="mantel-link",
             quantities={"n": h.n, "edges": 0, "shadow": 0},
             holds=True,
             vacuous=True,
         )
-    table = _PairLinkTable(h)
+    sizes = ix.size
 
     def check() -> tuple[int, int, Optional[dict]]:
         checked = 0
         max_link = 0
-        for t in sorted(sh):
-            nbrs = sh[t]
-            nmask = mask_of(nbrs)
-            cap = (h.n - len(nbrs)) ** 2
-            for u in nbrs:
-                row = table.size[u]
-                for v in nbrs:
+        for t, nmask in zip(ix.ts, ix.nbr):
+            vs = list(iter_bits(nmask))
+            cap = (h.n - len(vs)) ** 2
+            for u in vs:
+                row = sizes[u]
+                for v in vs:
                     checked += 1
                     size = row[v]
                     if size > max_link:
                         max_link = size
-                    support, triangle_free = table.detail(u, v)
+                    support, triangle_free = ix.detail(u, v)
                     if support & nmask:
                         return checked, max_link, {
                             "kind": "link_meets_neighborhood",
                             "T": vertices_of(t),
-                            "pair": [u, v],
+                            "pair": [u + 1, v + 1],
                         }
                     if not triangle_free:
                         return checked, max_link, {
                             "kind": "link_not_triangle_free",
                             "T": vertices_of(t),
-                            "pair": [u, v],
+                            "pair": [u + 1, v + 1],
                         }
                     if 4 * size > cap:
                         return checked, max_link, {
                             "kind": "mantel_cap",
                             "T": vertices_of(t),
-                            "pair": [u, v],
+                            "pair": [u + 1, v + 1],
                             "link_size": size,
                             "cap": cap / 4,
                         }
@@ -538,7 +535,7 @@ def mantel_link_bound(h: Hypergraph, threads: int = 1) -> CertificateReport:
         quantities={
             "n": h.n,
             "edges": h.size,
-            "shadow": len(sh),
+            "shadow": len(ix.ts),
             "pairs_checked": checked,
             "max_pair_link": max_link,
         },

@@ -110,14 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument("file")
     v.add_argument("--ell", type=int)
-    v.add_argument("--threads", type=int, default=1)
 
     s = sub.add_parser("search", help="exact extremal number by exhaustive search")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--r", type=int, required=True)
     s.add_argument("--predicate", required=True, choices=["cancellative", "k-free", "triangle-free"])
     s.add_argument("--ell", type=int)
-    s.add_argument("--threads", type=int, default=1)
     s.add_argument("--budget", type=int, default=50_000_000)
     s.add_argument("--ordering", choices=["colex", "degree-greedy"], default="colex")
     s.add_argument("--symmetry-depth", type=int, default=None)
@@ -141,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--seeds", required=True, help="comma-separated seeds")
     sc.add_argument("--ell", type=int, default=3)
     sc.add_argument("--noise", type=int, default=0)
-    sc.add_argument("--threads", type=int, default=1)
 
     ca = sub.add_parser("cache", help="inspect the result cache")
     casub = ca.add_subparsers(dest="action", required=True)
@@ -214,11 +211,11 @@ def _verify_payload(args, manifest: Optional[RunManifest]) -> tuple[str, int]:
     elif name == "link-count":
         report = link_count_identity(h)
     elif name == "inequality2":
-        report = inequality2_certificate(h, threads=args.threads)
+        report = inequality2_certificate(h)
     elif name == "theorem13":
-        report = theorem13_certificate(h, threads=args.threads)
+        report = theorem13_certificate(h)
     elif name == "mantel-link":
-        report = mantel_link_bound(h, threads=args.threads)
+        report = mantel_link_bound(h)
     elif name == "cancellative":
         w = cancellative_witness(h)
         report = CertificateReport(
@@ -256,10 +253,6 @@ def _verify_payload(args, manifest: Optional[RunManifest]) -> tuple[str, int]:
     return _json(report.to_json_dict()), OK if report.holds else VIOLATED
 
 
-def _record_payload(record_dict: dict) -> str:
-    return _json(record_dict)
-
-
 def _record_to_dict(rec: ExtremalRecord) -> dict:
     return {
         "predicate": rec.predicate,
@@ -294,11 +287,10 @@ def _search_payload(args, manifest: Optional[RunManifest]) -> tuple[str, int]:
                 "nodes_explored": hit.stats.get("nodes_explored"),
                 "witnesses": hit.stats.get("witnesses", []),
             }
-            return _record_payload(payload), OK
+            return _json(payload), OK
     cfg = SearchConfig(
         ordering=args.ordering,
         symmetry_depth=args.symmetry_depth,
-        thread_count=args.threads,
         node_budget=args.budget,
     )
     rec = extremal_number(args.n, args.r, args.predicate, cfg, ell=args.ell, allow_large=args.allow_large)
@@ -332,7 +324,7 @@ def _search_payload(args, manifest: Optional[RunManifest]) -> tuple[str, int]:
                 },
             ),
         )
-    return _record_payload(payload), OK if rec.complete else BUDGET
+    return _json(payload), OK if rec.complete else BUDGET
 
 
 def _stability_payload(args, manifest: Optional[RunManifest]) -> tuple[str, int]:
@@ -376,9 +368,7 @@ def _scan_payload(args, manifest: Optional[RunManifest]) -> tuple[str, int]:
     seeds = _int_list(args.seeds)
     if manifest:
         manifest.seeds.extend(seeds)
-    rows = epsilon_delta_scan(
-        args.kind, ns, params, seeds, ell=args.ell, noise=args.noise, threads=args.threads
-    )
+    rows = epsilon_delta_scan(args.kind, ns, params, seeds, ell=args.ell, noise=args.noise)
     lines = ["n,seed,epsilon,delta,bad_edges,case"]
     for row in rows:
         lines.append(

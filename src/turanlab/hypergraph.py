@@ -178,33 +178,41 @@ def adjacency_masks(g: Hypergraph) -> list[int]:
     return adj
 
 
+def iter_cliques(adj: list[int], cand: int, size: int) -> Iterator[int]:
+    """Every size-clique inside the vertex mask cand, as a vertex mask.
+
+    adj[b] is the neighbour mask of vertex bit b (see adjacency_masks).
+    Cliques come in lexicographic order of their sorted vertices, and the
+    one clique of size 0 is the empty mask.  Each vertex taken narrows the
+    candidates to its neighbours above it; a branch stops once fewer
+    candidates remain than vertices are still needed.
+    """
+    if size == 0:
+        yield 0
+        return
+    if cand.bit_count() < size:
+        return
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        if size == 1:
+            yield low
+            continue
+        for rest in iter_cliques(adj, cand & adj[low.bit_length() - 1], size - 1):
+            yield low | rest
+
+
 def count_cliques(g: Hypergraph, i: int) -> int:
     """Exact number of i-cliques of a graph.
 
-    k_1 counts every vertex, isolated ones included; k_2 = |E|.  Recursive
-    extension over a fixed vertex order with a candidate-count cutoff; no
+    k_1 counts every vertex, isolated ones included; k_2 = |E|.  No
     sampling anywhere, the inequality certificates need exact values.
     """
     if g.r != 2:
         raise ValueError("clique counting expects a graph (r = 2)")
     if i < 1:
         raise ValueError(f"clique size must be >= 1, got {i}")
-    if i == 1:
-        return g.n
-    adj = adjacency_masks(g)
-    total = 0
-    # stack of (candidate mask, vertices still needed)
-    stack = [(adj[v] & ~((1 << (v + 1)) - 1), i - 1) for v in range(g.n)]
-    while stack:
-        cand, need = stack.pop()
-        if need == 0:
-            total += 1
-            continue
-        if cand.bit_count() < need:
-            continue
-        for b in iter_bits(cand):
-            stack.append((cand & adj[b] & ~((1 << (b + 1)) - 1), need - 1))
-    return total
+    return sum(1 for _ in iter_cliques(adjacency_masks(g), (1 << g.n) - 1, i))
 
 
 def contains_clique(g: Hypergraph, q: int) -> bool:
@@ -213,21 +221,7 @@ def contains_clique(g: Hypergraph, q: int) -> bool:
         raise ValueError("clique search expects a graph (r = 2)")
     if q < 1:
         raise ValueError(f"clique size must be >= 1, got {q}")
-    if q == 1:
-        return g.n > 0
-    adj = adjacency_masks(g)
-
-    def grow(cand: int, need: int) -> bool:
-        if need == 0:
-            return True
-        if cand.bit_count() < need:
-            return False
-        for b in iter_bits(cand):
-            if grow(cand & adj[b] & ~((1 << (b + 1)) - 1), need - 1):
-                return True
-        return False
-
-    return any(grow(adj[v] & ~((1 << (v + 1)) - 1), q - 1) for v in range(g.n))
+    return next(iter_cliques(adjacency_masks(g), (1 << g.n) - 1, q), None) is not None
 
 
 def is_subgraph(f: Hypergraph, h: Hypergraph) -> bool:

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 from .canonical import _twin_classes, canonical_code
 from .checkers import _CancellativeState
-from .hypergraph import Hypergraph, adjacency_masks, all_r_subsets, iter_bits
+from .hypergraph import Hypergraph, adjacency_masks, all_r_subsets, iter_bits, iter_cliques
 from .partitions import Partition
 
 DEFAULT_GUARDS = {2: 10, 3: 8}
@@ -48,16 +48,6 @@ class KFreeState:
     def _pairs(self, e: int) -> list[tuple[int, int]]:
         return list(itertools.combinations(list(iter_bits(e)), 2))
 
-    def _has_clique(self, adj: list[int], cand: int, need: int) -> bool:
-        if need == 0:
-            return True
-        if cand.bit_count() < need:
-            return False
-        for b in iter_bits(cand):
-            if self._has_clique(adj, cand & adj[b] & ~((1 << (b + 1)) - 1), need - 1):
-                return True
-        return False
-
     def addable(self, e: int) -> bool:
         if self.r == 2:
             lo = e & -e
@@ -67,7 +57,7 @@ class KFreeState:
             common = self.adj[i] & self.adj[j]
             if self.ell == 2:
                 return common == 0
-            return not self._has_clique(self.adj, common, self.ell - 1)
+            return next(iter_cliques(self.adj, common, self.ell - 1), None) is None
         pairs = self._pairs(e)
         new = [(i, j) for i, j in pairs if not self.pair_cov.get((i, j))]
         if not new:
@@ -77,7 +67,7 @@ class KFreeState:
             adj2[i] |= 1 << j
             adj2[j] |= 1 << i
         for i, j in new:
-            if self._has_clique(adj2, adj2[i] & adj2[j], self.ell - 1):
+            if next(iter_cliques(adj2, adj2[i] & adj2[j], self.ell - 1), None) is not None:
                 return False
         return True
 
@@ -150,7 +140,6 @@ def register_predicate(spec: PredicateSpec, hereditary: bool) -> None:
 class SearchConfig:
     ordering: str = "colex"  # or "degree-greedy"
     symmetry_depth: Optional[int] = None  # None: canonical rejection at every depth
-    thread_count: int = 1
     node_budget: int = 50_000_000
     witness_cap: int = 1000
 

@@ -7,7 +7,8 @@ finally V2 = N_L(x), V3 = N_L(y), V1 = the rest.  Every structural fact
 the chain relies on (link avoids N(T), V2 and V3 disjoint and independent)
 is asserted on the way out, so a bad input cannot produce a quietly wrong
 report.  All selections break ties deterministically, making witness
-chains reproducible.
+chains reproducible.  The co-link mass and the pair links come from the
+checkers' incidence index, in exact integers.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from .checkers import is_cancellative, is_k_free, _link_sets
+from .checkers import _Incidence, is_cancellative, is_k_free
 from .constructions import turan_count
 from .hypergraph import (
     Hypergraph,
@@ -27,13 +26,12 @@ from .hypergraph import (
     contains_clique,
     count_cliques,
     iter_bits,
+    iter_cliques,
     mask_of,
     vertices_of,
 )
 from .partitions import Partition, bad_edges
-from .search import max_ell_cut, vertex_move_optimal
-
-EXACT_CUT_LIMIT = 20
+from .search import EXACT_CUT_CEILING, max_ell_cut, vertex_move_optimal
 
 
 @dataclass
@@ -106,7 +104,7 @@ class BipartiteDistanceReport:
 
 
 def _cut_mode(n: int) -> str:
-    return "exact" if n <= EXACT_CUT_LIMIT else "local"
+    return "exact" if n <= EXACT_CUT_CEILING else "local"
 
 
 def extract_partition_kfree(h: Hypergraph, ell: int, seed: int = 0) -> StabilityReport:
@@ -130,26 +128,6 @@ def extract_partition_kfree(h: Hypergraph, ell: int, seed: int = 0) -> Stability
     )
 
 
-def _colink_matrix(h: Hypergraph) -> tuple[list[int], np.ndarray]:
-    """Shadow masks plus the n x n matrix M[u][v] = #{T : u, v in N(T)}.
-
-    The diagonal equals the vertex degree, which is exactly |L(u)|, so the
-    matrix doubles as the pair-link size table with the L(u, u) = L(u)
-    convention baked in.
-    """
-    nbr: dict[int, int] = {}
-    for e in h.edges:
-        for b in iter_bits(e):
-            t = e ^ (1 << b)
-            nbr[t] = nbr.get(t, 0) | (1 << b)
-    ts = sorted(nbr)
-    x = np.zeros((len(ts), h.n), dtype=np.int64)
-    for i, t in enumerate(ts):
-        for b in iter_bits(nbr[t]):
-            x[i, b] = 1
-    return ts, x
-
-
 def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
     """Recover a near-tripartition of a cancellative 3-graph with a witness chain."""
     if h.r != 3:
@@ -159,25 +137,26 @@ def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
     if h.size == 0:
         raise ValueError("empty shadow: the extractor needs at least one edge")
     n = h.n
-    ts, x = _colink_matrix(h)
-    colink = x.T @ x  # symmetric, diagonal = vertex degrees = |L(u)|
-    mass = ((x @ colink) * x).sum(axis=1)  # sum of |L(u,v)| over N(T)^2, per T
-    degs = x.sum(axis=1)
+    ix = _Incidence(h)
+    sizes = ix.size
 
-    # (i) T maximizing  4 * mass / (d^2 (n-d)^2), ties by larger d then lex T;
-    # the shadow list is in lexicographic vertex order, so earlier wins final ties
-    order = sorted(range(len(ts)), key=lambda i: vertices_of(ts[i]))
+    # (i) T maximizing  4 * mass / (d^2 (n-d)^2), where mass is the sum of
+    # |L(u, v)| over (u, v) in N(T)^2; ties by larger d then lex T, so the
+    # shadow pairs go in lexicographic vertex order and earlier wins final ties
+    order = sorted(range(len(ix.ts)), key=lambda i: vertices_of(ix.ts[i]))
     best_i = None
     best_num = best_den = best_d = 0
     for i in order:
-        d = int(degs[i])
-        num, den = 4 * int(mass[i]), d * d * (n - d) * (n - d)
+        vs = list(iter_bits(ix.nbr[i]))
+        d = len(vs)
+        mass = sum(sum(map(sizes[u].__getitem__, vs)) for u in vs)
+        num, den = 4 * mass, d * d * (n - d) * (n - d)
         if best_i is None or num * best_den > best_num * den or (
             num * best_den == best_num * den and d > best_d
         ):
             best_i, best_num, best_den, best_d = i, num, den, d
-    t_mask = ts[best_i]
-    nbrs = [b + 1 for b in range(n) if x[best_i, b]]
+    t_mask = ix.ts[best_i]
+    nbrs = [b + 1 for b in iter_bits(ix.nbr[best_i])]
     d_t = len(nbrs)
     score = Fraction(best_num, best_den) if best_den else Fraction(0)
 
@@ -186,21 +165,19 @@ def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
     best_size = -1
     for u in nbrs:
         for v in nbrs:
-            size = int(colink[u - 1, v - 1])
+            size = sizes[u - 1][v - 1]
             if size > best_size:
                 best_size = size
                 best_pair = (u, v)
     u, v = best_pair
 
     # (iii) the pair link as a graph, then its max-degree-sum edge {x, y}
-    links = _link_sets(h)
-    link_graph = sorted(links[u - 1] if u == v else links[u - 1] & links[v - 1])
+    link_graph = ix.link(u - 1, v - 1)
     assert len(link_graph) == best_size, "pair-link recount must match the co-link table"
-    nmask = mask_of(nbrs)
     support = 0
     for a in link_graph:
         support |= a
-    assert support & nmask == 0, "pair link must avoid N(T) in a cancellative graph"
+    assert support & ix.nbr[best_i] == 0, "pair link must avoid N(T) in a cancellative graph"
 
     degenerate = not link_graph
     if degenerate:
@@ -305,9 +282,10 @@ def greedy_clique_removal(g: Hypergraph, ell: int) -> tuple[Hypergraph, list[tup
         raise ValueError("greedy_clique_removal expects a graph (r = 2)")
     edges = set(g.edges)
     removed: list[tuple[int, int]] = []
+    full = (1 << g.n) - 1
     while True:
         cur = Hypergraph(g.n, 2, tuple(sorted(edges))) if edges else Hypergraph(g.n, 2, ())
-        cliques = _cliques_of_size(cur, ell + 1)
+        cliques = [vertices_of(c) for c in iter_cliques(adjacency_masks(cur), full, ell + 1)]
         if not cliques:
             return cur, removed
         load: dict[tuple[int, int], int] = {}
@@ -319,26 +297,6 @@ def greedy_clique_removal(g: Hypergraph, ell: int) -> tuple[Hypergraph, list[tup
         victim = min(load, key=lambda p: (-load[p], p))
         edges.discard(mask_of(victim))
         removed.append(victim)
-
-
-def _cliques_of_size(g: Hypergraph, q: int) -> list[tuple[int, ...]]:
-    adj = adjacency_masks(g)
-    out: list[tuple[int, ...]] = []
-
-    def grow(chosen: list[int], cand: int, need: int) -> None:
-        if need == 0:
-            out.append(tuple(v + 1 for v in chosen))
-            return
-        if cand.bit_count() < need:
-            return
-        for b in iter_bits(cand):
-            chosen.append(b)
-            grow(chosen, cand & adj[b] & ~((1 << (b + 1)) - 1), need - 1)
-            chosen.pop()
-
-    for v in range(g.n):
-        grow([v], adj[v] & ~((1 << (v + 1)) - 1), q - 1)
-    return out
 
 
 def extract_partition_generalized(
@@ -501,7 +459,6 @@ def epsilon_delta_scan(
     seeds: list[int],
     ell: int = 3,
     noise: int = 0,
-    threads: int = 1,
 ) -> list[ScanRow]:
     """Measured (epsilon, delta) table; rows are deterministic under seeds.
 
@@ -510,8 +467,6 @@ def epsilon_delta_scan(
     bipartite-distance analyzer over generator outputs at the given
     epsilon targets.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     from .constructions import perturb, random_triangle_free_near_bipartite, turan_hypergraph
 
     if kind not in ("cancellative", "kfree", "triangle-free"):
@@ -533,7 +488,4 @@ def epsilon_delta_scan(
             rep2 = extract_partition_kfree(h, ell, seed=s)
         return ScanRow(n, s, rep2.epsilon, rep2.delta, rep2.bad_edge_count, "")
 
-    if threads <= 1:
-        return [run(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, jobs))
+    return [run(j) for j in jobs]

@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 
 from turanlab import checkers
 from turanlab.checkers import (
-    _PairLinkTable,
-    _link_sets,
-    _shadow_neighborhoods,
+    _Incidence,
     _triangle_free,
     cancellative_witness,
     fisher_ryan_certificate,
@@ -36,6 +34,7 @@ from turanlab.constructions import (
 )
 from turanlab.hypergraph import (
     Hypergraph,
+    adjacency_masks,
     all_r_subsets,
     auxiliary_graph,
     contains_clique,
@@ -256,16 +255,6 @@ def test_certificates_on_all_cancellative_5_vertex():
         assert mantel_link_bound(h).holds
 
 
-def test_certificates_thread_count_invariance():
-    h = turan_hypergraph(9, 3, 3)
-    base = inequality2_certificate(h, threads=1)
-    for t in (2, 4):
-        rep = inequality2_certificate(h, threads=t)
-        assert rep.to_json_dict() == base.to_json_dict()
-    base = mantel_link_bound(h, threads=1)
-    assert mantel_link_bound(h, threads=4).to_json_dict() == base.to_json_dict()
-
-
 def test_witness_present_iff_fails():
     good = inequality2_certificate(turan_hypergraph(6, 3, 3))
     assert good.holds and good.witness is None
@@ -298,8 +287,40 @@ def test_incremental_state_matches_direct_checker():
 
 
 # ---------------------------------------------------------------------------
-# Differential tests: the per-(T, u, v) paths the pair-link table replaced,
-# kept here as oracles.
+# Differential tests: the per-(T, u, v) paths and the separate link and
+# neighborhood tables the incidence index replaced, kept here as oracles.
+
+
+def _link_sets(h):
+    """links[v-1] = set of pair masks A with A + {v} an edge."""
+    links = [set() for _ in range(h.n)]
+    for e in h.edges:
+        for v in vertices_of(e):
+            links[v - 1].add(e ^ (1 << (v - 1)))
+    return links
+
+
+def _shadow_neighborhoods(h):
+    """shadow mask -> sorted 1-based labels of N(T)."""
+    out = {}
+    for e in h.edges:
+        for v in vertices_of(e):
+            out.setdefault(e ^ (1 << (v - 1)), []).append(v)
+    return {t: sorted(vs) for t, vs in out.items()}
+
+
+def oracle_cancellative_witness(h):
+    """Group the edges by the pairs they cover; two edges A, B sharing a pair
+    violate cancellativity with the first edge C covering the pair A (+) B."""
+    by_pair = {}
+    for e in h.edges:
+        for a, b in itertools.combinations(vertices_of(e), 2):
+            by_pair.setdefault(mask_of((a, b)), []).append(e)
+    for _, group in sorted(by_pair.items()):
+        for a, b in itertools.combinations(group, 2):
+            for c in by_pair.get(a ^ b, ()):
+                return (vertices_of(a), vertices_of(b), vertices_of(c))
+    return None
 
 
 def _pair_link_size(links, u, v):
@@ -450,14 +471,48 @@ def test_pair_link_table_matches_per_pair_links():
     rng = random.Random(71)
     for _ in range(60):
         h = random_hypergraph(rng.randint(3, 9), 3, rng.uniform(0.05, 0.6), rng)
-        table = _PairLinkTable(h)
+        ix = _Incidence(h)
         links = _link_sets(h)
         for u, v in itertools.product(range(1, h.n + 1), repeat=2):
             lg = links[u - 1] if u == v else links[u - 1] & links[v - 1]
-            assert table.size[u][v] == _pair_link_size(links, u, v) == len(lg)
-            support, triangle_free = table.detail(u, v)
+            assert ix.size[u - 1][v - 1] == _pair_link_size(links, u, v) == len(lg)
+            assert ix.link(u - 1, v - 1) == sorted(lg)
+            support, triangle_free = ix.detail(u - 1, v - 1)
             assert support == mask_of(x for a in lg for x in vertices_of(a))
             assert triangle_free == (not contains_clique(Hypergraph(h.n, 2, tuple(lg)), 3))
+
+
+def test_incidence_index_matches_oracles():
+    rng = random.Random(79)
+    for _ in range(120):
+        h = random_hypergraph(rng.randint(0, 10), 3, rng.uniform(0.05, 0.6), rng)
+        ix = _Incidence(h)
+        sh = _shadow_neighborhoods(h)
+        links = _link_sets(h)
+        assert ix.ts == sorted(sh) == sorted(auxiliary_graph(h).edges)
+        assert ix.nbr == [mask_of(sh[t]) for t in ix.ts]
+        assert ix.adj == adjacency_masks(auxiliary_graph(h))
+        for u in range(h.n):
+            assert [ix.ts[i] for i in range(len(ix.ts)) if ix.col[u] >> i & 1] == sorted(links[u])
+            assert ix.detail(u, u)[1] == (
+                not contains_clique(Hypergraph(h.n, 2, tuple(links[u])), 3)
+            )
+        assert ix.size == [
+            [_pair_link_size(links, u, v) for v in range(1, h.n + 1)] for u in range(1, h.n + 1)
+        ]
+
+
+def test_cancellative_witness_matches_by_pair_oracle():
+    rng = random.Random(83)
+    violated = 0
+    for _ in range(400):
+        h = random_hypergraph(rng.randint(3, 10), 3, rng.uniform(0.02, 0.4), rng)
+        w = cancellative_witness(h)
+        assert w == oracle_cancellative_witness(h)
+        violated += w is not None
+    for h in cancellative_samples():
+        assert cancellative_witness(h) is None and oracle_cancellative_witness(h) is None
+    assert 100 < violated < 400
 
 
 def test_triangle_free_bit_test_matches_contains_clique():

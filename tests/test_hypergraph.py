@@ -7,6 +7,7 @@ import pytest
 
 from turanlab.hypergraph import (
     Hypergraph,
+    adjacency_masks,
     all_r_subsets,
     auxiliary_graph,
     contains_clique,
@@ -14,6 +15,7 @@ from turanlab.hypergraph import (
     degree,
     format_hypergraph,
     is_subgraph,
+    iter_cliques,
     link,
     link_pair,
     mask_of,
@@ -152,11 +154,25 @@ def test_count_cliques_examples():
 
 def test_count_cliques_against_oracle():
     rng = random.Random(3)
+    pick = random.Random(5)
     for _ in range(25):
         n = rng.randint(4, 9)
         g = random_hypergraph(n, 2, 0.45, rng)
         for i in range(1, 6):
             assert count_cliques(g, i) == count_cliques_oracle(g, i)
+        # iter_cliques lists the same cliques in lexicographic order, and
+        # restricted to a candidate mask it stays inside it
+        edges = g.edge_set()
+        for i in range(0, 5):
+            brute = [
+                c for c in itertools.combinations(range(1, n + 1), i)
+                if all(mask_of(p) in edges for p in itertools.combinations(c, 2))
+            ]
+            full = (1 << n) - 1
+            assert [vertices_of(c) for c in iter_cliques(adjacency_masks(g), full, i)] == brute
+            cand = pick.getrandbits(n)
+            inside = [vertices_of(c) for c in iter_cliques(adjacency_masks(g), cand, i)]
+            assert inside == [c for c in brute if mask_of(c) & cand == mask_of(c)]
 
 
 def test_contains_clique():

@@ -211,8 +211,6 @@ def test_scan_rows():
     assert zero and all(r.delta == 0.0 and r.bad_edges == 0 for r in zero)
     again = epsilon_delta_scan("cancellative", [9, 12], [0.0, 0.1], [1, 2])
     assert rows == again
-    threaded = epsilon_delta_scan("cancellative", [9, 12], [0.0, 0.1], [1, 2], threads=4)
-    assert rows == threaded
     tri = epsilon_delta_scan("triangle-free", [16], [0.02], [3, 4], noise=8)
     assert len(tri) == 2 and all(r.case in ("1", "2") for r in tri)
     kf = epsilon_delta_scan("kfree", [9], [0.1], [5])
