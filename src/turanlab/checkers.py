@@ -9,8 +9,11 @@ report.
 
 Every 3-graph check reads one incidence index (`_Incidence`), built from
 the edges: which vertices lie in N(T) for each shadow pair T, and from it
-the vertex links, the pair-cover adjacency and the pair-link sizes.  The
-incremental state of the cancellative search keeps its own counters.
+the vertex links, the pair-cover adjacency and the pair-link sizes.  A
+certificate that needs a cancellative input shares one index with its
+precondition (`_cancellative_index`): the index is built once, scanned for
+a cancellativity witness, then read by the certificate.  The incremental
+state of the cancellative search keeps its own counters.
 """
 
 from __future__ import annotations
@@ -127,38 +130,34 @@ class _CancellativeState:
             self.pair_cov[pm] -= 1
 
 
-def cancellative_witness(h: Hypergraph, allow_any_r: bool = False) -> Optional[tuple]:
-    """A violating (A, B, C) with A (+) B inside C, or None if cancellative."""
-    if h.r != 3 and not allow_any_r:
-        raise ValueError("cancellativity checks expect r = 3 (pass allow_any_r for the general scan)")
-    if h.r == 3:
-        # A (+) B inside C needs A = T + x and B = T + y with the pair {x, y}
-        # covered: take the first T and the first x < y in N(T) with y in
-        # adj[x], and for C the lowest edge covering {x, y}
-        ix = _Incidence(h)
-        for t, m in zip(ix.ts, ix.nbr):
-            for x in iter_bits(m):
-                hit = ix.adj[x] & m & ~((2 << x) - 1)
-                if hit:
-                    y = hit & -hit
-                    w = ix.nbr[bisect_left(ix.ts, (1 << x) | y)]
-                    c = (1 << x) | y | (w & -w)
-                    return (vertices_of(t | (1 << x)), vertices_of(t | y), vertices_of(c))
-        return None
-    # general r: brute pair scan with superset test
-    for a, b in itertools.combinations(h.edges, 2):
-        d = a ^ b
-        if d.bit_count() > h.r:
-            continue
-        for c in h.edges:
-            if c != a and c != b and d & c == d:
-                return (vertices_of(a), vertices_of(b), vertices_of(c))
+def _first_witness(ix: _Incidence) -> Optional[tuple]:
+    """The first violating (A, B, C) of a 3-graph, read off its index, or None.
+
+    A (+) B inside C needs A = T + x and B = T + y with the pair {x, y}
+    covered: take the first T and the first x < y in N(T) with y in adj[x],
+    and for C the lowest edge covering {x, y}.
+    """
+    for t, m in zip(ix.ts, ix.nbr):
+        for x in iter_bits(m):
+            hit = ix.adj[x] & m & ~((2 << x) - 1)
+            if hit:
+                y = hit & -hit
+                w = ix.nbr[bisect_left(ix.ts, (1 << x) | y)]
+                c = (1 << x) | y | (w & -w)
+                return (vertices_of(t | (1 << x)), vertices_of(t | y), vertices_of(c))
     return None
 
 
-def is_cancellative(h: Hypergraph, allow_any_r: bool = False) -> bool:
+def cancellative_witness(h: Hypergraph) -> Optional[tuple]:
+    """A violating (A, B, C) with A (+) B inside C, or None if cancellative."""
+    if h.r != 3:
+        raise ValueError("cancellativity checks expect r = 3")
+    return _first_witness(_Incidence(h))
+
+
+def is_cancellative(h: Hypergraph) -> bool:
     """No three distinct edges A, B, C with the symmetric difference of A, B inside C."""
-    return cancellative_witness(h, allow_any_r) is None
+    return cancellative_witness(h) is None
 
 
 def is_k_free(h: Hypergraph, ell: int) -> bool:
@@ -286,6 +285,27 @@ class _Incidence:
         return got
 
 
+def _cancellative_index(
+    h: Hypergraph, name: str, failure: str = "precondition failed: input is not cancellative"
+) -> _Incidence:
+    """The incidence index of h, after the r = 3 and cancellativity
+    preconditions of `name`; the witness scan reads the same index the
+    caller goes on to read, so it is built once."""
+    if h.r != 3:
+        raise ValueError(f"{name} expects r = 3")
+    ix = _Incidence(h)
+    if _first_witness(ix) is not None:
+        raise ValueError(failure)
+    return ix
+
+
+def _vacuous(name: str, n: int) -> CertificateReport:
+    """The report of a certificate on an empty shadow."""
+    return CertificateReport(
+        name=name, quantities={"n": n, "edges": 0, "shadow": 0}, holds=True, vacuous=True
+    )
+
+
 # ---------------------------------------------------------------------------
 # Certificates
 
@@ -367,18 +387,9 @@ def inequality2_certificate(h: Hypergraph) -> CertificateReport:
     (u, v) in N(T)^2; every |L(u, v)| >= 1 because T itself lies in it.
     Each |L(u, v)| is a lookup in the incidence index.
     """
-    if h.r != 3:
-        raise ValueError("inequality2_certificate expects r = 3")
-    if not is_cancellative(h):
-        raise ValueError("precondition failed: input is not cancellative")
-    ix = _Incidence(h)
+    ix = _cancellative_index(h, "inequality2_certificate")
     if not ix.ts:
-        return CertificateReport(
-            name="inequality2",
-            quantities={"n": h.n, "edges": 0, "shadow": 0},
-            holds=True,
-            vacuous=True,
-        )
+        return _vacuous("inequality2", h.n)
     sizes = ix.size
     hist: Counter = Counter()
     for m in ix.nbr:
@@ -411,18 +422,9 @@ def theorem13_certificate(h: Hypergraph) -> CertificateReport:
     chain down to 27|H| <= n^3 plus the sharp balanced-partition bound
     |H| <= t_3(n, 3); all comparisons in exact rationals.
     """
-    if h.r != 3:
-        raise ValueError("theorem13_certificate expects r = 3")
-    if not is_cancellative(h):
-        raise ValueError("precondition failed: input is not cancellative")
-    degrees = [m.bit_count() for m in _Incidence(h).nbr]
+    degrees = [m.bit_count() for m in _cancellative_index(h, "theorem13_certificate").nbr]
     if not degrees:
-        return CertificateReport(
-            name="theorem13",
-            quantities={"n": h.n, "edges": 0, "shadow": 0},
-            holds=True,
-            vacuous=True,
-        )
+        return _vacuous("theorem13", h.n)
     from .constructions import turan_count
 
     n = h.n
@@ -479,18 +481,9 @@ def mantel_link_bound(h: Hypergraph) -> CertificateReport:
     The witness is the first failure with T in sorted order, then u and v
     in N(T) order.
     """
-    if h.r != 3:
-        raise ValueError("mantel_link_bound expects r = 3")
-    if not is_cancellative(h):
-        raise ValueError("precondition failed: input is not cancellative")
-    ix = _Incidence(h)
+    ix = _cancellative_index(h, "mantel_link_bound")
     if not ix.ts:
-        return CertificateReport(
-            name="mantel-link",
-            quantities={"n": h.n, "edges": 0, "shadow": 0},
-            holds=True,
-            vacuous=True,
-        )
+        return _vacuous("mantel-link", h.n)
     sizes = ix.size
 
     def check() -> tuple[int, int, Optional[dict]]:

@@ -117,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--predicate", required=True, choices=["cancellative", "k-free", "triangle-free"])
     s.add_argument("--ell", type=int)
     s.add_argument("--budget", type=int, default=50_000_000)
-    s.add_argument("--ordering", choices=["colex", "degree-greedy"], default="colex")
     s.add_argument("--symmetry-depth", type=int, default=None)
     s.add_argument("--allow-large", action="store_true")
     s.add_argument("--cache", default=None)
@@ -288,11 +287,7 @@ def _search_payload(args, manifest: Optional[RunManifest]) -> tuple[str, int]:
                 "witnesses": hit.stats.get("witnesses", []),
             }
             return _json(payload), OK
-    cfg = SearchConfig(
-        ordering=args.ordering,
-        symmetry_depth=args.symmetry_depth,
-        node_budget=args.budget,
-    )
+    cfg = SearchConfig(symmetry_depth=args.symmetry_depth, node_budget=args.budget)
     rec = extremal_number(args.n, args.r, args.predicate, cfg, ell=args.ell, allow_large=args.allow_large)
     payload = _record_to_dict(rec)
     if use_cache and rec.complete:

@@ -138,7 +138,6 @@ def register_predicate(spec: PredicateSpec, hereditary: bool) -> None:
 
 @dataclass
 class SearchConfig:
-    ordering: str = "colex"  # or "degree-greedy"
     symmetry_depth: Optional[int] = None  # None: canonical rejection at every depth
     node_budget: int = 50_000_000
     witness_cap: int = 1000
@@ -146,8 +145,6 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.node_budget <= 0:
             raise ValueError("node budget must be positive")
-        if self.ordering not in ("colex", "degree-greedy"):
-            raise ValueError(f"unknown ordering {self.ordering!r}")
 
 
 @dataclass
@@ -204,15 +201,6 @@ def extremal_number(
     nodes = 0
     exhausted = False
     cap_hit = False
-    degree = [0] * n  # current vertex degrees, for degree-greedy ordering
-
-    def order_addable(addable: list[int]) -> list[int]:
-        if cfg.ordering == "colex":
-            return addable
-        return sorted(
-            addable,
-            key=lambda e: (-sum(degree[b] for b in iter_bits(e)), e),
-        )
 
     def record_tie(code: Optional[tuple[int, ...]]) -> None:
         nonlocal cap_hit
@@ -237,12 +225,8 @@ def extremal_number(
     def push(e: int) -> None:
         cur.append(e)
         state.add(e)
-        for b in iter_bits(e):
-            degree[b] += 1
 
     def pop(e: int) -> None:
-        for b in iter_bits(e):
-            degree[b] -= 1
         state.remove(e)
         cur.pop()
 
@@ -259,7 +243,7 @@ def extremal_number(
         note_state(code)
         depth_limit = cfg.symmetry_depth
         if depth_limit is not None and len(cur) >= depth_limit:
-            dfs_labeled(order_addable(addable))
+            dfs_labeled(addable)
             return
         # one representative extension per twin-orbit of addable edges;
         # products of twin swaps fix the current graph, so orbit-mates
@@ -267,7 +251,7 @@ def extremal_number(
         if len(addable) > 1:
             twin = _twin_classes(n, cur)
             reps: dict[tuple[int, ...], int] = {}
-            for e in order_addable(addable):
+            for e in addable:
                 key = tuple(sorted(twin[b] for b in iter_bits(e)))
                 reps.setdefault(key, e)
             branch = list(reps.values())
@@ -359,9 +343,6 @@ def _cut_value(adj: list[int], assign: list[int], nedges: int) -> int:
 def _descend(adj: list[int], assign: list[int], ell: int) -> None:
     """Strict single-vertex-move hill climbing; never empties a block."""
     n = len(assign)
-    sizes = [0] * ell
-    for b in assign:
-        sizes[b] += 1
     improved = True
     while improved:
         improved = False
@@ -372,9 +353,7 @@ def _descend(adj: list[int], assign: list[int], ell: int) -> None:
             cur = counts[assign[v]]
             tgt = min(range(ell), key=lambda k: (counts[k], k))
             if counts[tgt] < cur:
-                sizes[assign[v]] -= 1
                 assign[v] = tgt
-                sizes[tgt] += 1
                 improved = True
 
 

@@ -2,22 +2,24 @@
 
 The cancellative extractor follows the constructive proof chain: a shadow
 pair T with maximal normalized co-link mass, a pair (u, v) in N(T)^2 with
-the largest pair link, a max-degree-sum edge {x, y} in that link, and
-finally V2 = N_L(x), V3 = N_L(y), V1 = the rest.  Every structural fact
-the chain relies on (link avoids N(T), V2 and V3 disjoint and independent)
-is asserted on the way out, so a bad input cannot produce a quietly wrong
-report.  All selections break ties deterministically, making witness
-chains reproducible.  The co-link mass and the pair links come from the
-checkers' incidence index, in exact integers.
+the largest pair link, then `lemma25_pair` on that pair link L: its
+max-degree-sum edge {x, y} gives V2 = N_L(x), V3 = N_L(y), V1 = the rest.
+Every structural fact the chain relies on (link avoids N(T), V2 and V3
+disjoint and independent) is asserted on the way out, so a bad input
+cannot produce a quietly wrong report.  All selections break ties
+deterministically, making witness chains reproducible.  The co-link mass
+and the pair links come from the checkers' incidence index, in exact
+integers.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .checkers import _Incidence, is_cancellative, is_k_free
+from .checkers import _cancellative_index, is_k_free
 from .constructions import turan_count
 from .hypergraph import (
     Hypergraph,
@@ -130,14 +132,10 @@ def extract_partition_kfree(h: Hypergraph, ell: int, seed: int = 0) -> Stability
 
 def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
     """Recover a near-tripartition of a cancellative 3-graph with a witness chain."""
-    if h.r != 3:
-        raise ValueError("the cancellative extractor expects r = 3")
-    if not is_cancellative(h):
-        raise ValueError("input is not cancellative")
+    ix = _cancellative_index(h, "the cancellative extractor", "input is not cancellative")
     if h.size == 0:
         raise ValueError("empty shadow: the extractor needs at least one edge")
     n = h.n
-    ix = _Incidence(h)
     sizes = ix.size
 
     # (i) T maximizing  4 * mass / (d^2 (n-d)^2), where mass is the sum of
@@ -171,7 +169,8 @@ def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
                 best_pair = (u, v)
     u, v = best_pair
 
-    # (iii) the pair link as a graph, then its max-degree-sum edge {x, y}
+    # (iii) the pair link as a graph, then lemma25_pair: its max-degree-sum
+    # edge {x, y} with V2 = N_L(x) and V3 = N_L(y)
     link_graph = ix.link(u - 1, v - 1)
     assert len(link_graph) == best_size, "pair-link recount must match the co-link table"
     support = 0
@@ -185,23 +184,8 @@ def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
         v3: list[int] = []
         xy = None
     else:
-        ldeg: dict[int, int] = {}
-        for a in link_graph:
-            for b in iter_bits(a):
-                ldeg[b] = ldeg.get(b, 0) + 1
-        best_edge = None
-        best_sum = -1
-        for a in link_graph:
-            i, j = sorted(b + 1 for b in iter_bits(a))
-            s = ldeg[i - 1] + ldeg[j - 1]
-            if s > best_sum or (s == best_sum and (i, j) < best_edge):
-                best_sum = s
-                best_edge = (i, j)
-        xe, ye = best_edge
-        xb, yb = 1 << (xe - 1), 1 << (ye - 1)
-        v2 = sorted(b + 1 for a in link_graph if a & xb for b in iter_bits(a ^ xb))
-        v3 = sorted(b + 1 for a in link_graph if a & yb for b in iter_bits(a ^ yb))
-        xy = (xe, ye)
+        xe, ye, nx, ny = lemma25_pair(Hypergraph(n, 2, tuple(link_graph)))
+        v2, v3, xy = sorted(nx), sorted(ny), (xe, ye)
 
     v2_mask, v3_mask = mask_of(v2), mask_of(v3)
     assert v2_mask & v3_mask == 0, "V2 and V3 must be disjoint (link graph is triangle-free)"
@@ -472,20 +456,17 @@ def epsilon_delta_scan(
     if kind not in ("cancellative", "kfree", "triangle-free"):
         raise ValueError(f"unknown scan kind {kind!r}")
 
-    jobs = [(p, n, s) for p in params for n in ns for s in seeds]
-
-    def run(job: tuple[float, int, int]) -> ScanRow:
-        p, n, s = job
+    rows = []
+    for p, n, s in itertools.product(params, ns, seeds):
         if kind == "triangle-free":
             g = random_triangle_free_near_bipartite(n, p, noise, s)
             rep = bipartite_distance_analysis(g, seed=s)
-            return ScanRow(n, s, rep.epsilon, rep.delta, len(rep.bad_edge_list), str(rep.case))
-        base = turan_hypergraph(n, 3, 3)
-        h = perturb(base, p, 0, s)
-        if kind == "cancellative":
-            rep2 = extract_partition_cancellative(h)
+            rows.append(ScanRow(n, s, rep.epsilon, rep.delta, len(rep.bad_edge_list), str(rep.case)))
         else:
-            rep2 = extract_partition_kfree(h, ell, seed=s)
-        return ScanRow(n, s, rep2.epsilon, rep2.delta, rep2.bad_edge_count, "")
-
-    return [run(j) for j in jobs]
+            h = perturb(turan_hypergraph(n, 3, 3), p, 0, s)
+            if kind == "cancellative":
+                rep2 = extract_partition_cancellative(h)
+            else:
+                rep2 = extract_partition_kfree(h, ell, seed=s)
+            rows.append(ScanRow(n, s, rep2.epsilon, rep2.delta, rep2.bad_edge_count, ""))
+    return rows

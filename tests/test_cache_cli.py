@@ -7,10 +7,19 @@ import sys
 
 import pytest
 
+import turanlab
 from turanlab.cache import CacheEntry, cache_entries, cache_lookup, cache_store, resolve_cache_path
 from turanlab.cli import run
 from turanlab.constructions import turan_hypergraph
 from turanlab.hypergraph import format_hypergraph, save_hypergraph
+
+# child interpreters import the same turanlab as this suite, with or without PYTHONPATH
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(turanlab.__file__)), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def entry(value=8, ts=1.0, complete=True):
@@ -110,6 +119,11 @@ def test_cli_usage_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(["search", "--n", "5", "--r", "3", "--predicate", "k-free", "--no-cache"], capsys)
     assert code == 2  # k-free without --ell
+    code, _, _ = run_cli(
+        ["search", "--n", "5", "--r", "3", "--predicate", "cancellative", "--no-cache", "--ordering", "colex"],
+        capsys,
+    )
+    assert code == 2  # unknown option --ordering
 
 
 def test_cli_search_cache_flow(tmp_path, capsys, monkeypatch):
@@ -288,6 +302,7 @@ def test_cli_import_leaves_numpy_out():
         [sys.executable, "-c", "import sys, turanlab.cli; print('numpy' in sys.modules)"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout == "False\n"
@@ -299,6 +314,7 @@ def test_cli_entry_point_subprocess():
          "construct", "turan", "--n", "4", "--r", "2", "--ell", "2"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert script.returncode == 0
     assert script.stdout.startswith("4 2\n")

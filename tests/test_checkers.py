@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turanlab import checkers
+from turanlab import checkers, stability
 from turanlab.checkers import (
     _Incidence,
     _triangle_free,
@@ -42,7 +42,7 @@ from turanlab.hypergraph import (
     mask_of,
     vertices_of,
 )
-from turanlab.stability import greedy_clique_removal
+from turanlab.stability import extract_partition_cancellative, greedy_clique_removal
 
 
 def random_hypergraph(n, r, p, rng):
@@ -70,8 +70,8 @@ def test_is_cancellative_examples():
     assert is_cancellative(Hypergraph.from_edges(3, 3, [(1, 2, 3)]))
     with pytest.raises(ValueError):
         is_cancellative(Hypergraph.from_edges(3, 2, [(1, 2)]))
-    # general-r scan agrees on r=3 inputs
-    assert not is_cancellative(bad, allow_any_r=True)
+    with pytest.raises(ValueError):
+        is_cancellative(Hypergraph.from_edges(4, 4, [(1, 2, 3, 4)]))
 
 
 def test_cancellative_equals_neighborhoods_independent():
@@ -436,10 +436,34 @@ def test_inequality2_and_mantel_link_match_oracles():
         assert mantel_link_bound(h).to_json_dict() == oracle_mantel_link(h)
 
 
+def test_cancellative_callers_build_the_index_once(monkeypatch):
+    # the cancellativity precondition and the caller's own reads share one index
+    builds = []
+
+    class CountingIncidence(_Incidence):
+        def __init__(self, h):
+            builds.append(h)
+            super().__init__(h)
+
+    monkeypatch.setattr(checkers, "_Incidence", CountingIncidence)
+    # a module that imported the class by name would build uncounted copies
+    monkeypatch.setattr(stability, "_Incidence", CountingIncidence, raising=False)
+    h = perturb(turan_hypergraph(12, 3, 3), 0.1, 0, 5)
+    for call in (
+        inequality2_certificate,
+        theorem13_certificate,
+        mantel_link_bound,
+        extract_partition_cancellative,
+    ):
+        builds.clear()
+        call(h)
+        assert len(builds) == 1, call.__name__
+
+
 def test_failing_certificates_match_oracles(monkeypatch):
     # without the cancellative precondition both certificates can fail;
     # the first witness, pairs_checked and max_pair_link must still agree
-    monkeypatch.setattr(checkers, "is_cancellative", lambda h: True)
+    monkeypatch.setattr(checkers, "_first_witness", lambda ix: None)
     rng = random.Random(61)
     kinds = Counter()
     failed_inequality = 0

