@@ -50,7 +50,6 @@ from .search import (
     SearchConfig,
     extremal_number,
     max_ell_cut,
-    register_predicate,
     uniqueness_check,
     vertex_move_optimal,
 )

@@ -1,9 +1,10 @@
 """Append-only JSONL result cache and run manifests.
 
 One line per stored search result; lookups take the newest complete entry
-for a key and skip corrupt lines with a warning on stderr.  The cache
-never changes a computed value: a forced recomputation that disagrees
-with the stored value is a hard error upstream.
+for a key written by the current `SEARCH_VERSION` and skip corrupt lines
+with a warning on stderr.  The cache never changes a computed value: a
+forced recomputation that disagrees with the stored value is a hard error
+upstream.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional
+
+from .search import SEARCH_VERSION
 
 DEFAULT_CACHE_PATH = "./turanlab-cache.jsonl"
 CACHE_ENV_VAR = "TURANLAB_CACHE"
@@ -39,6 +42,7 @@ class CacheEntry:
     tool_version: str
     timestamp: float
     stats: dict = field(default_factory=dict)
+    search_version: Optional[int] = SEARCH_VERSION  # None: written before versioning
 
     def key(self) -> tuple:
         return (self.predicate, self.n, self.r, self.ell)
@@ -53,6 +57,7 @@ class CacheEntry:
             "extremal_classes": self.extremal_classes,
             "complete": self.complete,
             "tool_version": self.tool_version,
+            "search_version": self.search_version,
             "timestamp": self.timestamp,
             "stats": self.stats,
         }
@@ -70,6 +75,7 @@ class CacheEntry:
             tool_version=str(d.get("tool_version", "")),
             timestamp=float(d.get("timestamp", 0.0)),
             stats=dict(d.get("stats", {})),
+            search_version=None if d.get("search_version") is None else int(d["search_version"]),
         )
 
 
@@ -91,10 +97,10 @@ def cache_entries(path: str) -> list[CacheEntry]:
 
 
 def cache_lookup(path: str, key: tuple) -> Optional[CacheEntry]:
-    """Newest complete entry for (predicate, n, r, ell), or None."""
+    """Newest complete entry of the current search version for (predicate, n, r, ell), or None."""
     found = None
     for entry in cache_entries(path):
-        if entry.key() == key and entry.complete:
+        if entry.key() == key and entry.complete and entry.search_version == SEARCH_VERSION:
             found = entry
     return found
 

@@ -168,8 +168,3 @@ def permute_hypergraph(h: Hypergraph, perm: Sequence[int]) -> Hypergraph:
             new |= 1 << (perm[b] - 1)
         edges.append(new)
     return Hypergraph(h.n, h.r, tuple(edges))
-
-
-def from_code(n: int, r: int, code: Sequence[int]) -> Hypergraph:
-    """Rebuild the canonical representative hypergraph from a code."""
-    return Hypergraph(n, r, tuple(code))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+import time
 
 from . import __version__
 from .cache import CacheEntry, RunManifest, cache_entries, cache_lookup, cache_store, resolve_cache_path
@@ -35,7 +35,7 @@ from .constructions import (
     turan_hypergraph,
 )
 from .hypergraph import format_hypergraph, load_hypergraph, vertices_of
-from .search import ExtremalRecord, SearchConfig, extremal_number
+from .search import PREDICATES, SearchConfig, extremal_number
 from .stability import (
     bipartite_distance_analysis,
     epsilon_delta_scan,
@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("search", help="exact extremal number by exhaustive search")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--r", type=int, required=True)
-    s.add_argument("--predicate", required=True, choices=["cancellative", "k-free", "triangle-free"])
+    s.add_argument("--predicate", required=True, choices=PREDICATES)
     s.add_argument("--ell", type=int)
     s.add_argument("--budget", type=int, default=50_000_000)
     s.add_argument("--symmetry-depth", type=int, default=None)
@@ -153,15 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _construct_payload(args, manifest: Optional[RunManifest]) -> tuple[str, int]:
+def _construct_payload(args) -> tuple[str, int]:
     if args.kind == "turan":
         h = turan_hypergraph(args.n, args.r, args.ell)
         meta = {"kind": "turan", "n": args.n, "r": args.r, "ell": args.ell, "seed": None}
     elif args.kind == "random-cancellative":
         h = random_maximal_cancellative(args.n, args.seed)
         meta = {"kind": "random-cancellative", "n": args.n, "r": 3, "ell": None, "seed": args.seed}
-        if manifest:
-            manifest.seeds.append(args.seed)
     elif args.kind == "triangle-free":
         h = random_triangle_free_near_bipartite(args.n, args.epsilon, args.noise, args.seed)
         meta = {
@@ -173,13 +171,8 @@ def _construct_payload(args, manifest: Optional[RunManifest]) -> tuple[str, int]
             "epsilon": args.epsilon,
             "noise": args.noise,
         }
-        if manifest:
-            manifest.seeds.append(args.seed)
     else:  # perturb
         base = load_hypergraph(args.file)
-        if manifest:
-            manifest.add_input_file(args.file)
-            manifest.seeds.append(args.seed)
         h = perturb(base, args.delete_fraction, args.add_count, args.seed, args.keep_cancellative)
         meta = {
             "kind": "perturb",
@@ -198,10 +191,8 @@ def _construct_payload(args, manifest: Optional[RunManifest]) -> tuple[str, int]
     return text, OK
 
 
-def _verify_payload(args, manifest: Optional[RunManifest]) -> tuple[str, int]:
+def _verify_payload(args) -> tuple[str, int]:
     h = load_hypergraph(args.file)
-    if manifest:
-        manifest.add_input_file(args.file)
     name = args.certificate
     if name in ("fisher-ryan",):
         if args.ell is None:
@@ -252,44 +243,51 @@ def _verify_payload(args, manifest: Optional[RunManifest]) -> tuple[str, int]:
     return _json(report.to_json_dict()), OK if report.holds else VIOLATED
 
 
-def _record_to_dict(rec: ExtremalRecord) -> dict:
-    return {
-        "predicate": rec.predicate,
-        "n": rec.n,
-        "r": rec.r,
-        "ell": rec.ell,
-        "value": rec.value,
-        "extremal_classes": rec.extremal_classes,
-        "complete": rec.complete,
-        "cap_hit": rec.cap_hit,
-        "nodes_explored": rec.nodes_explored,
-        "witnesses": [[list(vertices_of(e)) for e in w.edges] for w in rec.witnesses],
-    }
+def _search_result(entry: CacheEntry) -> str:
+    """A search result as printed, whether just computed or read from the cache."""
+    return _json(
+        {
+            "predicate": entry.predicate,
+            "n": entry.n,
+            "r": entry.r,
+            "ell": entry.ell,
+            "value": entry.value,
+            "extremal_classes": entry.extremal_classes,
+            "complete": entry.complete,
+            "cap_hit": bool(entry.stats.get("cap_hit", False)),
+            "nodes_explored": entry.stats.get("nodes_explored"),
+            "witnesses": entry.stats.get("witnesses", []),
+        }
+    )
 
 
-def _search_payload(args, manifest: Optional[RunManifest]) -> tuple[str, int]:
+def _search_payload(args) -> tuple[str, int]:
     key = (args.predicate, args.n, args.r, args.ell)
     path = resolve_cache_path(args.cache)
     use_cache = not args.no_cache
     if use_cache and not args.force:
         hit = cache_lookup(path, key)
         if hit is not None:
-            payload = {
-                "predicate": hit.predicate,
-                "n": hit.n,
-                "r": hit.r,
-                "ell": hit.ell,
-                "value": hit.value,
-                "extremal_classes": hit.extremal_classes,
-                "complete": hit.complete,
-                "cap_hit": bool(hit.stats.get("cap_hit", False)),
-                "nodes_explored": hit.stats.get("nodes_explored"),
-                "witnesses": hit.stats.get("witnesses", []),
-            }
-            return _json(payload), OK
+            return _search_result(hit), OK
     cfg = SearchConfig(symmetry_depth=args.symmetry_depth, node_budget=args.budget)
     rec = extremal_number(args.n, args.r, args.predicate, cfg, ell=args.ell, allow_large=args.allow_large)
-    payload = _record_to_dict(rec)
+    entry = CacheEntry(
+        predicate=rec.predicate,
+        n=rec.n,
+        r=rec.r,
+        ell=rec.ell,
+        value=rec.value,
+        extremal_classes=rec.extremal_classes,
+        complete=rec.complete,
+        tool_version=__version__,
+        timestamp=time.time(),
+        stats={
+            "nodes_explored": rec.nodes_explored,
+            "runtime": rec.runtime,
+            "cap_hit": rec.cap_hit,
+            "witnesses": [[list(vertices_of(e)) for e in w.edges] for w in rec.witnesses],
+        },
+    )
     if use_cache and rec.complete:
         if args.force:
             prior = cache_lookup(path, key)
@@ -297,37 +295,12 @@ def _search_payload(args, manifest: Optional[RunManifest]) -> tuple[str, int]:
                 raise AssertionError(
                     f"self-consistency tripwire: cached value {prior.value} != recomputed {rec.value}"
                 )
-        import time as _time
-
-        cache_store(
-            path,
-            CacheEntry(
-                predicate=rec.predicate,
-                n=rec.n,
-                r=rec.r,
-                ell=rec.ell,
-                value=rec.value,
-                extremal_classes=rec.extremal_classes,
-                complete=rec.complete,
-                tool_version=__version__,
-                timestamp=_time.time(),
-                stats={
-                    "nodes_explored": rec.nodes_explored,
-                    "runtime": rec.runtime,
-                    "cap_hit": rec.cap_hit,
-                    "witnesses": payload["witnesses"],
-                },
-            ),
-        )
-    return _json(payload), OK if rec.complete else BUDGET
+        cache_store(path, entry)
+    return _search_result(entry), OK if rec.complete else BUDGET
 
 
-def _stability_payload(args, manifest: Optional[RunManifest]) -> tuple[str, int]:
+def _stability_payload(args) -> tuple[str, int]:
     h = load_hypergraph(args.file)
-    if manifest:
-        manifest.add_input_file(args.file)
-        if args.seed is not None:
-            manifest.seeds.append(args.seed)
     needs_seed = args.mode in ("kfree", "generalized", "bipartite")
     if needs_seed and args.seed is None:
         raise ValueError(f"stability {args.mode} is randomized above the exact-cut ceiling; --seed is required")
@@ -357,13 +330,10 @@ def _stability_payload(args, manifest: Optional[RunManifest]) -> tuple[str, int]
     return line + "\n", OK
 
 
-def _scan_payload(args, manifest: Optional[RunManifest]) -> tuple[str, int]:
+def _scan_payload(args) -> tuple[str, int]:
     ns = _int_list(args.n)
     params = _float_list(args.params)
-    seeds = _int_list(args.seeds)
-    if manifest:
-        manifest.seeds.extend(seeds)
-    rows = epsilon_delta_scan(args.kind, ns, params, seeds, ell=args.ell, noise=args.noise)
+    rows = epsilon_delta_scan(args.kind, ns, params, _int_list(args.seeds), ell=args.ell, noise=args.noise)
     lines = ["n,seed,epsilon,delta,bad_edges,case"]
     for row in rows:
         lines.append(
@@ -372,7 +342,7 @@ def _scan_payload(args, manifest: Optional[RunManifest]) -> tuple[str, int]:
     return "\n".join(lines) + "\n", OK
 
 
-def _cache_payload(args, manifest: Optional[RunManifest]) -> tuple[str, int]:
+def _cache_payload(args) -> tuple[str, int]:
     path = resolve_cache_path(args.cache)
     if args.action == "list":
         entries = cache_entries(path)
@@ -395,21 +365,25 @@ def run(argv: list[str]) -> int:
     manifest = RunManifest(command=["turanlab", *argv]) if args.manifest else None
     try:
         if args.command == "construct":
-            text, code = _construct_payload(args, manifest)
+            text, code = _construct_payload(args)
         elif args.command == "verify":
-            text, code = _verify_payload(args, manifest)
+            text, code = _verify_payload(args)
         elif args.command == "search":
-            text, code = _search_payload(args, manifest)
+            text, code = _search_payload(args)
         elif args.command == "stability":
-            text, code = _stability_payload(args, manifest)
+            text, code = _stability_payload(args)
         elif args.command == "scan":
-            text, code = _scan_payload(args, manifest)
+            text, code = _scan_payload(args)
         else:
-            text, code = _cache_payload(args, manifest)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except FileNotFoundError as exc:
+            text, code = _cache_payload(args)
+        if manifest is not None:
+            if getattr(args, "file", None) is not None:
+                manifest.add_input_file(args.file)
+            if args.command == "scan":
+                manifest.seeds.extend(_int_list(args.seeds))
+            elif getattr(args, "seed", None) is not None:
+                manifest.seeds.append(args.seed)
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except AssertionError as exc:

@@ -11,6 +11,12 @@ comes out exact.  With a finite symmetry_depth the search switches below
 that depth to plain labeled subset branch-and-bound, which is cheaper per
 node but prunes far less; the default full-depth rejection is what makes
 the graph cases at n = 10 tractable.
+
+The predicates are a fixed set, `PREDICATES`: "cancellative" (3-graphs in
+which no edge contains the symmetric difference of two others), "k-free"
+(r-graphs whose pair-cover graph is K_{ell+1}-free, for a given ell >= r)
+and "triangle-free" (graphs).  All three are hereditary, which the
+addable-count bound needs.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .canonical import _twin_classes, canonical_code
 from .checkers import _CancellativeState
@@ -27,6 +33,13 @@ from .hypergraph import Hypergraph, adjacency_masks, all_r_subsets, iter_bits, i
 from .partitions import Partition
 
 DEFAULT_GUARDS = {2: 10, 3: 8}
+
+PREDICATES = ("cancellative", "k-free", "triangle-free")
+_UNIFORMITY = {"cancellative": 3, "triangle-free": 2}  # "k-free" takes any r
+
+# Bump whenever a change to the search can change what it reports for some
+# (predicate, n, r, ell): result-cache entries of another version are misses.
+SEARCH_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -88,54 +101,6 @@ class KFreeState:
                 self.adj[j] &= ~(1 << i)
 
 
-@dataclass(frozen=True)
-class PredicateSpec:
-    """A registered hereditary predicate the search can optimize over."""
-
-    id: str
-    make_state: Callable[[int, int, Optional[int]], object]
-    needs_ell: bool = False
-    uniformities: Optional[tuple[int, ...]] = None
-
-
-def _make_cancellative(n: int, r: int, ell: Optional[int]) -> _CancellativeState:
-    if r != 3:
-        raise ValueError("the cancellative predicate expects r = 3")
-    return _CancellativeState(n)
-
-
-def _make_kfree(n: int, r: int, ell: Optional[int]) -> KFreeState:
-    if ell is None:
-        raise ValueError("k-free predicate requires ell")
-    return KFreeState(n, r, ell)
-
-
-def _make_triangle_free(n: int, r: int, ell: Optional[int]) -> KFreeState:
-    if r != 2:
-        raise ValueError("the triangle-free predicate expects r = 2")
-    return KFreeState(n, 2, 2)
-
-
-_PREDICATES: dict[str, PredicateSpec] = {
-    "cancellative": PredicateSpec("cancellative", _make_cancellative, uniformities=(3,)),
-    "k-free": PredicateSpec("k-free", _make_kfree, needs_ell=True),
-    "triangle-free": PredicateSpec("triangle-free", _make_triangle_free, uniformities=(2,)),
-}
-
-
-def register_predicate(spec: PredicateSpec, hereditary: bool) -> None:
-    """Register a custom predicate; non-hereditary predicates are refused.
-
-    Heredity (closure under edge deletion) is what licenses the
-    remaining-candidates upper bound, so it is a hard requirement.
-    """
-    if not hereditary:
-        raise ValueError("only hereditary predicates are searchable; refusing registration")
-    if spec.id in _PREDICATES:
-        raise ValueError(f"predicate id {spec.id!r} already registered")
-    _PREDICATES[spec.id] = spec
-
-
 @dataclass
 class SearchConfig:
     symmetry_depth: Optional[int] = None  # None: canonical rejection at every depth
@@ -161,9 +126,6 @@ class ExtremalRecord:
     complete: bool
     cap_hit: bool = False
 
-    def key(self) -> tuple:
-        return (self.predicate, self.n, self.r, self.ell)
-
 
 def extremal_number(
     n: int,
@@ -178,12 +140,11 @@ def extremal_number(
     Budget exhaustion is reported via complete=False, never as a value.
     """
     cfg = config or SearchConfig()
-    spec = _PREDICATES.get(predicate)
-    if spec is None:
+    if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
-    if spec.needs_ell and ell is None:
+    if predicate == "k-free" and ell is None:
         raise ValueError(f"predicate {predicate!r} requires ell")
-    if spec.uniformities and r not in spec.uniformities:
+    if r != _UNIFORMITY.get(predicate, r):
         raise ValueError(f"predicate {predicate!r} does not apply to r = {r}")
     guard = DEFAULT_GUARDS.get(r, 8)
     if n > guard and not allow_large:
@@ -192,7 +153,10 @@ def extremal_number(
         )
 
     t0 = time.perf_counter()
-    state = spec.make_state(n, r, ell)
+    if predicate == "cancellative":
+        state = _CancellativeState(n)
+    else:
+        state = KFreeState(n, r, ell if predicate == "k-free" else 2)
     candidates = all_r_subsets(n, r)
     cur: list[int] = []
     visited: set[tuple[int, ...]] = set()

@@ -178,14 +178,8 @@ def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
         support |= a
     assert support & ix.nbr[best_i] == 0, "pair link must avoid N(T) in a cancellative graph"
 
-    degenerate = not link_graph
-    if degenerate:
-        v2: list[int] = []
-        v3: list[int] = []
-        xy = None
-    else:
-        xe, ye, nx, ny = lemma25_pair(Hypergraph(n, 2, tuple(link_graph)))
-        v2, v3, xy = sorted(nx), sorted(ny), (xe, ye)
+    x, y, nx, ny = lemma25_pair(Hypergraph(n, 2, tuple(link_graph)))
+    v2, v3 = sorted(nx), sorted(ny)
 
     v2_mask, v3_mask = mask_of(v2), mask_of(v3)
     assert v2_mask & v3_mask == 0, "V2 and V3 must be disjoint (link graph is triangle-free)"
@@ -193,7 +187,7 @@ def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
         for e in h.edges:
             assert (e & blk).bit_count() < 2, "V2 and V3 must be independent in H"
     v1 = [w for w in range(1, n + 1) if not ((1 << (w - 1)) & (v2_mask | v3_mask))]
-    part = _partition_allowing_empty(n, v1, v2, v3)
+    part = Partition(n, (tuple(v1), tuple(v2), tuple(v3)))
 
     bad = bad_edges(h, part)
     target = turan_count(n, 3, 3)
@@ -204,7 +198,7 @@ def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
         "score": float(score),
         "pair": [u, v],
         "pair_link_size": best_size,
-        "edge": list(xy) if xy else None,
+        "edge": [x, y],
     }
     return StabilityReport(
         n=n,
@@ -216,19 +210,7 @@ def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
         bad_edge_count=len(bad),
         partition=part,
         witness_chain=chain,
-        degenerate=degenerate,
     )
-
-
-def _partition_allowing_empty(n: int, v1: list[int], v2: list[int], v3: list[int]) -> Partition:
-    """Three blocks; degenerate chains may leave V2/V3 empty, which Partition
-    only allows when n < 3, so pad empties from V1's tail instead."""
-    blocks = [list(v1), list(v2), list(v3)]
-    if n >= 3:
-        for k in (1, 2):
-            if not blocks[k] and len(blocks[0]) >= 2:
-                blocks[k].append(blocks[0].pop())
-    return Partition(n, tuple(tuple(sorted(b)) for b in blocks))
 
 
 def lemma25_pair(g: Hypergraph) -> tuple[int, int, frozenset[int], frozenset[int]]:

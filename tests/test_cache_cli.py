@@ -12,6 +12,7 @@ from turanlab.cache import CacheEntry, cache_entries, cache_lookup, cache_store,
 from turanlab.cli import run
 from turanlab.constructions import turan_hypergraph
 from turanlab.hypergraph import format_hypergraph, save_hypergraph
+from turanlab.search import SEARCH_VERSION
 
 # child interpreters import the same turanlab as this suite, with or without PYTHONPATH
 CHILD_ENV = {
@@ -140,15 +141,47 @@ def test_cli_search_cache_flow(tmp_path, capsys, monkeypatch):
     code, forced, _ = run_cli(args + ["--force"], capsys)
     assert code == 0 and forced == fresh
     assert len(cache_entries(cache)) == 2
-    # tripwire: poison the cache with a wrong value, then force
+    # tripwire: poison the cache with a wrong value of the current version, then force
     poisoned = CacheEntry(
         predicate="cancellative", n=6, r=3, ell=None, value=7, extremal_classes=1,
         complete=True, tool_version="x", timestamp=99.0, stats={},
+        search_version=SEARCH_VERSION,
     )
     cache_store(cache, poisoned)
     code, _, err = run_cli(args + ["--force"], capsys)
     assert code == 1
     assert "tripwire" in err
+    # hit == miss byte for byte for the other two predicates as well
+    for extra in (["--r", "3", "--predicate", "k-free", "--ell", "3"], ["--r", "2", "--predicate", "triangle-free"]):
+        other = ["search", "--n", "5", *extra, "--cache", cache]
+        code, fresh, _ = run_cli(other, capsys)
+        assert code == 0
+        code, cached, _ = run_cli(other, capsys)
+        assert code == 0 and cached == fresh
+
+
+def test_cli_search_ignores_other_search_versions(tmp_path, capsys):
+    key = ("cancellative", 6, 3, None)
+    args = ["search", "--n", "6", "--r", "3", "--predicate", "cancellative", "--no-cache"]
+    code, fresh, _ = run_cli(args, capsys)
+    assert code == 0
+    for flags in ([], ["--force"]):
+        stale = str(tmp_path / f"stale{len(flags)}.jsonl")
+        # a wrong value stored by another search version, and one from before versioning
+        other = entry(value=7, ts=2.0)
+        other.search_version = SEARCH_VERSION + 1
+        cache_store(stale, other)
+        legacy = entry(value=7, ts=3.0).to_json_dict()
+        del legacy["search_version"]
+        with open(stale, "a") as fh:
+            fh.write(json.dumps(legacy) + "\n")
+        assert cache_lookup(stale, key) is None
+        # a miss, and no tripwire: the search recomputes the same bytes and stores them
+        code, out, err = run_cli(args[:-1] + ["--cache", stale, *flags], capsys)
+        assert code == 0 and out == fresh and "tripwire" not in err
+        assert cache_lookup(stale, key).value == 8
+        code, out, _ = run_cli(["cache", "list", "--cache", stale], capsys)
+        assert len(json.loads(out)["entries"]) == 3
 
 
 def test_cli_search_budget_exit_code(tmp_path, capsys):

@@ -9,7 +9,6 @@ from turanlab.canonical import (
     are_isomorphic,
     canonical_code,
     canonical_form,
-    from_code,
     permute_hypergraph,
 )
 from turanlab.constructions import turan_hypergraph
@@ -79,7 +78,7 @@ def test_ceiling_guard():
 def test_from_code_reconstructs_class():
     h = Hypergraph.from_edges(6, 3, [(1, 3, 5), (2, 4, 6), (1, 2, 3)])
     code = canonical_code(6, h.edges)
-    rebuilt = from_code(6, 3, code)
+    rebuilt = Hypergraph(6, 3, code)
     assert are_isomorphic(h, rebuilt)
     assert canonical_code(6, rebuilt.edges) == code
 

@@ -14,10 +14,8 @@ from turanlab.search import (
     SearchConfig,
     extremal_number,
     max_ell_cut,
-    register_predicate,
     uniqueness_check,
     vertex_move_optimal,
-    PredicateSpec,
 )
 
 
@@ -129,14 +127,8 @@ def test_uniqueness_check():
     assert uniqueness_check(rec2, turan_hypergraph(4, 2, 2))
 
 
-def test_register_predicate_rejects_non_hereditary():
-    spec = PredicateSpec("custom-thing", lambda n, r, ell: None)
-    with pytest.raises(ValueError):
-        register_predicate(spec, hereditary=False)
-
-
 class _AtMostTwoEdges:
-    """Trivially hereditary custom predicate, for registry and cap tests."""
+    """A trivially hereditary predicate state: at most two edges."""
 
     def __init__(self):
         self.count = 0
@@ -151,16 +143,15 @@ class _AtMostTwoEdges:
         self.count -= 1
 
 
-def test_custom_predicate_and_witness_cap():
+def test_custom_predicate_and_witness_cap(monkeypatch):
+    # a stand-in state with two extremal classes drives the search past a cap of 1
     import turanlab.search as search_mod
 
-    spec = PredicateSpec("at-most-two", lambda n, r, ell: _AtMostTwoEdges())
-    if "at-most-two" not in search_mod._PREDICATES:
-        register_predicate(spec, hereditary=True)
-    rec = extremal_number(5, 2, "at-most-two")
+    monkeypatch.setattr(search_mod, "_CancellativeState", lambda n: _AtMostTwoEdges())
+    rec = extremal_number(5, 3, "cancellative")
     assert rec.value == 2
-    assert rec.extremal_classes == 2  # a path and a perfect matching piece
-    capped = extremal_number(5, 2, "at-most-two", SearchConfig(witness_cap=1))
+    assert rec.extremal_classes == 2  # two triples on [5] share one vertex or two
+    capped = extremal_number(5, 3, "cancellative", SearchConfig(witness_cap=1))
     assert capped.value == 2
     assert capped.cap_hit
     assert capped.extremal_classes == 1  # truncated, and flagged as such
