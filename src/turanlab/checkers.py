@@ -167,22 +167,6 @@ def is_k_free(h: Hypergraph, ell: int) -> bool:
     return not contains_clique(auxiliary_graph(h), ell + 1)
 
 
-# (r, ell) -> k_family(r, ell).members; the enumeration is a pure function of
-# its arguments and costs far more than one subgraph test
-_K_FAMILY_MEMBERS: dict[tuple[int, int], tuple[Hypergraph, ...]] = {}
-
-
-def is_k_free_direct(h: Hypergraph, ell: int) -> bool:
-    """Cross-validation path: embed the minimal pair-cover members directly."""
-    from .constructions import k_family
-    from .hypergraph import is_subgraph
-
-    key = (h.r, ell)
-    if key not in _K_FAMILY_MEMBERS:
-        _K_FAMILY_MEMBERS[key] = k_family(h.r, ell).members
-    return not any(is_subgraph(f, h) for f in _K_FAMILY_MEMBERS[key])
-
-
 def links_triangle_free(h: Hypergraph) -> bool:
     """Every vertex link of a 3-graph is triangle-free (a cancellativity consequence)."""
     if h.r != 3:

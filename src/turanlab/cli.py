@@ -35,7 +35,7 @@ from .constructions import (
     turan_hypergraph,
 )
 from .hypergraph import format_hypergraph, load_hypergraph, vertices_of
-from .search import PREDICATES, SearchConfig, extremal_number
+from .search import PREDICATES, SearchConfig, check_request, extremal_number
 from .stability import (
     bipartite_distance_analysis,
     epsilon_delta_scan,
@@ -117,7 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--predicate", required=True, choices=PREDICATES)
     s.add_argument("--ell", type=int)
     s.add_argument("--budget", type=int, default=50_000_000)
-    s.add_argument("--symmetry-depth", type=int, default=None)
+    s.add_argument(
+        "--symmetry-depth",
+        type=int,
+        default=None,
+        help="go labeled from this many edges on (default: once at most 16 edges are addable)",
+    )
     s.add_argument("--allow-large", action="store_true")
     s.add_argument("--cache", default=None)
     s.add_argument("--no-cache", action="store_true")
@@ -262,6 +267,8 @@ def _search_result(entry: CacheEntry) -> str:
 
 
 def _search_payload(args) -> tuple[str, int]:
+    # before the lookup: the key holds ell, so an ill-formed request could still hit
+    check_request(args.r, args.predicate, args.ell)
     key = (args.predicate, args.n, args.r, args.ell)
     path = resolve_cache_path(args.cache)
     use_cache = not args.no_cache

@@ -1,16 +1,22 @@
 """Exhaustive extremal-number search and exact/local multiway cuts.
 
-The extremal search walks the lattice of predicate-satisfying edge sets
-one isomorphism class at a time: every visited state is canonicalized and
-memoized, children are all single-edge extensions that keep the predicate,
-and a branch dies when current-size + addable-candidates cannot reach the
-best value found so far (addable-count is a valid bound because a
-hereditary predicate's violations are permanent under further additions).
-Ties at the optimum survive the strict prune, so the extremal class count
-comes out exact.  With a finite symmetry_depth the search switches below
-that depth to plain labeled subset branch-and-bound, which is cheaper per
-node but prunes far less; the default full-depth rejection is what makes
-the graph cases at n = 10 tractable.
+The extremal search grows predicate-satisfying edge sets from the empty
+graph one edge at a time.  A branch dies when current-size +
+addable-candidates cannot reach the best value found so far (addable-count
+is a valid bound because a hereditary predicate's violations are permanent
+under further additions).  Ties at the optimum survive the strict prune, so
+the extremal class count comes out exact.
+
+Near the root the search works one isomorphism class at a time.  It
+branches on one addable edge per twin orbit, keeps a child G+e only if e
+has the largest `edge_invariants` value among the edges of G+e, and
+canonicalizes and memoizes the survivors.  The filter loses no class: H is
+reached from H-e for an edge e of H with the largest invariant, and H-e
+satisfies the predicate with a bound at least that of H.  Once a node has
+at most LABELED_TAIL addable edges, its subtree goes to plain labeled
+subset branch and bound, which costs far less per node than a canonical
+labelling.  An explicit symmetry_depth replaces that switch: the search
+goes labeled once the current graph has that many edges.
 
 The predicates are a fixed set, `PREDICATES`: "cancellative" (3-graphs in
 which no edge contains the symmetric difference of two others), "k-free"
@@ -25,7 +31,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .canonical import _twin_classes, canonical_code
 from .checkers import _CancellativeState
@@ -39,7 +45,32 @@ _UNIFORMITY = {"cancellative": 3, "triangle-free": 2}  # "k-free" takes any r
 
 # Bump whenever a change to the search can change what it reports for some
 # (predicate, n, r, ell): result-cache entries of another version are misses.
-SEARCH_VERSION = 1
+SEARCH_VERSION = 2
+
+# With the default symmetry_depth=None, a node with at most this many addable
+# edges hands its subtree to the labeled branch and bound.
+LABELED_TAIL = 16
+
+
+def edge_invariants(n: int, edges: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
+    """Per edge f, sorted (deg(b), nd(b)) over the vertices b of f.
+
+    deg is the vertex degree and nd(b) sums, over the edges through b, the
+    degree sums of those edges.  A relabeling permutes the list with the edges.
+    """
+    members = [tuple(iter_bits(e)) for e in edges]
+    deg = [0] * n
+    for mem in members:
+        for b in mem:
+            deg[b] += 1
+    nd = [0] * n
+    for mem in members:
+        w = 0
+        for b in mem:
+            w += deg[b]
+        for b in mem:
+            nd[b] += w
+    return [tuple(sorted([(deg[b], nd[b]) for b in mem])) for mem in members]
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +134,8 @@ class KFreeState:
 
 @dataclass
 class SearchConfig:
-    symmetry_depth: Optional[int] = None  # None: canonical rejection at every depth
+    # None: labeled once at most LABELED_TAIL edges are addable; k: labeled from k edges on
+    symmetry_depth: Optional[int] = None
     node_budget: int = 50_000_000
     witness_cap: int = 1000
 
@@ -127,6 +159,18 @@ class ExtremalRecord:
     cap_hit: bool = False
 
 
+def check_request(r: int, predicate: str, ell: Optional[int]) -> None:
+    """Raise ValueError unless (r, predicate, ell) names a search; ell belongs to k-free alone."""
+    if predicate not in PREDICATES:
+        raise ValueError(f"unknown predicate {predicate!r}")
+    if predicate == "k-free" and ell is None:
+        raise ValueError(f"predicate {predicate!r} requires ell")
+    if predicate != "k-free" and ell is not None:
+        raise ValueError(f"predicate {predicate!r} takes no ell, got ell = {ell}")
+    if r != _UNIFORMITY.get(predicate, r):
+        raise ValueError(f"predicate {predicate!r} does not apply to r = {r}")
+
+
 def extremal_number(
     n: int,
     r: int,
@@ -138,14 +182,11 @@ def extremal_number(
     """Exact maximum edge count over all r-graphs on [n] satisfying the predicate.
 
     Budget exhaustion is reported via complete=False, never as a value.
+    Raises ValueError on a request `check_request` rejects or above the
+    feasibility guard.
     """
     cfg = config or SearchConfig()
-    if predicate not in PREDICATES:
-        raise ValueError(f"unknown predicate {predicate!r}")
-    if predicate == "k-free" and ell is None:
-        raise ValueError(f"predicate {predicate!r} requires ell")
-    if r != _UNIFORMITY.get(predicate, r):
-        raise ValueError(f"predicate {predicate!r} does not apply to r = {r}")
+    check_request(r, predicate, ell)
     guard = DEFAULT_GUARDS.get(r, 8)
     if n > guard and not allow_large:
         raise ValueError(
@@ -205,9 +246,12 @@ def extremal_number(
         if len(cur) + len(addable) < best:
             return
         note_state(code)
-        depth_limit = cfg.symmetry_depth
-        if depth_limit is not None and len(cur) >= depth_limit:
-            dfs_labeled(addable)
+        if cfg.symmetry_depth is None:
+            labeled = len(addable) <= LABELED_TAIL
+        else:
+            labeled = len(cur) >= cfg.symmetry_depth
+        if labeled:
+            extend_labeled(addable)
             return
         # one representative extension per twin-orbit of addable edges;
         # products of twin swaps fix the current graph, so orbit-mates
@@ -223,6 +267,11 @@ def extremal_number(
             branch = list(addable)
         m = len(cur)
         for e in branch:
+            # canonical-parent filter: keep G+e only if e has the largest
+            # invariant in it; G+e is still reached by dropping such an edge
+            inv = edge_invariants(n, cur + [e])
+            if inv[-1] < max(inv):
+                continue
             push(e)
             child_addable = [f for f in addable if f != e and state.addable(f)]
             if m + 1 + len(child_addable) >= best:
@@ -243,6 +292,10 @@ def extremal_number(
             exhausted = True
             return
         note_state(None)
+        extend_labeled(rem)
+
+    def extend_labeled(rem: list[int]) -> None:
+        """Every labeled extension of cur by edges of rem, in rem order."""
         m = len(cur)
         for i, e in enumerate(rem):
             if m + (len(rem) - i) < best:

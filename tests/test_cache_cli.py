@@ -184,6 +184,20 @@ def test_cli_search_ignores_other_search_versions(tmp_path, capsys):
         assert len(json.loads(out)["entries"]) == 3
 
 
+def test_cli_search_rejects_ell_outside_k_free(tmp_path, capsys):
+    cache = str(tmp_path / "c.jsonl")
+    # a per-ell entry of the current version, as a search that ignored ell would have stored
+    stored = entry()
+    stored.ell = 3
+    cache_store(cache, stored)
+    for tail in (["--r", "3", "--predicate", "cancellative"], ["--r", "2", "--predicate", "triangle-free"]):
+        for flags in ([], ["--force"]):
+            args = ["search", "--n", "6", *tail, "--ell", "3", "--cache", cache, *flags]
+            code, out, err = run_cli(args, capsys)
+            assert code == 2 and out == "" and "takes no ell" in err
+    assert cache_entries(cache) == [stored]
+
+
 def test_cli_search_budget_exit_code(tmp_path, capsys):
     cache = str(tmp_path / "c.jsonl")
     code, out, _ = run_cli(

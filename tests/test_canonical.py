@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turanlab.canonical import (
     are_isomorphic,
@@ -13,6 +15,7 @@ from turanlab.canonical import (
 )
 from turanlab.constructions import turan_hypergraph
 from turanlab.hypergraph import Hypergraph, all_r_subsets, mask_of
+from turanlab.search import edge_invariants
 
 
 def test_relabel_invariance_100_permutations():
@@ -165,3 +168,52 @@ def test_unlabeled_graph_census_on_5_vertices():
         edges = tuple(p for i, p in enumerate(pairs) if bits >> i & 1)
         codes.add(canonical_code(5, edges))
     assert len(codes) == 34
+
+
+# ---------------------------------------------------------------------------
+# Property tests: random r-graphs (r in {2, 3}, n <= 8) under random relabelings
+
+
+def _closure(edges, sigma):
+    """Smallest edge set containing edges that the vertex permutation sigma maps onto itself."""
+    out, todo = set(), list(edges)
+    while todo:
+        e = todo.pop()
+        if e not in out:
+            out.add(e)
+            todo.append(mask_of(sigma[v - 1] for v in range(1, len(sigma) + 1) if e >> (v - 1) & 1))
+    return out
+
+
+@st.composite
+def relabeled_hypergraphs(draw):
+    r = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(r, 8))
+    cands = all_r_subsets(n, r)
+    if draw(st.booleans()):
+        chosen = draw(st.integers(0, (1 << len(cands)) - 1))
+        edges = {e for i, e in enumerate(cands) if chosen >> i & 1}
+    else:
+        # a few edges closed under a random permutation, such as C3 + C4: symmetric
+        # inputs whose refined colour classes are not orbits, so the labelling must branch
+        edges = _closure(draw(st.lists(st.sampled_from(cands), max_size=3)), draw(st.permutations(range(1, n + 1))))
+    return Hypergraph(n, r, tuple(edges)), draw(st.permutations(range(1, n + 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(relabeled_hypergraphs())
+def test_canonical_code_invariant_under_random_relabeling(case):
+    h, perm = case
+    assert canonical_code(h.n, permute_hypergraph(h, perm).edges) == canonical_code(h.n, h.edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(relabeled_hypergraphs())
+def test_edge_invariants_follow_relabeling(case):
+    # the search's canonical-parent filter is sound only if each edge keeps its invariant
+    h, perm = case
+    moved = permute_hypergraph(h, perm)
+    by_edge = dict(zip(moved.edges, edge_invariants(moved.n, moved.edges)))
+    for e, inv in zip(h.edges, edge_invariants(h.n, h.edges)):
+        image = mask_of(perm[v - 1] for v in range(1, h.n + 1) if e >> (v - 1) & 1)
+        assert by_edge[image] == inv

@@ -19,7 +19,6 @@ from turanlab.checkers import (
     inequality2_certificate,
     is_cancellative,
     is_k_free,
-    is_k_free_direct,
     link_count_identity,
     links_triangle_free,
     mantel_link_bound,
@@ -39,6 +38,7 @@ from turanlab.hypergraph import (
     auxiliary_graph,
     contains_clique,
     count_cliques,
+    is_subgraph,
     mask_of,
     vertices_of,
 )
@@ -113,21 +113,23 @@ def test_is_k_free_examples():
     assert is_k_free(single, 3)
 
 
+def is_k_free_direct(h, members):
+    """Cross-validation path: embed the minimal pair-cover members directly."""
+    return not any(is_subgraph(f, h) for f in members)
+
+
 def test_is_k_free_cross_validation():
     rng = random.Random(31)
-    fam_cache = {}
+    members = k_family(3, 3).members
     for _ in range(120):
         n = rng.randint(4, 7)
         h = random_hypergraph(n, 3, rng.uniform(0.05, 0.35), rng)
-        assert is_k_free(h, 3) == is_k_free_direct(h, 3)
+        assert is_k_free(h, 3) == is_k_free_direct(h, members)
     # ell = 4 on hosts up to 6 vertices, against the capped family
-    fam = k_family(3, 4, max_vertices=6)
-    from turanlab.hypergraph import is_subgraph
-
+    members = k_family(3, 4, max_vertices=6).members
     for _ in range(60):
         h = random_hypergraph(6, 3, rng.uniform(0.1, 0.5), rng)
-        direct = not any(is_subgraph(f, h) for f in fam.members)
-        assert is_k_free(h, 4) == direct
+        assert is_k_free(h, 4) == is_k_free_direct(h, members)
 
 
 def test_is_k_free_matches_pair_coverage_scan():

@@ -2,13 +2,15 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+import turanlab.search as search_mod
 from turanlab.canonical import canonical_code
 from turanlab.checkers import is_cancellative, is_k_free
 from turanlab.constructions import turan_count, turan_hypergraph
-from turanlab.hypergraph import Hypergraph, all_r_subsets, contains_clique, mask_of
+from turanlab.hypergraph import Hypergraph, all_r_subsets, contains_clique, iter_bits, mask_of
 from turanlab.partitions import Partition, crossing_count
 from turanlab.search import (
     SearchConfig,
@@ -145,8 +147,6 @@ class _AtMostTwoEdges:
 
 def test_custom_predicate_and_witness_cap(monkeypatch):
     # a stand-in state with two extremal classes drives the search past a cap of 1
-    import turanlab.search as search_mod
-
     monkeypatch.setattr(search_mod, "_CancellativeState", lambda n: _AtMostTwoEdges())
     rec = extremal_number(5, 3, "cancellative")
     assert rec.value == 2
@@ -186,6 +186,75 @@ def test_unknown_predicate_and_missing_ell():
         extremal_number(5, 3, "no-such-predicate")
     with pytest.raises(ValueError):
         extremal_number(5, 3, "k-free")
+    # ell belongs to k-free alone
+    with pytest.raises(ValueError, match="takes no ell"):
+        extremal_number(5, 3, "cancellative", ell=3)
+    with pytest.raises(ValueError, match="takes no ell"):
+        extremal_number(5, 2, "triangle-free", ell=2)
+
+
+# ---------------------------------------------------------------------------
+# The default search (canonical-parent filter, twin-orbit branching, labeled
+# tail) against symmetry_depth=0, plain labeled branch and bound from the root.
+
+ORACLE_CASES = (
+    [(n, 2, "triangle-free", None) for n in range(2, 8)]
+    + [(n, 2, "k-free", ell) for n in range(2, 8) for ell in (2, 3, 4)]
+    + [(n, 3, "cancellative", None) for n in range(3, 7)]
+    + [(n, 3, "k-free", ell) for n in range(3, 7) for ell in (3, 4)]
+)
+
+
+def _outcome(rec):
+    assert rec.complete and not rec.cap_hit
+    return rec.value, rec.extremal_classes, [w.edges for w in rec.witnesses]
+
+
+def _fast_paths(monkeypatch, search):
+    """Outcomes of the default search and of the filter kept on down to the leaves."""
+    outcomes = [_outcome(search())]
+    with monkeypatch.context() as m:
+        m.setattr(search_mod, "LABELED_TAIL", 0)
+        outcomes.append(_outcome(search()))
+    return outcomes
+
+
+def test_default_search_matches_labeled_oracle(monkeypatch):
+    for n, r, predicate, ell in ORACLE_CASES:
+        slow = _outcome(extremal_number(n, r, predicate, SearchConfig(symmetry_depth=0), ell=ell))
+        fast = _fast_paths(monkeypatch, lambda: extremal_number(n, r, predicate, ell=ell))
+        assert fast == [slow, slow], (n, r, predicate, ell)
+
+
+class _BoundedDegree:
+    """A hereditary stand-in with several extremal classes: every vertex degree at most d."""
+
+    def __init__(self, d):
+        self.d = d
+        self.deg = Counter()
+
+    def addable(self, e):
+        return all(self.deg[b] < self.d for b in iter_bits(e))
+
+    def add(self, e):
+        for b in iter_bits(e):
+            self.deg[b] += 1
+
+    def remove(self, e):
+        for b in iter_bits(e):
+            self.deg[b] -= 1
+
+
+def test_search_matches_labeled_oracle_on_many_classes(monkeypatch):
+    # the three predicates have one extremal class each on the n above, so a lost
+    # class shows only where there are several: cycles, cubic graphs, linear 3-graphs
+    for n, r, d, classes in ((7, 2, 2, 2), (6, 2, 3, 2), (7, 2, 3, 4), (6, 3, 2, 2), (7, 3, 2, 6), (6, 3, 3, 4)):
+        monkeypatch.setattr(search_mod, "_CancellativeState", lambda n, d=d: _BoundedDegree(d))
+        monkeypatch.setattr(search_mod, "KFreeState", lambda n, r, ell, d=d: _BoundedDegree(d))
+        predicate = "cancellative" if r == 3 else "triangle-free"
+        slow = _outcome(extremal_number(n, r, predicate, SearchConfig(symmetry_depth=0)))
+        assert slow[:2] == (n * d // r, classes)
+        assert _fast_paths(monkeypatch, lambda: extremal_number(n, r, predicate)) == [slow, slow], (n, r, d)
 
 
 # ---------------------------------------------------------------------------
