@@ -47,7 +47,6 @@ from .hypergraph import (
 from .partitions import Partition, bad_edges, crossing_count
 from .search import (
     ExtremalRecord,
-    SearchConfig,
     extremal_number,
     max_ell_cut,
     uniqueness_check,

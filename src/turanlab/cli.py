@@ -35,7 +35,7 @@ from .constructions import (
     turan_hypergraph,
 )
 from .hypergraph import format_hypergraph, load_hypergraph, vertices_of
-from .search import PREDICATES, SearchConfig, check_request, extremal_number
+from .search import NODE_BUDGET, PREDICATES, check_request, extremal_number
 from .stability import (
     bipartite_distance_analysis,
     epsilon_delta_scan,
@@ -116,13 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--r", type=int, required=True)
     s.add_argument("--predicate", required=True, choices=PREDICATES)
     s.add_argument("--ell", type=int)
-    s.add_argument("--budget", type=int, default=50_000_000)
-    s.add_argument(
-        "--symmetry-depth",
-        type=int,
-        default=None,
-        help="go labeled from this many edges on (default: once at most 16 edges are addable)",
-    )
+    s.add_argument("--budget", type=int, default=NODE_BUDGET)
     s.add_argument("--allow-large", action="store_true")
     s.add_argument("--cache", default=None)
     s.add_argument("--no-cache", action="store_true")
@@ -276,8 +270,9 @@ def _search_payload(args) -> tuple[str, int]:
         hit = cache_lookup(path, key)
         if hit is not None:
             return _search_result(hit), OK
-    cfg = SearchConfig(symmetry_depth=args.symmetry_depth, node_budget=args.budget)
-    rec = extremal_number(args.n, args.r, args.predicate, cfg, ell=args.ell, allow_large=args.allow_large)
+    rec = extremal_number(
+        args.n, args.r, args.predicate, ell=args.ell, allow_large=args.allow_large, node_budget=args.budget
+    )
     entry = CacheEntry(
         predicate=rec.predicate,
         n=rec.n,

@@ -15,8 +15,7 @@ reached from H-e for an edge e of H with the largest invariant, and H-e
 satisfies the predicate with a bound at least that of H.  Once a node has
 at most LABELED_TAIL addable edges, its subtree goes to plain labeled
 subset branch and bound, which costs far less per node than a canonical
-labelling.  An explicit symmetry_depth replaces that switch: the search
-goes labeled once the current graph has that many edges.
+labelling.
 
 The predicates are a fixed set, `PREDICATES`: "cancellative" (3-graphs in
 which no edge contains the symmetric difference of two others), "k-free"
@@ -45,11 +44,15 @@ _UNIFORMITY = {"cancellative": 3, "triangle-free": 2}  # "k-free" takes any r
 
 # Bump whenever a change to the search can change what it reports for some
 # (predicate, n, r, ell): result-cache entries of another version are misses.
-SEARCH_VERSION = 2
+SEARCH_VERSION = 3
 
-# With the default symmetry_depth=None, a node with at most this many addable
-# edges hands its subtree to the labeled branch and bound.
+# A node with at most this many addable edges hands its subtree to the labeled
+# branch and bound.
 LABELED_TAIL = 16
+
+NODE_BUDGET = 50_000_000
+# Extremal classes kept as witnesses; past this many, cap_hit is set.
+WITNESS_CAP = 1000
 
 
 def edge_invariants(n: int, edges: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
@@ -133,18 +136,6 @@ class KFreeState:
 
 
 @dataclass
-class SearchConfig:
-    # None: labeled once at most LABELED_TAIL edges are addable; k: labeled from k edges on
-    symmetry_depth: Optional[int] = None
-    node_budget: int = 50_000_000
-    witness_cap: int = 1000
-
-    def __post_init__(self) -> None:
-        if self.node_budget <= 0:
-            raise ValueError("node budget must be positive")
-
-
-@dataclass
 class ExtremalRecord:
     n: int
     r: int
@@ -175,17 +166,18 @@ def extremal_number(
     n: int,
     r: int,
     predicate: str,
-    config: Optional[SearchConfig] = None,
     ell: Optional[int] = None,
     allow_large: bool = False,
+    node_budget: int = NODE_BUDGET,
 ) -> ExtremalRecord:
     """Exact maximum edge count over all r-graphs on [n] satisfying the predicate.
 
-    Budget exhaustion is reported via complete=False, never as a value.
-    Raises ValueError on a request `check_request` rejects or above the
-    feasibility guard.
+    Budget exhaustion (more than node_budget nodes) is reported via
+    complete=False, never as a value.  Raises ValueError on a non-positive
+    budget, on a request `check_request` rejects or above the feasibility guard.
     """
-    cfg = config or SearchConfig()
+    if node_budget <= 0:
+        raise ValueError("node budget must be positive")
     check_request(r, predicate, ell)
     guard = DEFAULT_GUARDS.get(r, 8)
     if n > guard and not allow_large:
@@ -211,7 +203,7 @@ def extremal_number(
         nonlocal cap_hit
         if code is None:
             code = canonical_code(n, cur)
-        if len(best_codes) < cfg.witness_cap:
+        if len(best_codes) < WITNESS_CAP:
             best_codes.add(code)
         elif code not in best_codes:
             cap_hit = True
@@ -240,33 +232,25 @@ def extremal_number(
         if exhausted:
             return
         nodes += 1
-        if nodes > cfg.node_budget:
+        if nodes > node_budget:
             exhausted = True
             return
         if len(cur) + len(addable) < best:
             return
         note_state(code)
-        if cfg.symmetry_depth is None:
-            labeled = len(addable) <= LABELED_TAIL
-        else:
-            labeled = len(cur) >= cfg.symmetry_depth
-        if labeled:
+        if len(addable) <= LABELED_TAIL:
             extend_labeled(addable)
             return
         # one representative extension per twin-orbit of addable edges;
         # products of twin swaps fix the current graph, so orbit-mates
         # produce isomorphic children
-        if len(addable) > 1:
-            twin = _twin_classes(n, cur)
-            reps: dict[tuple[int, ...], int] = {}
-            for e in addable:
-                key = tuple(sorted(twin[b] for b in iter_bits(e)))
-                reps.setdefault(key, e)
-            branch = list(reps.values())
-        else:
-            branch = list(addable)
+        twin = _twin_classes(n, cur)
+        reps: dict[tuple[int, ...], int] = {}
+        for e in addable:
+            key = tuple(sorted(twin[b] for b in iter_bits(e)))
+            reps.setdefault(key, e)
         m = len(cur)
-        for e in branch:
+        for e in reps.values():
             # canonical-parent filter: keep G+e only if e has the largest
             # invariant in it; G+e is still reached by dropping such an edge
             inv = edge_invariants(n, cur + [e])
@@ -283,19 +267,9 @@ def extremal_number(
             if exhausted:
                 return
 
-    def dfs_labeled(rem: list[int]) -> None:
-        nonlocal nodes, exhausted
-        if exhausted:
-            return
-        nodes += 1
-        if nodes > cfg.node_budget:
-            exhausted = True
-            return
-        note_state(None)
-        extend_labeled(rem)
-
     def extend_labeled(rem: list[int]) -> None:
         """Every labeled extension of cur by edges of rem, in rem order."""
+        nonlocal nodes, exhausted
         m = len(cur)
         for i, e in enumerate(rem):
             if m + (len(rem) - i) < best:
@@ -303,7 +277,12 @@ def extremal_number(
             push(e)
             new_rem = [f for f in rem[i + 1 :] if state.addable(f)]
             if m + 1 + len(new_rem) >= best:
-                dfs_labeled(new_rem)
+                nodes += 1
+                if nodes > node_budget:
+                    exhausted = True
+                else:
+                    note_state(None)
+                    extend_labeled(new_rem)
             pop(e)
             if exhausted:
                 return
@@ -490,9 +469,9 @@ def _exact_cut(adj: list[int], n: int, ell: int, nedges: int, seed: int) -> tupl
             assign[v] = -1
 
     rec(0, 0, 0)
+    # best_assign is a maximum cut: the fill moves only vertices with no neighbour in
+    # their block, and no single-vertex move can raise the cut, so no descent follows
     final = list(best_assign)
-    _fill_empty_blocks(adj, final, ell)
-    _descend(adj, final, ell)
     _fill_empty_blocks(adj, final, ell)
     cut = _cut_value(adj, final, nedges)
     assert cut >= best_cut

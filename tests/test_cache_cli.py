@@ -125,6 +125,15 @@ def test_cli_usage_errors(capsys):
         capsys,
     )
     assert code == 2  # unknown option --ordering
+    code, _, _ = run_cli(
+        ["search", "--n", "5", "--r", "3", "--predicate", "cancellative", "--no-cache", "--symmetry-depth", "4"],
+        capsys,
+    )
+    assert code == 2  # unknown option --symmetry-depth
+    code, _, err = run_cli(
+        ["search", "--n", "5", "--r", "3", "--predicate", "cancellative", "--no-cache", "--budget", "0"], capsys
+    )
+    assert code == 2 and "node budget must be positive" in err
 
 
 def test_cli_search_cache_flow(tmp_path, capsys, monkeypatch):

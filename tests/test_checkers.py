@@ -265,27 +265,34 @@ def test_witness_present_iff_fails():
     assert w is not None
 
 
-def test_incremental_state_matches_direct_checker():
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(4, 8),
+    # each step adds the i-th triple (mod their count) or removes the i-th current edge
+    st.lists(st.tuples(st.sampled_from(["add", "add", "add", "remove"]), st.integers(0, 1000)), max_size=40),
+)
+def test_incremental_state_matches_direct_checker(n, steps):
     from turanlab.checkers import _CancellativeState
 
-    rng = random.Random(59)
-    for _ in range(40):
-        n = rng.randint(4, 8)
-        state = _CancellativeState(n)
-        current = []
-        pool = list(all_r_subsets(n, 3))
-        rng.shuffle(pool)
-        for e in pool[: len(pool) // 2]:
-            ok = state.addable(e)
-            direct = is_cancellative(Hypergraph(n, 3, tuple(current + [e])))
-            assert ok == direct, (n, current, e)
-            if ok:
-                state.add(e)
-                current.append(e)
-                if rng.random() < 0.25 and current:
-                    victim = rng.choice(current)
-                    state.remove(victim)
-                    current.remove(victim)
+    state = _CancellativeState(n)
+    current = []
+    cands = all_r_subsets(n, 3)
+    for op, i in steps:
+        if op == "remove":
+            if current:
+                victim = current[i % len(current)]
+                state.remove(victim)
+                current.remove(victim)
+            continue
+        e = cands[i % len(cands)]
+        if e in current:
+            continue
+        ok = state.addable(e)
+        direct = is_cancellative(Hypergraph(n, 3, tuple(current + [e])))
+        assert ok == direct, (n, current, e)
+        if ok:
+            state.add(e)
+            current.append(e)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turanlab.hypergraph import (
     Hypergraph,
@@ -214,6 +216,20 @@ def test_text_format_round_trip():
     back = parse_hypergraph(text)
     assert back == t
     assert text.startswith("# balanced transversal\n7 3\n")
+
+
+@st.composite
+def hypergraphs(draw):
+    n, r = draw(st.integers(0, 12)), draw(st.integers(2, 4))
+    cands = all_r_subsets(n, r)
+    chosen = draw(st.integers(0, (1 << len(cands)) - 1))
+    return Hypergraph(n, r, tuple(e for i, e in enumerate(cands) if chosen >> i & 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hypergraphs(), st.one_of(st.none(), st.lists(st.text(), min_size=2, max_size=4).map("\n".join)))
+def test_text_format_round_trip_random(h, comment):
+    assert parse_hypergraph(format_hypergraph(h, comment)) == h
 
 
 def test_text_format_tolerance_and_errors():

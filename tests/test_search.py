@@ -3,8 +3,12 @@
 import itertools
 import random
 from collections import Counter
+from functools import partial
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import turanlab.search as search_mod
 from turanlab.canonical import canonical_code
@@ -13,7 +17,6 @@ from turanlab.constructions import turan_count, turan_hypergraph
 from turanlab.hypergraph import Hypergraph, all_r_subsets, contains_clique, iter_bits, mask_of
 from turanlab.partitions import Partition, crossing_count
 from turanlab.search import (
-    SearchConfig,
     extremal_number,
     max_ell_cut,
     uniqueness_check,
@@ -87,26 +90,21 @@ def test_witnesses_satisfy_predicate():
     assert len(codes) == rec.extremal_classes
 
 
-def test_value_independent_of_ordering_and_symmetry_depth():
-    base = extremal_number(6, 3, "cancellative")
-    for cfg in (
-        SearchConfig(symmetry_depth=2),
-        SearchConfig(symmetry_depth=0),
-        SearchConfig(symmetry_depth=3),
-    ):
-        rec = extremal_number(6, 3, "cancellative", cfg)
-        assert rec.value == base.value
-        assert rec.extremal_classes == base.extremal_classes
-    base = extremal_number(6, 2, "triangle-free")
-    rec = extremal_number(6, 2, "triangle-free", SearchConfig(symmetry_depth=3))
-    assert (rec.value, rec.extremal_classes) == (base.value, base.extremal_classes)
+def test_value_independent_of_labeled_tail(monkeypatch):
+    for n, r, predicate in ((6, 3, "cancellative"), (6, 2, "triangle-free")):
+        search = partial(extremal_number, n, r, predicate)
+        base = _outcome(search())
+        for tail in (0, 3, 8, comb(n, r)):
+            assert _with_tail(monkeypatch, tail, search) == base, (predicate, tail)
 
 
 def test_budget_exhaustion_is_incomplete():
-    rec = extremal_number(7, 3, "cancellative", SearchConfig(node_budget=10))
+    rec = extremal_number(7, 3, "cancellative", node_budget=10)
     assert not rec.complete
     with pytest.raises(ValueError):
         uniqueness_check(rec, turan_hypergraph(7, 3, 3))
+    with pytest.raises(ValueError, match="node budget must be positive"):
+        extremal_number(5, 3, "cancellative", node_budget=0)
 
 
 def test_feasibility_guard():
@@ -151,34 +149,43 @@ def test_custom_predicate_and_witness_cap(monkeypatch):
     rec = extremal_number(5, 3, "cancellative")
     assert rec.value == 2
     assert rec.extremal_classes == 2  # two triples on [5] share one vertex or two
-    capped = extremal_number(5, 3, "cancellative", SearchConfig(witness_cap=1))
+    monkeypatch.setattr(search_mod, "WITNESS_CAP", 1)
+    capped = extremal_number(5, 3, "cancellative")
     assert capped.value == 2
     assert capped.cap_hit
     assert capped.extremal_classes == 1  # truncated, and flagged as such
 
 
-def test_kfree_state_matches_direct_checker():
+# an interleaved add/remove sequence: each step adds the i-th candidate edge
+# (mod their count) or removes the i-th current edge (mod their count)
+STATE_STEPS = st.lists(st.tuples(st.sampled_from(["add", "add", "add", "remove"]), st.integers(0, 1000)), max_size=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 7), st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)]), STATE_STEPS)
+def test_kfree_state_matches_direct_checker(n, shape, steps):
     from turanlab.search import KFreeState
 
-    rng = random.Random(61)
-    for _ in range(30):
-        n = rng.randint(4, 7)
-        r, ell = rng.choice([(2, 2), (2, 3), (3, 3), (3, 4)])
-        state = KFreeState(n, r, ell)
-        current = []
-        pool = list(all_r_subsets(n, r))
-        rng.shuffle(pool)
-        for e in pool[: len(pool) // 2]:
-            ok = state.addable(e)
-            direct = is_k_free(Hypergraph(n, r, tuple(current + [e])), ell)
-            assert ok == direct, (n, r, ell, current, e)
-            if ok:
-                state.add(e)
-                current.append(e)
-                if current and rng.random() < 0.25:
-                    victim = rng.choice(current)
-                    state.remove(victim)
-                    current.remove(victim)
+    r, ell = shape
+    state = KFreeState(n, r, ell)
+    current = []
+    cands = all_r_subsets(n, r)
+    for op, i in steps:
+        if op == "remove":
+            if current:
+                victim = current[i % len(current)]
+                state.remove(victim)
+                current.remove(victim)
+            continue
+        e = cands[i % len(cands)]
+        if e in current:
+            continue
+        ok = state.addable(e)
+        direct = is_k_free(Hypergraph(n, r, tuple(current + [e])), ell)
+        assert ok == direct, (n, r, ell, current, e)
+        if ok:
+            state.add(e)
+            current.append(e)
 
 
 def test_unknown_predicate_and_missing_ell():
@@ -195,7 +202,7 @@ def test_unknown_predicate_and_missing_ell():
 
 # ---------------------------------------------------------------------------
 # The default search (canonical-parent filter, twin-orbit branching, labeled
-# tail) against symmetry_depth=0, plain labeled branch and bound from the root.
+# tail) against LABELED_TAIL = C(n, r), plain labeled branch and bound from the root.
 
 ORACLE_CASES = (
     [(n, 2, "triangle-free", None) for n in range(2, 8)]
@@ -210,20 +217,23 @@ def _outcome(rec):
     return rec.value, rec.extremal_classes, [w.edges for w in rec.witnesses]
 
 
+def _with_tail(monkeypatch, tail, search):
+    """Outcome of search under LABELED_TAIL = tail."""
+    with monkeypatch.context() as m:
+        m.setattr(search_mod, "LABELED_TAIL", tail)
+        return _outcome(search())
+
+
 def _fast_paths(monkeypatch, search):
     """Outcomes of the default search and of the filter kept on down to the leaves."""
-    outcomes = [_outcome(search())]
-    with monkeypatch.context() as m:
-        m.setattr(search_mod, "LABELED_TAIL", 0)
-        outcomes.append(_outcome(search()))
-    return outcomes
+    return [_outcome(search()), _with_tail(monkeypatch, 0, search)]
 
 
 def test_default_search_matches_labeled_oracle(monkeypatch):
     for n, r, predicate, ell in ORACLE_CASES:
-        slow = _outcome(extremal_number(n, r, predicate, SearchConfig(symmetry_depth=0), ell=ell))
-        fast = _fast_paths(monkeypatch, lambda: extremal_number(n, r, predicate, ell=ell))
-        assert fast == [slow, slow], (n, r, predicate, ell)
+        search = partial(extremal_number, n, r, predicate, ell=ell)
+        slow = _with_tail(monkeypatch, comb(n, r), search)
+        assert _fast_paths(monkeypatch, search) == [slow, slow], (n, r, predicate, ell)
 
 
 class _BoundedDegree:
@@ -252,9 +262,10 @@ def test_search_matches_labeled_oracle_on_many_classes(monkeypatch):
         monkeypatch.setattr(search_mod, "_CancellativeState", lambda n, d=d: _BoundedDegree(d))
         monkeypatch.setattr(search_mod, "KFreeState", lambda n, r, ell, d=d: _BoundedDegree(d))
         predicate = "cancellative" if r == 3 else "triangle-free"
-        slow = _outcome(extremal_number(n, r, predicate, SearchConfig(symmetry_depth=0)))
+        search = partial(extremal_number, n, r, predicate)
+        slow = _with_tail(monkeypatch, comb(n, r), search)
         assert slow[:2] == (n * d // r, classes)
-        assert _fast_paths(monkeypatch, lambda: extremal_number(n, r, predicate)) == [slow, slow], (n, r, d)
+        assert _fast_paths(monkeypatch, search) == [slow, slow], (n, r, d)
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +308,31 @@ def test_max_cut_examples():
     assert cut == cut_oracle(petersen, 2) == 12
 
 
-def test_exact_cut_matches_oracle_random():
+@st.composite
+def graphs_and_ell(draw):
+    n = draw(st.integers(1, 9))
+    cands = all_r_subsets(n, 2)
+    chosen = draw(st.integers(0, (1 << len(cands)) - 1))
+    g = Hypergraph(n, 2, tuple(e for i, e in enumerate(cands) if chosen >> i & 1))
+    return g, draw(st.sampled_from([2, 3]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_and_ell(), st.integers(0, 3))
+def test_exact_cut_matches_oracle_random(case, seed):
+    g, ell = case
+    best = cut_oracle(g, ell)
+    for mode in ("exact", "local"):
+        part, cut = max_ell_cut(g, ell, mode, seed=seed)
+        assert cut == best if mode == "exact" else cut <= best
+        assert vertex_move_optimal(g, part)
+        assert crossing_count(g, part) == cut
+        if g.n >= ell:
+            assert all(part.blocks)
+
+
+def test_exact_cut_matches_oracle_large():
     rng = random.Random(7)
-    for _ in range(12):
-        n = rng.randint(4, 8)
-        ell = rng.choice([2, 3])
-        edges = tuple(m for m in all_r_subsets(n, 2) if rng.random() < 0.5)
-        g = Hypergraph(n, 2, edges)
-        _, cut = max_ell_cut(g, ell, "exact", seed=1)
-        assert cut == cut_oracle(g, ell)
     for n, ell in ((9, 3), (10, 2), (10, 3)):
         edges = tuple(m for m in all_r_subsets(n, 2) if rng.random() < 0.45)
         g = Hypergraph(n, 2, edges)
