@@ -326,63 +326,64 @@ EXACT_CUT_CEILING = 20
 LOCAL_RESTARTS = 32
 
 
-def _cut_value(adj: list[int], assign: list[int], nedges: int) -> int:
-    internal = 0
-    for v in range(len(assign)):
-        av = adj[v]
-        for b in iter_bits(av & ~((1 << (v + 1)) - 1)):
-            if assign[b] == assign[v]:
-                internal += 1
-    return nedges - internal
+def _block_masks(assign: list[int], ell: int) -> list[int]:
+    bm = [0] * ell
+    for v, k in enumerate(assign):
+        bm[k] |= 1 << v
+    return bm
 
 
-def _descend(adj: list[int], assign: list[int], ell: int) -> None:
-    """Strict single-vertex-move hill climbing; never empties a block."""
-    n = len(assign)
+def _cut_value(adj: list[int], assign: list[int], bm: list[int], nedges: int) -> int:
+    internal = sum((adj[v] & bm[k]).bit_count() for v, k in enumerate(assign))
+    return nedges - internal // 2
+
+
+def _descend(adj: list[int], assign: list[int], bm: list[int]) -> None:
+    """Strict single-vertex-move hill climbing; never empties a block.
+
+    bm[k] is always the set of v with assign[v] == k: a move updates two
+    masks in place, so later vertices in the same sweep see it.
+    """
     improved = True
     while improved:
         improved = False
-        for v in range(n):
-            counts = [0] * ell
-            for b in iter_bits(adj[v]):
-                counts[assign[b]] += 1
-            cur = counts[assign[v]]
-            tgt = min(range(ell), key=lambda k: (counts[k], k))
-            if counts[tgt] < cur:
+        for v, av in enumerate(adj):
+            counts = [(av & m).bit_count() for m in bm]
+            low = min(counts)
+            cur = assign[v]
+            if low < counts[cur]:
+                tgt = counts.index(low)
+                bm[cur] ^= 1 << v
+                bm[tgt] |= 1 << v
                 assign[v] = tgt
                 improved = True
 
 
-def _fill_empty_blocks(adj: list[int], assign: list[int], ell: int) -> None:
+def _fill_empty_blocks(adj: list[int], assign: list[int], bm: list[int]) -> None:
     """Move highest-internal-degree vertices into empty blocks (never lowers the cut)."""
-    n = len(assign)
-    while True:
-        sizes = [0] * ell
-        for b in assign:
-            sizes[b] += 1
-        try:
-            empty = next(k for k in range(ell) if sizes[k] == 0 and n >= ell)
-        except StopIteration:
-            return
-        best_v, best_gain = None, -1
-        for v in range(n):
-            if sizes[assign[v]] < 2:
-                continue
-            gain = sum(1 for b in iter_bits(adj[v]) if assign[b] == assign[v])
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        if best_v is None:
-            return
-        assign[best_v] = empty
+    if len(assign) < len(bm):
+        return
+    while 0 in bm:
+        # n >= ell, so while a block is empty another holds at least two vertices
+        sizes = [m.bit_count() for m in bm]
+        v = max(
+            (v for v, k in enumerate(assign) if sizes[k] >= 2),
+            key=lambda v: (adj[v] & bm[assign[v]]).bit_count(),
+        )
+        empty = bm.index(0)
+        bm[assign[v]] ^= 1 << v
+        bm[empty] |= 1 << v
+        assign[v] = empty
 
 
 def _greedy_assign(adj: list[int], n: int, ell: int) -> list[int]:
     assign = [0] * n
+    bm = [0] * ell  # the vertices placed so far
     for v in range(n):
-        counts = [0] * ell
-        for b in iter_bits(adj[v] & ((1 << v) - 1)):
-            counts[assign[b]] += 1
-        assign[v] = min(range(ell), key=lambda k: (counts[k], k))
+        counts = [(adj[v] & m).bit_count() for m in bm]
+        k = counts.index(min(counts))
+        assign[v] = k
+        bm[k] |= 1 << v
     return assign
 
 
@@ -395,10 +396,11 @@ def _local_cut(adj: list[int], n: int, ell: int, nedges: int, seed: int) -> tupl
             assign = _greedy_assign(adj, n, ell)
         else:
             assign = [rng.randrange(ell) for _ in range(n)]
-        _descend(adj, assign, ell)
-        _fill_empty_blocks(adj, assign, ell)
-        _descend(adj, assign, ell)
-        cut = _cut_value(adj, assign, nedges)
+        bm = _block_masks(assign, ell)
+        _descend(adj, assign, bm)
+        _fill_empty_blocks(adj, assign, bm)
+        _descend(adj, assign, bm)
+        cut = _cut_value(adj, assign, bm, nedges)
         if cut > best_cut:
             best_cut = cut
             best_assign = assign
@@ -472,8 +474,9 @@ def _exact_cut(adj: list[int], n: int, ell: int, nedges: int, seed: int) -> tupl
     # best_assign is a maximum cut: the fill moves only vertices with no neighbour in
     # their block, and no single-vertex move can raise the cut, so no descent follows
     final = list(best_assign)
-    _fill_empty_blocks(adj, final, ell)
-    cut = _cut_value(adj, final, nedges)
+    bm = _block_masks(final, ell)
+    _fill_empty_blocks(adj, final, bm)
+    cut = _cut_value(adj, final, bm, nedges)
     assert cut >= best_cut
     return final, cut
 
@@ -487,7 +490,10 @@ def max_ell_cut(
     """Best ell-way cut of a graph: exact branch and bound, or local search.
 
     Local mode guarantees a vertex-move-optimal partition: for every vertex
-    the internal degree is at most its degree into any other block.
+    the internal degree is at most its degree into any other block.  Both
+    modes keep one vertex mask per block beside the assignment: bm[k] is
+    always the set of v with assign[v] == k, so a vertex's degree into block
+    k is one popcount, (adj[v] & bm[k]).bit_count().
     """
     if g.r != 2:
         raise ValueError("max_ell_cut expects a graph (r = 2)")
@@ -513,12 +519,9 @@ def vertex_move_optimal(g: Hypergraph, part: Partition) -> bool:
     """Every vertex's internal degree is <= its degree into each other block."""
     adj = adjacency_masks(g)
     idx = part.block_index()
-    ell = len(part.blocks)
-    for v in range(g.n):
-        counts = [0] * ell
-        for b in iter_bits(adj[v]):
-            counts[idx[b]] += 1
-        own = counts[idx[v]]
-        if any(counts[k] < own for k in range(ell)):
+    masks = part.block_masks()
+    for v, av in enumerate(adj):
+        own = (av & masks[idx[v]]).bit_count()
+        if any((av & m).bit_count() < own for m in masks):
             return False
     return True

@@ -324,7 +324,8 @@ def bipartite_distance_analysis(g: Hypergraph, seed: int = 0) -> BipartiteDistan
         masks = part.block_masks()
         internal = [internal[1], internal[0]]
 
-    assert vertex_move_optimal(g, part), "maxant cut must be vertex-move-optimal"
+    move_optimal = vertex_move_optimal(g, part)
+    assert move_optimal, "maxant cut must be vertex-move-optimal"
 
     v1, v2 = part.blocks
     m1, m2 = masks
@@ -345,7 +346,7 @@ def bipartite_distance_analysis(g: Hypergraph, seed: int = 0) -> BipartiteDistan
     vstar = min((w for w in v1 if d1[w] == big), default=None)
 
     verified: dict[str, bool] = {}
-    verified["a_per_vertex_move_optimal"] = vertex_move_optimal(g, part)
+    verified["a_per_vertex_move_optimal"] = move_optimal
 
     if vstar is not None and big > 0:
         n1 = adj[vstar - 1] & m1

@@ -14,7 +14,14 @@ import turanlab.search as search_mod
 from turanlab.canonical import canonical_code
 from turanlab.checkers import is_cancellative, is_k_free
 from turanlab.constructions import turan_count, turan_hypergraph
-from turanlab.hypergraph import Hypergraph, all_r_subsets, contains_clique, iter_bits, mask_of
+from turanlab.hypergraph import (
+    Hypergraph,
+    adjacency_masks,
+    all_r_subsets,
+    contains_clique,
+    iter_bits,
+    mask_of,
+)
 from turanlab.partitions import Partition, crossing_count
 from turanlab.search import (
     extremal_number,
@@ -366,3 +373,151 @@ def test_cut_partition_shape():
         max_ell_cut(Hypergraph(25, 2, ()), 2, "exact")  # exact-mode size guard
     with pytest.raises(ValueError):
         max_ell_cut(g, 1, "local")
+
+
+def test_exact_cut_fills_empty_blocks_after_a_poor_seed(monkeypatch):
+    # From an all-in-one-block seed the branch and bound ends on a maximum cut
+    # with empty blocks, and only the fill makes the partition valid: every
+    # maximum 3-cut of K_{1,4} plus an isolated vertex fits in two blocks, and
+    # the first maximum 4-cut of K_{2,2} is {1, 2} | {3, 4}, which the two
+    # fills must split without emptying a block
+    star = Hypergraph.from_edges(6, 2, [(1, v) for v in range(2, 6)])
+    k22 = Hypergraph.from_edges(4, 2, [(1, 3), (1, 4), (2, 3), (2, 4)])
+    monkeypatch.setattr(search_mod, "_local_cut", lambda adj, n, ell, nedges, seed: ([0] * n, 0))
+    for g, ell in ((star, 3), (k22, 4)):
+        part, cut = max_ell_cut(g, ell, "exact")
+        assert cut == cut_oracle(g, ell) == crossing_count(g, part) == 4
+        assert all(part.blocks)
+        assert vertex_move_optimal(g, part)
+
+
+# The per-neighbour helpers that the block masks replaced, kept as differential
+# oracles: same visiting order, (count, block) tie-break, restarts and RNG draws.
+
+
+def _local_cut_oracle(adj, n, ell, nedges, seed):
+    def cut_value(assign):
+        internal = 0
+        for v in range(n):
+            for b in iter_bits(adj[v] & ~((1 << (v + 1)) - 1)):
+                if assign[b] == assign[v]:
+                    internal += 1
+        return nedges - internal
+
+    def descend(assign):
+        improved = True
+        while improved:
+            improved = False
+            for v in range(n):
+                counts = [0] * ell
+                for b in iter_bits(adj[v]):
+                    counts[assign[b]] += 1
+                tgt = min(range(ell), key=lambda k: (counts[k], k))
+                if counts[tgt] < counts[assign[v]]:
+                    assign[v] = tgt
+                    improved = True
+
+    def fill_empty_blocks(assign):
+        while True:
+            sizes = [0] * ell
+            for b in assign:
+                sizes[b] += 1
+            try:
+                empty = next(k for k in range(ell) if sizes[k] == 0 and n >= ell)
+            except StopIteration:
+                return
+            best_v, best_gain = None, -1
+            for v in range(n):
+                if sizes[assign[v]] < 2:
+                    continue
+                gain = sum(1 for b in iter_bits(adj[v]) if assign[b] == assign[v])
+                if gain > best_gain:
+                    best_v, best_gain = v, gain
+            if best_v is None:
+                return
+            assign[best_v] = empty
+
+    def greedy_assign():
+        assign = [0] * n
+        for v in range(n):
+            counts = [0] * ell
+            for b in iter_bits(adj[v] & ((1 << v) - 1)):
+                counts[assign[b]] += 1
+            assign[v] = min(range(ell), key=lambda k: (counts[k], k))
+        return assign
+
+    rng = random.Random(seed)
+    best_assign, best_cut = None, -1
+    for restart in range(search_mod.LOCAL_RESTARTS):
+        assign = greedy_assign() if restart == 0 else [rng.randrange(ell) for _ in range(n)]
+        descend(assign)
+        fill_empty_blocks(assign)
+        descend(assign)
+        cut = cut_value(assign)
+        if cut > best_cut:
+            best_assign, best_cut = assign, cut
+    return best_assign, best_cut
+
+
+def _vertex_move_optimal_oracle(g, part):
+    adj = adjacency_masks(g)
+    idx = part.block_index()
+    ell = len(part.blocks)
+    for v in range(g.n):
+        counts = [0] * ell
+        for b in iter_bits(adj[v]):
+            counts[idx[b]] += 1
+        own = counts[idx[v]]
+        if any(counts[k] < own for k in range(ell)):
+            return False
+    return True
+
+
+def _blocks(assign, ell):
+    return tuple(tuple(v + 1 for v, k in enumerate(assign) if k == b) for b in range(ell))
+
+
+@st.composite
+def cut_instances(draw, max_n=40):
+    """A graph whose last `isolated` vertices have no edge, and ell in 2..5 (n < ell included)."""
+    n = draw(st.integers(0, max_n))
+    isolated = draw(st.integers(0, min(n, 1 + n // 4)))
+    density = draw(st.sampled_from([0.05, 0.2, 0.5, 0.8, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    edges = tuple(m for m in all_r_subsets(n - isolated, 2) if rng.random() < density)
+    return Hypergraph(n, 2, edges), draw(st.sampled_from([2, 3, 4, 5]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(cut_instances(), st.integers(0, 10**6))
+def test_local_cut_matches_per_neighbour_oracle(case, seed):
+    g, ell = case
+    part, cut = max_ell_cut(g, ell, "local", seed=seed)
+    assign, oracle_cut = _local_cut_oracle(adjacency_masks(g), g.n, ell, g.size, seed)
+    assert (part.blocks, cut) == (_blocks(assign, ell), oracle_cut)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut_instances(max_n=10), st.integers(0, 10**6))
+def test_exact_cut_same_with_per_neighbour_seed(case, seed):
+    # _exact_cut seeds its branch and bound from _local_cut, and keeps the seed on ties
+    g, ell = case
+    fast = max_ell_cut(g, ell, "exact", seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search_mod, "_local_cut", _local_cut_oracle)
+        assert max_ell_cut(g, ell, "exact", seed=seed) == fast
+
+
+@settings(max_examples=120, deadline=None)
+@given(cut_instances(), st.integers(0, 10**6))
+def test_vertex_move_optimal_matches_oracle(case, seed):
+    g, ell = case
+    rng = random.Random(seed)
+    assign = [0] * g.n
+    for i, v in enumerate(rng.sample(range(g.n), g.n)):
+        assign[v] = i if i < ell else rng.randrange(ell)  # no empty block when n >= ell
+    random_part = Partition(g.n, _blocks(assign, ell))
+    local_part, _ = max_ell_cut(g, ell, "local", seed=seed)
+    assert vertex_move_optimal(g, local_part)
+    for part in (random_part, local_part):
+        assert vertex_move_optimal(g, part) == _vertex_move_optimal_oracle(g, part)
