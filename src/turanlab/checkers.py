@@ -27,14 +27,7 @@ from functools import cached_property
 from math import comb
 from typing import Collection, Optional
 
-from .hypergraph import (
-    Hypergraph,
-    auxiliary_graph,
-    contains_clique,
-    count_cliques,
-    iter_bits,
-    vertices_of,
-)
+from .hypergraph import Hypergraph, contains_clique, count_cliques, iter_bits, iter_cliques, vertices_of
 
 
 @dataclass
@@ -164,7 +157,7 @@ def is_k_free(h: Hypergraph, ell: int) -> bool:
     """Freeness of the pair-cover family via the auxiliary-graph clique shortcut."""
     if ell < h.r:
         raise ValueError(f"need ell >= r, got ell = {ell}, r = {h.r}")
-    return not contains_clique(auxiliary_graph(h), ell + 1)
+    return next(iter_cliques(h.adjacency, (1 << h.n) - 1, ell + 1), None) is None
 
 
 def links_triangle_free(h: Hypergraph) -> bool:

@@ -189,14 +189,16 @@ def perturb(
     """Delete a fraction of edges, then add absent r-sets, deterministically.
 
     floor(delete_fraction * |H|) uniformly chosen edges go first; add_count
-    uniformly chosen absent r-sets follow.  With keep_cancellative, an
-    addition that would break cancellativity is rejected (and retried with
-    fresh draws until the pool is exhausted).
+    uniformly chosen absent r-sets follow.  With keep_cancellative (r = 3
+    only), an addition that would break cancellativity is rejected (and
+    retried with fresh draws until the pool is exhausted).
     """
     if not 0.0 <= delete_fraction <= 1.0:
         raise ValueError(f"delete_fraction must be in [0, 1], got {delete_fraction}")
     if add_count < 0:
         raise ValueError("add_count must be >= 0")
+    if keep_cancellative and h.r != 3:
+        raise ValueError(f"keep_cancellative applies to 3-graphs only, got r = {h.r}")
     rng = random.Random(seed)
     edges = list(h.edges)
     kill = int(delete_fraction * len(edges))
@@ -210,7 +212,7 @@ def perturb(
         for e in absent:
             if added == add_count:
                 break
-            if keep_cancellative and h.r == 3:
+            if keep_cancellative:
                 from .checkers import is_cancellative
 
                 trial = Hypergraph(h.n, h.r, tuple(kept + [e]))

@@ -6,15 +6,17 @@ subset/superset tests in the search-heavy modules; Python integers make
 the same encoding work for any n.
 
 A Hypergraph with r = 2 is an ordinary graph, and the graph-specific
-helpers (clique counting, adjacency masks) live here as well because the
-auxiliary-graph reductions keep crossing between the two worlds.
+helpers (clique counting, the auxiliary graph) live here as well because
+the auxiliary-graph reductions keep crossing between the two worlds.  Every
+one of them reads `Hypergraph.adjacency`, derived once per instance.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from functools import cached_property
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -50,7 +52,8 @@ class Hypergraph:
     """An r-uniform hypergraph on vertex set {1, ..., n}.
 
     edges holds one bitmask per edge, sorted ascending, no duplicates.
-    Instances are immutable and safe to share across threads.
+    Instances are immutable and safe to share across threads; the one cache,
+    `adjacency`, is filled on first read and depends only on the edges.
     """
 
     n: int
@@ -91,6 +94,19 @@ class Hypergraph:
     def edge_set(self) -> frozenset[int]:
         """Edges as a frozenset of masks, for O(1) membership tests."""
         return frozenset(self.edges)
+
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """adjacency[b] = mask of the vertices sharing an edge with vertex bit b.
+
+        For r = 2 this is the graph's adjacency, for r >= 3 that of the
+        pair-cover (auxiliary) graph.  Built in one pass over the edges.
+        """
+        adj = [0] * self.n
+        for e in self.edges:
+            for b in iter_bits(e):
+                adj[b] |= e
+        return tuple(m & ~(1 << b) for b, m in enumerate(adj))
 
     def vertex_degrees(self) -> list[int]:
         """deg[v-1] = number of edges containing vertex v."""
@@ -158,30 +174,15 @@ def degree(h: Hypergraph, t: Iterable[int]) -> int:
 
 def auxiliary_graph(h: Hypergraph) -> Hypergraph:
     """The graph on [n] whose edges are the pairs covered by some edge of H."""
-    pairs = set()
-    for e in h.edges:
-        bits = list(iter_bits(e))
-        for i, j in itertools.combinations(bits, 2):
-            pairs.add((1 << i) | (1 << j))
-    return Hypergraph(h.n, 2, tuple(sorted(pairs)))
+    # each pair once, from its upper end c: the masks come out ascending
+    pairs = ((1 << b) | (1 << c) for c, m in enumerate(h.adjacency) for b in iter_bits(m & ((1 << c) - 1)))
+    return Hypergraph(h.n, 2, tuple(pairs))
 
 
-def adjacency_masks(g: Hypergraph) -> list[int]:
-    """adj[v-1] = mask of neighbors of vertex v in a graph (r = 2)."""
-    if g.r != 2:
-        raise ValueError("adjacency masks are defined for graphs (r = 2)")
-    adj = [0] * g.n
-    for e in g.edges:
-        i, j = iter_bits(e)
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return adj
-
-
-def iter_cliques(adj: list[int], cand: int, size: int) -> Iterator[int]:
+def iter_cliques(adj: Sequence[int], cand: int, size: int) -> Iterator[int]:
     """Every size-clique inside the vertex mask cand, as a vertex mask.
 
-    adj[b] is the neighbour mask of vertex bit b (see adjacency_masks).
+    adj[b] is the neighbour mask of vertex bit b (see Hypergraph.adjacency).
     Cliques come in lexicographic order of their sorted vertices, and the
     one clique of size 0 is the empty mask.  Each vertex taken narrows the
     candidates to its neighbours above it; a branch stops once fewer
@@ -212,7 +213,7 @@ def count_cliques(g: Hypergraph, i: int) -> int:
         raise ValueError("clique counting expects a graph (r = 2)")
     if i < 1:
         raise ValueError(f"clique size must be >= 1, got {i}")
-    return sum(1 for _ in iter_cliques(adjacency_masks(g), (1 << g.n) - 1, i))
+    return sum(1 for _ in iter_cliques(g.adjacency, (1 << g.n) - 1, i))
 
 
 def contains_clique(g: Hypergraph, q: int) -> bool:
@@ -221,7 +222,7 @@ def contains_clique(g: Hypergraph, q: int) -> bool:
         raise ValueError("clique search expects a graph (r = 2)")
     if q < 1:
         raise ValueError(f"clique size must be >= 1, got {q}")
-    return next(iter_cliques(adjacency_masks(g), (1 << g.n) - 1, q), None) is not None
+    return next(iter_cliques(g.adjacency, (1 << g.n) - 1, q), None) is not None
 
 
 def is_subgraph(f: Hypergraph, h: Hypergraph) -> bool:

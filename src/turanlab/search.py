@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 from .canonical import _twin_classes, canonical_code
 from .checkers import _CancellativeState
-from .hypergraph import Hypergraph, adjacency_masks, all_r_subsets, iter_bits, iter_cliques
+from .hypergraph import Hypergraph, all_r_subsets, iter_bits, iter_cliques
 from .partitions import Partition
 
 DEFAULT_GUARDS = {2: 10, 3: 8}
@@ -160,6 +160,8 @@ def check_request(r: int, predicate: str, ell: Optional[int]) -> None:
         raise ValueError(f"predicate {predicate!r} takes no ell, got ell = {ell}")
     if r != _UNIFORMITY.get(predicate, r):
         raise ValueError(f"predicate {predicate!r} does not apply to r = {r}")
+    if r < 2:
+        raise ValueError(f"uniformity must be >= 2, got {r}")
 
 
 def extremal_number(
@@ -501,7 +503,7 @@ def max_ell_cut(
         raise ValueError("ell must be >= 2")
     if mode not in ("exact", "local"):
         raise ValueError(f"unknown mode {mode!r}")
-    adj = adjacency_masks(g)
+    adj = g.adjacency
     if mode == "exact":
         if g.n > EXACT_CUT_CEILING:
             raise ValueError(f"exact mode supports n <= {EXACT_CUT_CEILING}, got {g.n}")
@@ -517,7 +519,7 @@ def max_ell_cut(
 
 def vertex_move_optimal(g: Hypergraph, part: Partition) -> bool:
     """Every vertex's internal degree is <= its degree into each other block."""
-    adj = adjacency_masks(g)
+    adj = g.adjacency
     idx = part.block_index()
     masks = part.block_masks()
     for v, av in enumerate(adj):

@@ -23,7 +23,6 @@ from .checkers import _cancellative_index, is_k_free
 from .constructions import turan_count
 from .hypergraph import (
     Hypergraph,
-    adjacency_masks,
     auxiliary_graph,
     contains_clique,
     count_cliques,
@@ -225,7 +224,7 @@ def lemma25_pair(g: Hypergraph) -> tuple[int, int, frozenset[int], frozenset[int
         raise ValueError("input graph must be triangle-free")
     if not g.edges:
         raise ValueError("input graph has no edges")
-    adj = adjacency_masks(g)
+    adj = g.adjacency
     best = None
     best_sum = -1
     for e in g.edges:
@@ -247,13 +246,13 @@ def greedy_clique_removal(g: Hypergraph, ell: int) -> tuple[Hypergraph, list[tup
     if g.r != 2:
         raise ValueError("greedy_clique_removal expects a graph (r = 2)")
     edges = set(g.edges)
+    adj = list(g.adjacency)
     removed: list[tuple[int, int]] = []
     full = (1 << g.n) - 1
     while True:
-        cur = Hypergraph(g.n, 2, tuple(sorted(edges))) if edges else Hypergraph(g.n, 2, ())
-        cliques = [vertices_of(c) for c in iter_cliques(adjacency_masks(cur), full, ell + 1)]
+        cliques = [vertices_of(c) for c in iter_cliques(adj, full, ell + 1)]
         if not cliques:
-            return cur, removed
+            return Hypergraph(g.n, 2, tuple(edges)), removed
         load: dict[tuple[int, int], int] = {}
         for cl in cliques:
             vs = sorted(cl)
@@ -262,6 +261,8 @@ def greedy_clique_removal(g: Hypergraph, ell: int) -> tuple[Hypergraph, list[tup
                     load[(vs[a], vs[b])] = load.get((vs[a], vs[b]), 0) + 1
         victim = min(load, key=lambda p: (-load[p], p))
         edges.discard(mask_of(victim))
+        adj[victim[0] - 1] ^= 1 << (victim[1] - 1)
+        adj[victim[1] - 1] ^= 1 << (victim[0] - 1)
         removed.append(victim)
 
 
@@ -312,7 +313,7 @@ def bipartite_distance_analysis(g: Hypergraph, seed: int = 0) -> BipartiteDistan
     n = g.n
     part, _ = max_ell_cut(g, 2, mode=_cut_mode(n), seed=seed)
 
-    adj = adjacency_masks(g)
+    adj = g.adjacency
     masks = part.block_masks()
     internal = [0, 0]
     for e in g.edges:

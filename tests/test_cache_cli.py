@@ -11,7 +11,7 @@ import turanlab
 from turanlab.cache import CacheEntry, cache_entries, cache_lookup, cache_store, resolve_cache_path
 from turanlab.cli import run
 from turanlab.constructions import turan_hypergraph
-from turanlab.hypergraph import format_hypergraph, save_hypergraph
+from turanlab.hypergraph import auxiliary_graph, format_hypergraph, save_hypergraph
 from turanlab.search import SEARCH_VERSION
 
 # child interpreters import the same turanlab as this suite, with or without PYTHONPATH
@@ -113,7 +113,7 @@ def test_cli_verify_violation_and_precondition(tmp_path, capsys):
     assert code == 2
 
 
-def test_cli_usage_errors(capsys):
+def test_cli_usage_errors(tmp_path, capsys):
     code, _, _ = run_cli(["no-such-command"], capsys)
     assert code == 2
     code, _, _ = run_cli(["verify", "fisher-ryan", "/nonexistent/file"], capsys)
@@ -134,6 +134,15 @@ def test_cli_usage_errors(capsys):
         ["search", "--n", "5", "--r", "3", "--predicate", "cancellative", "--no-cache", "--budget", "0"], capsys
     )
     assert code == 2 and "node budget must be positive" in err
+    # r < 2 fails before the cache lookup, so even a stored entry for the key is not served
+    cache = str(tmp_path / "c.jsonl")
+    stored = entry()
+    stored.predicate, stored.n, stored.r, stored.ell = "k-free", 5, 1, 2
+    cache_store(cache, stored)
+    code, out, err = run_cli(
+        ["search", "--n", "5", "--r", "1", "--predicate", "k-free", "--ell", "2", "--cache", cache], capsys
+    )
+    assert code == 2 and out == "" and "uniformity must be >= 2, got 1" in err
 
 
 def test_cli_search_cache_flow(tmp_path, capsys, monkeypatch):
@@ -250,11 +259,18 @@ def test_cli_construct_perturb(tmp_path, capsys):
     assert payload["edges"] == 26  # 27 - 2 deleted + 1 added
     code, out2, _ = run_cli(args, capsys)
     assert out2 == out  # seeded, deterministic
+    # the flag keeps 3-graphs cancellative; on a graph it is a precondition error
+    k222 = str(tmp_path / "k222.txt")
+    save_hypergraph(k222, auxiliary_graph(turan_hypergraph(6, 3, 3)))
+    args = ["construct", "perturb", k222, "--delete-fraction", "0", "--add-count", "3", "--seed", "1"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0 and len(out.splitlines()) == 1 + 15
+    code, out, err = run_cli(args + ["--keep-cancellative"], capsys)
+    assert code == 2 and out == "" and "3-graphs only, got r = 2" in err
 
 
 def test_cli_stability_generalized_and_kfree_verify(tmp_path, capsys):
     from turanlab.hypergraph import Hypergraph, mask_of
-    from turanlab.hypergraph import auxiliary_graph
 
     g = auxiliary_graph(turan_hypergraph(12, 3, 3))
     g = Hypergraph(12, 2, g.edges + (mask_of((1, 2)),))

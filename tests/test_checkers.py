@@ -5,6 +5,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -29,11 +30,11 @@ from turanlab.constructions import (
     k_family,
     perturb,
     random_maximal_cancellative,
+    random_triangle_free_near_bipartite,
     turan_hypergraph,
 )
 from turanlab.hypergraph import (
     Hypergraph,
-    adjacency_masks,
     all_r_subsets,
     auxiliary_graph,
     contains_clique,
@@ -42,7 +43,13 @@ from turanlab.hypergraph import (
     mask_of,
     vertices_of,
 )
-from turanlab.stability import extract_partition_cancellative, greedy_clique_removal
+from turanlab.stability import (
+    bipartite_distance_analysis,
+    extract_partition_cancellative,
+    extract_partition_kfree,
+    greedy_clique_removal,
+    lemma25_pair,
+)
 
 
 def random_hypergraph(n, r, p, rng):
@@ -309,6 +316,11 @@ def _link_sets(h):
     return links
 
 
+def _pair_cover_oracle(h):
+    """Reference pair cover: every 2-subset of every edge, into a set, sorted."""
+    return sorted({mask_of(p) for e in h.edges for p in itertools.combinations(vertices_of(e), 2)})
+
+
 def _shadow_neighborhoods(h):
     """shadow mask -> sorted 1-based labels of N(T)."""
     out = {}
@@ -469,6 +481,43 @@ def test_cancellative_callers_build_the_index_once(monkeypatch):
         assert len(builds) == 1, call.__name__
 
 
+def test_graph_callers_derive_adjacency_once(monkeypatch):
+    # every clique query, cut and Lemma 2.5 step reads the input's one cached adjacency
+    builds, graphs = [], []
+    derive, post_init = Hypergraph.adjacency.func, Hypergraph.__post_init__
+
+    def counting_adjacency(self):
+        builds.append(self)
+        return derive(self)
+
+    def counting_post_init(self):
+        post_init(self)
+        if self.r == 2:
+            graphs.append(self)
+
+    counted = cached_property(counting_adjacency)
+    counted.__set_name__(Hypergraph, "adjacency")
+    monkeypatch.setattr(Hypergraph, "adjacency", counted)
+    monkeypatch.setattr(Hypergraph, "__post_init__", counting_post_init)
+
+    def run(call, h, *args, **kwargs):
+        h = Hypergraph(h.n, h.r, h.edges)  # a copy with nothing cached yet
+        builds.clear()
+        graphs.clear()
+        call(h, *args, **kwargs)
+        return sum(b == h for b in builds), len(graphs)
+
+    h = perturb(turan_hypergraph(12, 3, 3), 0.1, 0, 5)
+    assert run(is_k_free, h, 3) == (1, 0)
+    derived, aux_built = run(extract_partition_kfree, h, 3, seed=1)
+    assert derived == 1 and aux_built <= 1
+    k4_free = auxiliary_graph(turan_hypergraph(9, 3, 3))
+    assert run(fisher_ryan_certificate, k4_free, 3)[0] == 1
+    triangle_free = random_triangle_free_near_bipartite(16, 0.02, 8, 3)
+    assert run(lemma25_pair, triangle_free)[0] == 1
+    assert run(bipartite_distance_analysis, triangle_free, seed=3)[0] == 1
+
+
 def test_failing_certificates_match_oracles(monkeypatch):
     # without the cancellative precondition both certificates can fail;
     # the first witness, pairs_checked and max_pair_link must still agree
@@ -522,9 +571,15 @@ def test_incidence_index_matches_oracles():
         ix = _Incidence(h)
         sh = _shadow_neighborhoods(h)
         links = _link_sets(h)
-        assert ix.ts == sorted(sh) == sorted(auxiliary_graph(h).edges)
+        pairs = _pair_cover_oracle(h)
+        assert ix.ts == sorted(sh) == pairs
         assert ix.nbr == [mask_of(sh[t]) for t in ix.ts]
-        assert ix.adj == adjacency_masks(auxiliary_graph(h))
+        adj = [0] * h.n
+        for p in pairs:
+            u, v = vertices_of(p)
+            adj[u - 1] |= 1 << (v - 1)
+            adj[v - 1] |= 1 << (u - 1)
+        assert ix.adj == adj
         for u in range(h.n):
             assert [ix.ts[i] for i in range(len(ix.ts)) if ix.col[u] >> i & 1] == sorted(links[u])
             assert ix.detail(u, u)[1] == (

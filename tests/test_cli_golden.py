@@ -1,0 +1,84 @@
+"""Golden stdout digests of seeded graph-layer commands.
+
+Each command runs in-process, with inputs built by earlier `construct`
+commands, and must print output with the recorded SHA-256 and exit with the
+recorded code.  The digests were recorded before `Hypergraph.adjacency`
+replaced the per-call adjacency builds, so they pin the output of the clique
+queries, the cuts, the greedy clique removal and the bipartite analyzer
+across that change; criterion 9 only compares runs of one implementation.
+A change that means to alter one of these outputs must say so and re-record.
+"""
+
+import contextlib
+import hashlib
+import io
+
+from turanlab.cli import run
+
+# (name, argv, file the stdout is saved to or None, exit code, SHA-256 of stdout);
+# "{x}" in argv is the path of the file saved as x
+GOLDEN = [
+    ("turan-3", "construct turan --n 26 --r 3 --ell 3", "t26", 0,
+     "c442f0e6be72312edd293e7178f24c093f4cf3ac3e9c0c687fe1a8e08c23a1f2"),
+    ("perturb-3", "construct perturb {t26} --delete-fraction 0.05 --seed 3", "h3", 0,
+     "f992b33d3bfc51c4fd1817c8c1ef771e2b42020a5dab94f41696795636dcbb02"),
+    ("perturb-3-add", "construct perturb {t26} --delete-fraction 0.05 --add-count 3 --seed 3", "h3bad", 0,
+     "4e8506a6873de05b61d88fbcd5a0c5cb0b8b64bc23e99c1bc346991b0ed584ad"),
+    ("turan-2", "construct turan --n 14 --r 2 --ell 3", "t14", 0,
+     "463bb9c8b38656d9fcce2c782972e2646a08ccaef3bdf1fa4561cdcee6979f4f"),
+    ("perturb-2-add", "construct perturb {t14} --delete-fraction 0.1 --add-count 4 --seed 2", "g2", 0,
+     "25f60ad792b703f09b9313e66626ddba6e22e4e2f41a4f81e59526b99fde4355"),
+    ("turan-2-ell4", "construct turan --n 12 --r 2 --ell 4", "t12", 0,
+     "16ed169c3b8c611a4b24f804eb15cd9445646d4f99661652b46c70923c48dd02"),
+    ("perturb-2", "construct perturb {t12} --delete-fraction 0.2 --seed 5", "g2free", 0,
+     "903856483d652a003140e1ebf0cf5a4696e2f399b2fc818fcda6f7d1ccfcdae0"),
+    ("triangle-free", "construct triangle-free --n 40 --epsilon 0.02 --noise 6 --seed 4", "tf", 0,
+     "db209f8f62fdc7e4d0ce854c50bac2f56bc5f4e6bb0373f444c67f62b06c22f2"),
+    ("verify-k-free", "verify k-free {h3} --ell 3", None, 0,
+     "6f6f71bd8a548c7d47916abc0516ec8a4cc7ff6f4802641966b4afbe79a0afc4"),
+    ("verify-k-free-violated", "verify k-free {h3bad} --ell 3", None, 1,
+     "371c77510cc931944441685b8302c1241e1f26d6c93332a1c6df86cb5f04787f"),
+    ("verify-fisher-ryan", "verify fisher-ryan {g2free} --ell 4", None, 0,
+     "ce8e2157c8752937aaa587141071add6ad3a005728464e39e8d09adbd4a79342"),
+    ("stability-kfree", "stability kfree {h3} --ell 3 --seed 1", None, 0,
+     "13b2adbe552a3099e16abbe0655a1fc91c2f53cd1e15a152c220dfc113e5f349"),
+    ("stability-kfree-json", "stability kfree {h3} --ell 3 --seed 1 --json", None, 0,
+     "eedf0a8f373915f68f3a97638c2140e0381349e29186629323a559d442bd9575"),
+    ("stability-generalized", "stability generalized {g2} --ell 3 --r 3 --seed 2", None, 0,
+     "328d82a56302417d8146b597e59244bbf3a0593a6d1fb8831b5f0736dcfdd550"),
+    ("stability-generalized-json", "stability generalized {g2} --ell 3 --r 3 --seed 2 --json", None, 0,
+     "a53b191b6c6d5487dd676536d1e7500ca585f0f4b0f8cf5a1ade334cc99c83d3"),
+    ("stability-bipartite", "stability bipartite {tf} --seed 3", None, 0,
+     "3d0beef8a2ab0de51678134f3e4630be363d63efca4755aa43923f6a80ad83c3"),
+    ("stability-bipartite-json", "stability bipartite {tf} --seed 3 --json", None, 0,
+     "f63f2b3a852c927eb1a9eff2a954159d36726b7a10b791b326302d26ba906124"),
+    ("scan-kfree", "scan --kind kfree --n 12,24 --params 0.0,0.05 --seeds 1,2", None, 0,
+     "bc92b2501e610a65f69443d481c331794adaf1bfdfb71c8df891ff0d1534de3b"),
+    ("scan-triangle-free", "scan --kind triangle-free --n 16,30 --params 0.01,0.03 --seeds 1,2 --noise 4", None, 0,
+     "a7bebe5ff039776482a9851b665d36cc63c0102720c76811e4c5269649dd1ba3"),
+    ("precondition-kfree", "stability kfree {h3bad} --ell 3 --seed 1", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("precondition-bipartite", "stability bipartite {g2} --seed 3", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+def run_golden(tmp_path):
+    """{name: (exit code, SHA-256 of stdout)} over GOLDEN, in order."""
+    files, got = {}, {}
+    for name, argv, save_as, _, _ in GOLDEN:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv.format(**files).split())
+        text = out.getvalue()
+        if save_as is not None:
+            files[save_as] = str(tmp_path / f"{save_as}.txt")
+            with open(files[save_as], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        got[name] = (code, hashlib.sha256(text.encode()).hexdigest())
+    return got
+
+
+def test_cli_golden_digests(tmp_path):
+    got = run_golden(tmp_path)
+    assert got == {name: (code, digest) for name, _, _, code, digest in GOLDEN}

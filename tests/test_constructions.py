@@ -17,7 +17,14 @@ from turanlab.constructions import (
     turan_count,
     turan_hypergraph,
 )
-from turanlab.hypergraph import Hypergraph, all_r_subsets, contains_clique, mask_of, vertices_of
+from turanlab.hypergraph import (
+    Hypergraph,
+    all_r_subsets,
+    auxiliary_graph,
+    contains_clique,
+    mask_of,
+    vertices_of,
+)
 from turanlab.checkers import _CancellativeState
 
 
@@ -204,6 +211,15 @@ def test_perturb_additions():
     # cancellativity-preserving additions never break the predicate
     safe = perturb(t, 0.2, 5, seed=3, keep_cancellative=True)
     assert is_cancellative(safe)
+
+
+def test_perturb_keep_cancellative_needs_a_3_graph(monkeypatch):
+    k222 = auxiliary_graph(turan_hypergraph(6, 3, 3))
+    assert (k222.size, perturb(k222, 0.0, 3, seed=1).size) == (12, 15)  # without the flag, any pair goes in
+    # rejected before any random draw
+    monkeypatch.setattr(random, "Random", None)
+    with pytest.raises(ValueError, match="3-graphs only, got r = 2"):
+        perturb(k222, 0.0, 3, seed=1, keep_cancellative=True)
 
 
 def test_random_maximal_cancellative():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from turanlab.hypergraph import (
     Hypergraph,
-    adjacency_masks,
     all_r_subsets,
     auxiliary_graph,
     contains_clique,
@@ -17,6 +16,7 @@ from turanlab.hypergraph import (
     degree,
     format_hypergraph,
     is_subgraph,
+    iter_bits,
     iter_cliques,
     link,
     link_pair,
@@ -125,6 +125,35 @@ def test_auxiliary_graph():
     assert auxiliary_graph(Hypergraph(5, 3, ())).edges == ()
 
 
+def pair_cover_oracle(h):
+    """Reference pair-cover graph: every 2-subset of every edge, into a set, sorted."""
+    pairs = set()
+    for e in h.edges:
+        for i, j in itertools.combinations(list(iter_bits(e)), 2):
+            pairs.add((1 << i) | (1 << j))
+    return Hypergraph(h.n, 2, tuple(sorted(pairs)))
+
+
+def graph_adjacency_oracle(g):
+    """adj[v-1] = neighbours of v, read off the edge list of a graph."""
+    adj = [0] * g.n
+    for e in g.edges:
+        i, j = iter_bits(e)
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return tuple(adj)
+
+
+def test_adjacency_examples():
+    h = Hypergraph.from_edges(5, 3, [(1, 2, 3), (3, 4, 5)])
+    assert [vertices_of(m) for m in h.adjacency] == [(2, 3), (1, 3), (1, 2, 4, 5), (3, 5), (3, 4)]
+    assert Hypergraph(3, 2, ()).adjacency == (0, 0, 0)
+    # read once, then served from the instance; equality and hashing ignore it
+    assert h.adjacency is h.adjacency
+    fresh = Hypergraph(h.n, h.r, h.edges)
+    assert fresh == h and hash(fresh) == hash(h) and "adjacency" not in vars(fresh)
+
+
 def count_cliques_oracle(g, i):
     adj = {v: set() for v in range(1, g.n + 1)}
     for e in g.edge_sets():
@@ -171,9 +200,9 @@ def test_count_cliques_against_oracle():
                 if all(mask_of(p) in edges for p in itertools.combinations(c, 2))
             ]
             full = (1 << n) - 1
-            assert [vertices_of(c) for c in iter_cliques(adjacency_masks(g), full, i)] == brute
+            assert [vertices_of(c) for c in iter_cliques(g.adjacency, full, i)] == brute
             cand = pick.getrandbits(n)
-            inside = [vertices_of(c) for c in iter_cliques(adjacency_masks(g), cand, i)]
+            inside = [vertices_of(c) for c in iter_cliques(g.adjacency, cand, i)]
             assert inside == [c for c in brute if mask_of(c) & cand == mask_of(c)]
 
 
@@ -230,6 +259,17 @@ def hypergraphs(draw):
 @given(hypergraphs(), st.one_of(st.none(), st.lists(st.text(), min_size=2, max_size=4).map("\n".join)))
 def test_text_format_round_trip_random(h, comment):
     assert parse_hypergraph(format_hypergraph(h, comment)) == h
+
+
+@settings(max_examples=150, deadline=None)
+@given(hypergraphs())
+def test_adjacency_and_auxiliary_graph_match_oracle(h):
+    oracle = pair_cover_oracle(h)
+    g = auxiliary_graph(h)
+    assert g == oracle
+    assert h.adjacency == graph_adjacency_oracle(oracle) == g.adjacency
+    if h.r == 2:
+        assert g == h
 
 
 def test_text_format_tolerance_and_errors():

@@ -16,7 +16,6 @@ from turanlab.checkers import is_cancellative, is_k_free
 from turanlab.constructions import turan_count, turan_hypergraph
 from turanlab.hypergraph import (
     Hypergraph,
-    adjacency_masks,
     all_r_subsets,
     contains_clique,
     iter_bits,
@@ -24,6 +23,7 @@ from turanlab.hypergraph import (
 )
 from turanlab.partitions import Partition, crossing_count
 from turanlab.search import (
+    check_request,
     extremal_number,
     max_ell_cut,
     uniqueness_check,
@@ -205,6 +205,9 @@ def test_unknown_predicate_and_missing_ell():
         extremal_number(5, 3, "cancellative", ell=3)
     with pytest.raises(ValueError, match="takes no ell"):
         extremal_number(5, 2, "triangle-free", ell=2)
+    # r < 2 is rejected with the request, not when the first witness is built
+    with pytest.raises(ValueError, match="uniformity must be >= 2, got 1"):
+        check_request(1, "k-free", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +463,7 @@ def _local_cut_oracle(adj, n, ell, nedges, seed):
 
 
 def _vertex_move_optimal_oracle(g, part):
-    adj = adjacency_masks(g)
+    adj = g.adjacency
     idx = part.block_index()
     ell = len(part.blocks)
     for v in range(g.n):
@@ -493,7 +496,7 @@ def cut_instances(draw, max_n=40):
 def test_local_cut_matches_per_neighbour_oracle(case, seed):
     g, ell = case
     part, cut = max_ell_cut(g, ell, "local", seed=seed)
-    assign, oracle_cut = _local_cut_oracle(adjacency_masks(g), g.n, ell, g.size, seed)
+    assign, oracle_cut = _local_cut_oracle(g.adjacency, g.n, ell, g.size, seed)
     assert (part.blocks, cut) == (_blocks(assign, ell), oracle_cut)
 
 

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turanlab.constructions import (
     balanced_partition,
@@ -12,7 +14,16 @@ from turanlab.constructions import (
     turan_count,
     turan_hypergraph,
 )
-from turanlab.hypergraph import Hypergraph, all_r_subsets, auxiliary_graph, contains_clique, mask_of
+from turanlab.hypergraph import (
+    Hypergraph,
+    all_r_subsets,
+    auxiliary_graph,
+    contains_clique,
+    iter_bits,
+    iter_cliques,
+    mask_of,
+    vertices_of,
+)
 from turanlab.partitions import Partition, bad_edges
 from turanlab.stability import (
     bipartite_distance_analysis,
@@ -150,6 +161,42 @@ def test_greedy_clique_removal():
     cleaned, removed = greedy_clique_removal(two_k4, 3)
     assert len(removed) == 2
     assert not contains_clique(cleaned, 4)
+
+
+def greedy_clique_removal_oracle(g, ell):
+    """Reference greedy removal: a new graph and its adjacency every round."""
+    edges = set(g.edges)
+    removed = []
+    full = (1 << g.n) - 1
+    while True:
+        cur = Hypergraph(g.n, 2, tuple(sorted(edges)))
+        adj = [0] * g.n
+        for e in cur.edges:
+            i, j = iter_bits(e)
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        cliques = [vertices_of(c) for c in iter_cliques(adj, full, ell + 1)]
+        if not cliques:
+            return cur, removed
+        load = {}
+        for cl in cliques:
+            for p in itertools.combinations(sorted(cl), 2):
+                load[p] = load.get(p, 0) + 1
+        victim = min(load, key=lambda p: (-load[p], p))
+        edges.discard(mask_of(victim))
+        removed.append(victim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12), st.sampled_from([0.3, 0.6, 0.8, 1.0]), st.integers(2, 4), st.integers(0, 2**32))
+def test_greedy_clique_removal_matches_rebuild_oracle(n, density, ell, seed):
+    rng = random.Random(seed)
+    g = Hypergraph(n, 2, tuple(m for m in all_r_subsets(n, 2) if rng.random() < density))
+    cleaned, removed = greedy_clique_removal(g, ell)
+    want, want_removed = greedy_clique_removal_oracle(g, ell)
+    assert removed == want_removed
+    assert cleaned == want
+    assert cleaned.adjacency == want.adjacency and not contains_clique(cleaned, ell + 1)
 
 
 def test_generalized_pipeline():
