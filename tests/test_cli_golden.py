@@ -6,6 +6,9 @@ recorded code.  The digests were recorded before `Hypergraph.adjacency`
 replaced the per-call adjacency builds, so they pin the output of the clique
 queries, the cuts, the greedy clique removal and the bipartite analyzer
 across that change; criterion 9 only compares runs of one implementation.
+The rows from "perturb-3-keep-cancellative" on were recorded before the
+exact cut moved to per-block masks, the clique removal to a single clique
+listing and the cancellative perturbation to one incremental state.
 A change that means to alter one of these outputs must say so and re-record.
 """
 
@@ -60,6 +63,28 @@ GOLDEN = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("precondition-bipartite", "stability bipartite {g2} --seed 3", None, 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    # h3 plus five cancellativity-preserving triples; h3bad is not cancellative,
+    # so it comes back with no additions
+    ("perturb-3-keep-cancellative",
+     "construct perturb {t26} --delete-fraction 0.05 --add-count 5 --seed 3 --keep-cancellative", None, 0,
+     "e9ab2a8794cfc85d4b1155fac0322193318857b293799aa2865176b46b720e9a"),
+    ("perturb-3-keep-cancellative-base-not-cancellative",
+     "construct perturb {h3bad} --delete-fraction 0.0 --add-count 5 --seed 3 --keep-cancellative", None, 0,
+     "4e8506a6873de05b61d88fbcd5a0c5cb0b8b64bc23e99c1bc346991b0ed584ad"),
+    ("turan-3-n18", "construct turan --n 18 --r 3 --ell 3", "t18", 0,
+     "51ef74b4e7a53936c7a9cff201b3ce4856e5196454e045529a367a3350f4af73"),
+    ("perturb-3-n18", "construct perturb {t18} --delete-fraction 0.05 --seed 4", "h18", 0,
+     "cbf87a9b36f437101afe552d00ba62aa804349dae01bf6ebed8754795b98705b"),
+    # n = 18 <= EXACT_CUT_CEILING: the exact cut
+    ("stability-kfree-exact-json", "stability kfree {h18} --ell 3 --seed 1 --json", None, 0,
+     "94294fce80a69aff3b6dba1ce1f7bcb2308f7b4002dac36edf174752f672045c"),
+    ("turan-2-n20", "construct turan --n 20 --r 2 --ell 3", "t20", 0,
+     "11d1076efdd9c5f962183dd88111e66871b6ce90bc5ecb3f40decdd54200698b"),
+    ("perturb-2-n20-add", "construct perturb {t20} --delete-fraction 0.05 --add-count 30 --seed 6", "g20", 0,
+     "aa7cd2994b7b5d1ef137b3b82a7716c05163379fd1f9425ce55e1b8cbaf0b10b"),
+    # 31 removal rounds, then the exact cut of the cleaned graph
+    ("stability-generalized-many-rounds-json", "stability generalized {g20} --ell 3 --r 3 --seed 2 --json", None, 0,
+     "3e66b8c4484d37a140478feb489713dd5364f08455071f13aeac60b29840d078"),
 ]
 
 
