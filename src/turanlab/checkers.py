@@ -360,21 +360,20 @@ def link_count_identity(h: Hypergraph) -> CertificateReport:
 def inequality2_certificate(h: Hypergraph) -> CertificateReport:
     """Reciprocal pair-link sum over shadow neighborhoods vs n^2 - 2|shadow|.
 
-    Exact rational sum of 1/|L(u, v)| over T in the shadow and ordered
-    (u, v) in N(T)^2; every |L(u, v)| >= 1 because T itself lies in it.
-    Each |L(u, v)| is a lookup in the incidence index.
+    The sum of 1/|L(u, v)| over T in the shadow and ordered (u, v) in
+    N(T)^2 is an integer: (u, v) lies in N(T)^2 for exactly the |L(u, v)|
+    pairs T of L(u, v), so each ordered pair with L(u, v) nonempty adds 1.
+    lhs counts those pairs; v is such a partner of u iff v lies in N(T) for
+    some T with u in N(T), so u's partners are the union of those N(T).
     """
     ix = _cancellative_index(h, "inequality2_certificate")
     if not ix.ts:
         return _vacuous("inequality2", h.n)
-    sizes = ix.size
-    hist: Counter = Counter()
+    partners = [0] * h.n
     for m in ix.nbr:
-        vs = list(iter_bits(m))
-        for u in vs:
-            hist.update(map(sizes[u].__getitem__, vs))
-    assert 0 not in hist, "T itself always lies in L(u, v)"
-    lhs = sum((Fraction(cnt, size) for size, cnt in sorted(hist.items())), Fraction(0))
+        for u in iter_bits(m):
+            partners[u] |= m
+    lhs = Fraction(sum(p.bit_count() for p in partners))
     rhs = h.n * h.n - 2 * len(ix.ts)
     holds = lhs <= rhs
     return CertificateReport(

@@ -12,8 +12,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .canonical import canonical_code
+from .checkers import _CancellativeState
 from .hypergraph import Hypergraph, all_r_subsets, iter_bits, mask_of
 
 
@@ -191,7 +193,8 @@ def perturb(
     floor(delete_fraction * |H|) uniformly chosen edges go first; add_count
     uniformly chosen absent r-sets follow.  With keep_cancellative (r = 3
     only), an addition that would break cancellativity is rejected (and
-    retried with fresh draws until the pool is exhausted).
+    retried with fresh draws until the pool is exhausted).  A remainder that
+    is not cancellative gets no additions: none could make it cancellative.
     """
     if not 0.0 <= delete_fraction <= 1.0:
         raise ValueError(f"delete_fraction must be in [0, 1], got {delete_fraction}")
@@ -208,35 +211,28 @@ def perturb(
         present = set(kept)
         absent = [e for e in all_r_subsets(h.n, h.r) if e not in present]
         rng.shuffle(absent)
-        added = 0
-        for e in absent:
-            if added == add_count:
-                break
-            if keep_cancellative:
-                from .checkers import is_cancellative
-
-                trial = Hypergraph(h.n, h.r, tuple(kept + [e]))
-                if not is_cancellative(trial):
-                    continue
-            kept.append(e)
-            added += 1
+        if keep_cancellative:
+            state = _CancellativeState(h.n)
+            # addable is exact on a cancellative set, so all of kept passes iff it is one
+            whole = len(list(_cancellative_additions(state, kept))) == len(kept)
+            absent = _cancellative_additions(state, absent) if whole else []
+        kept += itertools.islice(absent, add_count)
     return Hypergraph(h.n, h.r, tuple(kept))
+
+
+def _cancellative_additions(state: _CancellativeState, edges: list[int]) -> Iterator[int]:
+    """The edges, in order, that keep the state's 3-graph cancellative, each added as it passes."""
+    for e in edges:
+        if state.addable(e):
+            state.add(e)
+            yield e
 
 
 def random_maximal_cancellative(n: int, seed: int) -> Hypergraph:
     """Greedy cancellative 3-graph over a seeded random 3-set order; maximal."""
-    from .checkers import _CancellativeState
-
-    rng = random.Random(seed)
     triples = all_r_subsets(n, 3)
-    rng.shuffle(triples)
-    state = _CancellativeState(n)
-    kept = []
-    for e in triples:
-        if state.addable(e):
-            state.add(e)
-            kept.append(e)
-    return Hypergraph(n, 3, tuple(kept))
+    random.Random(seed).shuffle(triples)
+    return Hypergraph(n, 3, tuple(_cancellative_additions(_CancellativeState(n), triples)))
 
 
 def random_triangle_free_near_bipartite(n: int, epsilon: float, noise: int, seed: int) -> Hypergraph:

@@ -411,45 +411,46 @@ def _local_cut(adj: list[int], n: int, ell: int, nedges: int, seed: int) -> tupl
 
 
 def _exact_cut(adj: list[int], n: int, ell: int, nedges: int, seed: int) -> tuple[list[int], int]:
-    """Branch and bound over block assignments with canonical block introduction."""
+    """Branch and bound over block assignments with canonical block introduction.
+
+    bm[b] holds the assigned vertices of block b and placed their union, both
+    updated in place: placing v in b gains its edges to placed minus those to
+    bm[b], and an unassigned v adds at most its edges to placed minus its
+    fewest to one block, plus its edges to later vertices.
+    """
     seed_assign, seed_cut = _local_cut(adj, n, ell, nedges, seed)
 
-    # static max-adjacency order so constraints bite early
+    # static max-adjacency order so constraints bite early; lowest vertex on ties
     order: list[int] = []
     placed = 0
-    degs = [adj[v].bit_count() for v in range(n)]
-    while len(order) < n:
-        best_v, best_k = -1, (-1, -1)
-        for v in range(n):
-            if placed & (1 << v):
-                continue
-            k = ((adj[v] & placed).bit_count(), degs[v])
-            if k > best_k:
-                best_v, best_k = v, k
-        order.append(best_v)
-        placed |= 1 << best_v
+    for _ in range(n):
+        v = max(
+            (v for v in range(n) if not placed >> v & 1),
+            key=lambda v: ((adj[v] & placed).bit_count(), adj[v].bit_count()),
+        )
+        order.append(v)
+        placed |= 1 << v
     suffix_pairs = [0] * (n + 1)
+    later = 0
     for i in range(n - 1, -1, -1):
-        later = 0
-        for j in range(i + 1, n):
-            later |= 1 << order[j]
         suffix_pairs[i] = suffix_pairs[i + 1] + (adj[order[i]] & later).bit_count()
+        later |= 1 << order[i]
 
     assign = [-1] * n
-    cnt = [[0] * ell for _ in range(n)]  # assigned neighbors of v per block
-    d_assigned = [0] * n
+    bm = [0] * ell
+    placed = 0
     best_cut = seed_cut
     best_assign = list(seed_assign)
 
     def bound(idx: int) -> int:
         opt = suffix_pairs[idx]
         for j in range(idx, n):
-            v = order[j]
-            opt += d_assigned[v] - min(cnt[v])
+            av = adj[order[j]]
+            opt += (av & placed).bit_count() - min((av & m).bit_count() for m in bm)
         return opt
 
     def rec(idx: int, cross: int, used: int) -> None:
-        nonlocal best_cut, best_assign
+        nonlocal best_cut, best_assign, placed
         if idx == n:
             if cross > best_cut:
                 best_cut = cross
@@ -458,19 +459,17 @@ def _exact_cut(adj: list[int], n: int, ell: int, nedges: int, seed: int) -> tupl
         if cross + bound(idx) <= best_cut:
             return
         v = order[idx]
+        av, vb = adj[v], 1 << v
+        to_placed = (av & placed).bit_count()
+        placed |= vb
         for b in range(min(used + 1, ell)):
             assign[v] = b
-            gained = d_assigned[v] - cnt[v][b]
-            for w in iter_bits(adj[v]):
-                if assign[w] == -1:
-                    cnt[w][b] += 1
-                    d_assigned[w] += 1
+            gained = to_placed - (av & bm[b]).bit_count()
+            bm[b] |= vb
             rec(idx + 1, cross + gained, max(used, b + 1))
-            for w in iter_bits(adj[v]):
-                if assign[w] == -1:
-                    cnt[w][b] -= 1
-                    d_assigned[w] -= 1
-            assign[v] = -1
+            bm[b] ^= vb
+        placed ^= vb
+        assign[v] = -1
 
     rec(0, 0, 0)
     # best_assign is a maximum cut: the fill moves only vertices with no neighbour in

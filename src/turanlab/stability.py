@@ -15,6 +15,7 @@ integers.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -242,28 +243,28 @@ def lemma25_pair(g: Hypergraph) -> tuple[int, int, frozenset[int], frozenset[int
 
 
 def greedy_clique_removal(g: Hypergraph, ell: int) -> tuple[Hypergraph, list[tuple[int, int]]]:
-    """Delete max-multiplicity edges until no (ell+1)-clique remains."""
+    """Delete max-multiplicity edges until no (ell+1)-clique remains.
+
+    Each round deletes the pair lying in the most remaining K_{ell+1}, the
+    lowest pair on ties.  The cliques are listed once: deleting an edge never
+    creates a clique, so the cliques left after a round are exactly the
+    listed ones through no deleted pair.  A round drops the cliques through
+    its victim and subtracts their pairs from the load table, so the table
+    always holds the positive loads of the remaining cliques.
+    """
     if g.r != 2:
         raise ValueError("greedy_clique_removal expects a graph (r = 2)")
-    edges = set(g.edges)
-    adj = list(g.adjacency)
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    cliques = [vertices_of(c) for c in iter_cliques(g.adjacency, (1 << g.n) - 1, ell + 1)]
+    load = Counter(p for cl in cliques for p in itertools.combinations(cl, 2))
     removed: list[tuple[int, int]] = []
-    full = (1 << g.n) - 1
-    while True:
-        cliques = [vertices_of(c) for c in iter_cliques(adj, full, ell + 1)]
-        if not cliques:
-            return Hypergraph(g.n, 2, tuple(edges)), removed
-        load: dict[tuple[int, int], int] = {}
-        for cl in cliques:
-            vs = sorted(cl)
-            for a in range(len(vs)):
-                for b in range(a + 1, len(vs)):
-                    load[(vs[a], vs[b])] = load.get((vs[a], vs[b]), 0) + 1
-        victim = min(load, key=lambda p: (-load[p], p))
-        edges.discard(mask_of(victim))
-        adj[victim[0] - 1] ^= 1 << (victim[1] - 1)
-        adj[victim[1] - 1] ^= 1 << (victim[0] - 1)
+    while load:
+        a, b = victim = min(load, key=lambda p: (-load[p], p))
+        load -= Counter(p for cl in cliques if a in cl and b in cl for p in itertools.combinations(cl, 2))
+        cliques = [cl for cl in cliques if a not in cl or b not in cl]
         removed.append(victim)
+    return Hypergraph(g.n, 2, tuple(set(g.edges) - {mask_of(p) for p in removed})), removed
 
 
 def extract_partition_generalized(

@@ -222,6 +222,44 @@ def test_perturb_keep_cancellative_needs_a_3_graph(monkeypatch):
         perturb(k222, 0.0, 3, seed=1, keep_cancellative=True)
 
 
+def _perturb_keep_cancellative_oracle(h, delete_fraction, add_count, seed):
+    """keep_cancellative perturb that builds and checks a new graph per candidate."""
+    rng = random.Random(seed)
+    edges = list(h.edges)
+    kill = int(delete_fraction * len(edges))
+    doomed = set(rng.sample(range(len(edges)), kill)) if kill else set()
+    kept = [e for i, e in enumerate(edges) if i not in doomed]
+    if add_count:
+        absent = [e for e in all_r_subsets(h.n, 3) if e not in set(kept)]
+        rng.shuffle(absent)
+        added = 0
+        for e in absent:
+            if added == add_count:
+                break
+            if is_cancellative(Hypergraph(h.n, 3, tuple(kept + [e]))):
+                kept.append(e)
+                added += 1
+    return Hypergraph(h.n, 3, tuple(kept))
+
+
+def test_perturb_keep_cancellative_matches_rebuild_oracle():
+    k4 = Hypergraph.from_edges(6, 3, itertools.combinations(range(1, 5), 3))  # K_4^(3): not cancellative
+    assert not is_cancellative(k4)
+    # a non-cancellative remainder gets no additions
+    assert perturb(k4, 0.0, 5, seed=1, keep_cancellative=True) == k4
+    # deleting two of the four triples leaves a cancellative graph, which grows
+    grown = perturb(k4, 0.5, 3, seed=1, keep_cancellative=True)
+    assert grown.size == 5 and is_cancellative(grown)
+    bases = [k4, turan_hypergraph(7, 3, 3), turan_hypergraph(9, 3, 3), random_maximal_cancellative(8, 2)]
+    rng = random.Random(11)
+    bases += [Hypergraph(8, 3, tuple(e for e in all_r_subsets(8, 3) if rng.random() < p)) for p in (0.05, 0.2)]
+    for base in bases:
+        for frac, add, seed in itertools.product((0.0, 0.3, 0.7), (0, 2, 6), (0, 5)):
+            assert perturb(base, frac, add, seed, keep_cancellative=True) == _perturb_keep_cancellative_oracle(
+                base, frac, add, seed
+            )
+
+
 def test_random_maximal_cancellative():
     single = random_maximal_cancellative(3, seed=0)
     assert single.size == 1

@@ -480,15 +480,79 @@ def _blocks(assign, ell):
     return tuple(tuple(v + 1 for v, k in enumerate(assign) if k == b) for b in range(ell))
 
 
+def _exact_cut_counter_oracle(adj, n, ell, nedges, seed):
+    """The exact cut on per-vertex counter tables that the block masks replaced.
+
+    cnt[v][b] counts v's assigned neighbours in block b and d_assigned[v] all
+    of them; both are updated along v's neighbour list on every placement.
+    Same order, bound, branch order and seed as the mask version.
+    """
+    seed_assign, seed_cut = search_mod._local_cut(adj, n, ell, nedges, seed)
+    order, placed = [], 0
+    degs = [adj[v].bit_count() for v in range(n)]
+    while len(order) < n:
+        best_v, best_k = -1, (-1, -1)
+        for v in range(n):
+            if placed & (1 << v):
+                continue
+            k = ((adj[v] & placed).bit_count(), degs[v])
+            if k > best_k:
+                best_v, best_k = v, k
+        order.append(best_v)
+        placed |= 1 << best_v
+    suffix_pairs = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        later = 0
+        for j in range(i + 1, n):
+            later |= 1 << order[j]
+        suffix_pairs[i] = suffix_pairs[i + 1] + (adj[order[i]] & later).bit_count()
+
+    assign = [-1] * n
+    cnt = [[0] * ell for _ in range(n)]
+    d_assigned = [0] * n
+    best = [seed_cut, list(seed_assign)]
+
+    def bound(idx):
+        return suffix_pairs[idx] + sum(d_assigned[order[j]] - min(cnt[order[j]]) for j in range(idx, n))
+
+    def rec(idx, cross, used):
+        if idx == n:
+            if cross > best[0]:
+                best[:] = [cross, list(assign)]
+            return
+        if cross + bound(idx) <= best[0]:
+            return
+        v = order[idx]
+        for b in range(min(used + 1, ell)):
+            assign[v] = b
+            gained = d_assigned[v] - cnt[v][b]
+            for w in iter_bits(adj[v]):
+                if assign[w] == -1:
+                    cnt[w][b] += 1
+                    d_assigned[w] += 1
+            rec(idx + 1, cross + gained, max(used, b + 1))
+            for w in iter_bits(adj[v]):
+                if assign[w] == -1:
+                    cnt[w][b] -= 1
+                    d_assigned[w] -= 1
+            assign[v] = -1
+
+    rec(0, 0, 0)
+    final = list(best[1])
+    bm = search_mod._block_masks(final, ell)
+    search_mod._fill_empty_blocks(adj, final, bm)
+    return final, search_mod._cut_value(adj, final, bm, nedges)
+
+
 @st.composite
-def cut_instances(draw, max_n=40):
-    """A graph whose last `isolated` vertices have no edge, and ell in 2..5 (n < ell included)."""
+def cut_instances(draw, max_n=40, ells=(2, 3, 4, 5)):
+    """A graph whose last `isolated` vertices have no edge, and ell from ells (n < ell included)."""
     n = draw(st.integers(0, max_n))
     isolated = draw(st.integers(0, min(n, 1 + n // 4)))
     density = draw(st.sampled_from([0.05, 0.2, 0.5, 0.8, 1.0]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     edges = tuple(m for m in all_r_subsets(n - isolated, 2) if rng.random() < density)
-    return Hypergraph(n, 2, edges), draw(st.sampled_from([2, 3, 4, 5]))
+    return Hypergraph(n, 2, edges), draw(st.sampled_from(ells))
 
 
 @settings(max_examples=120, deadline=None)
@@ -509,6 +573,22 @@ def test_exact_cut_same_with_per_neighbour_seed(case, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search_mod, "_local_cut", _local_cut_oracle)
         assert max_ell_cut(g, ell, "exact", seed=seed) == fast
+
+
+@settings(max_examples=80, deadline=None)
+@given(cut_instances(max_n=12, ells=(2, 3, 4)), st.integers(0, 10**6))
+def test_exact_cut_matches_counter_oracle(case, seed):
+    g, ell = case
+    part, cut = max_ell_cut(g, ell, "exact", seed=seed)
+    assign, oracle_cut = _exact_cut_counter_oracle(g.adjacency, g.n, ell, g.size, seed)
+    assert (part.blocks, cut) == (_blocks(assign, ell), oracle_cut)
+    # the local seed is mostly optimal already; from an all-in-block-0 seed the
+    # branch and bound itself finds the first maximum cut in its order
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search_mod, "_local_cut", lambda adj, n, ell, nedges, seed: ([0] * n, 0))
+        part, cut = max_ell_cut(g, ell, "exact", seed=seed)
+        assign, oracle_cut = _exact_cut_counter_oracle(g.adjacency, g.n, ell, g.size, seed)
+    assert (part.blocks, cut) == (_blocks(assign, ell), oracle_cut)
 
 
 @settings(max_examples=120, deadline=None)

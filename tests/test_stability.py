@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import turanlab.stability as stability_mod
+from turanlab.checkers import is_k_free
 from turanlab.constructions import (
     balanced_partition,
     perturb,
+    random_maximal_cancellative,
     random_triangle_free_near_bipartite,
     turan_count,
     turan_hypergraph,
@@ -199,6 +202,17 @@ def test_greedy_clique_removal_matches_rebuild_oracle(n, density, ell, seed):
     assert cleaned.adjacency == want.adjacency and not contains_clique(cleaned, ell + 1)
 
 
+def test_greedy_clique_removal_rejects_ell_below_one(monkeypatch):
+    k3 = Hypergraph.from_edges(3, 2, [(1, 2), (1, 3), (2, 3)])
+    cleaned, removed = greedy_clique_removal(k3, 1)  # K_2 = an edge: every edge goes
+    assert cleaned.size == 0 and removed == [(1, 2), (1, 3), (2, 3)]
+    # rejected before any clique listing
+    monkeypatch.setattr(stability_mod, "iter_cliques", None)
+    for ell in (0, -1):
+        with pytest.raises(ValueError, match="ell must be >= 1"):
+            greedy_clique_removal(k3, ell)
+
+
 def test_generalized_pipeline():
     g = auxiliary_graph(turan_hypergraph(12, 3, 3))
     rep = extract_partition_generalized(g, 3, 3, seed=1)
@@ -264,3 +278,114 @@ def test_scan_rows():
     assert len(kf) == 1 and kf[0].case == ""
     with pytest.raises(ValueError):
         epsilon_delta_scan("nope", [9], [0.1], [5])
+
+
+# ---------------------------------------------------------------------------
+# Exact stability oracle: the fewest bad edges over all 3-partitions
+
+
+def min_bad_3partition(h):
+    """Fewest bad edges of a 3-graph over all 3-partitions of [n].
+
+    Empty blocks are allowed; they never lower the minimum, as moving a
+    vertex out of a shared block into an empty one makes no edge bad.
+
+    Vertices are placed in label order and blocks are opened in order, so
+    each partition is visited once up to block names.  An edge is judged
+    when its largest vertex is placed; a branch stops once it has as many
+    bad edges as the best complete partition so far.
+    """
+    closing = [[] for _ in range(h.n)]
+    for e in h.edges:
+        a, b, c = iter_bits(e)
+        closing[c].append((a, b))
+    best = h.size + 1
+    assign = [0] * h.n
+
+    def rec(v, used, bad):
+        nonlocal best
+        if bad >= best:
+            return
+        if v == h.n:
+            best = bad
+            return
+        for k in range(min(used + 1, 3)):
+            assign[v] = k
+            newly = sum(1 for a, b in closing[v] if k in (assign[a], assign[b]) or assign[a] == assign[b])
+            rec(v + 1, max(used, k + 1), bad + newly)
+
+    rec(0, 0, 0)
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.floats(0.0, 1.0), st.integers(0, 2**32))
+def test_min_bad_3partition_matches_enumeration(n, density, seed):
+    rng = random.Random(seed)
+    h = Hypergraph(n, 3, tuple(e for e in all_r_subsets(n, 3) if rng.random() < density))
+    every = (
+        Partition(n, tuple(tuple(v + 1 for v in range(n) if a[v] == k) for k in range(3)))
+        for a in itertools.product(range(3), repeat=n)
+        if n < 3 or len(set(a)) == 3
+    )
+    want = min((len(bad_edges(h, part)) for part in every), default=0)
+    assert min_bad_3partition(h) == want
+
+
+def _stability_oracle_rows(inputs):
+    """(optimum, cancellative extractor's bad count, k-free extractor's or None) per input.
+
+    Asserts, for each extractor: delta <= epsilon in integers, that is
+    bad * t_3(n) <= (t_3(n) - |H|) * n^3, and that no 3-partition beats the
+    optimum.  The k-free extractor runs where its precondition holds.
+    """
+    rows = []
+    for h in inputs:
+        t3 = turan_count(h.n, 3, 3)
+        opt = min_bad_3partition(h)
+        canc = extract_partition_cancellative(h).bad_edge_count
+        kfree = extract_partition_kfree(h, 3, seed=h.n).bad_edge_count if is_k_free(h, 3) else None
+        for bad in (canc, kfree):
+            if bad is not None:
+                assert bad * t3 <= (t3 - h.size) * h.n**3
+                assert opt <= bad
+        rows.append((opt, canc, kfree))
+    return rows
+
+
+def _gap_record(rows):
+    """(inputs, not 3-partite, cancellative gaps, k-free runs, k-free gaps)."""
+    return (
+        len(rows),
+        sum(opt > 0 for opt, _, _ in rows),
+        sum(canc > opt for opt, canc, _ in rows),
+        sum(kfree is not None for _, _, kfree in rows),
+        sum(kfree is not None and kfree > opt for opt, _, kfree in rows),
+    )
+
+
+# The recorded extractor-versus-optimum gaps, as _gap_record tuples.  They pin
+# today's extractors: a sharper extractor changes them, and must say so.
+# random_maximal_cancellative(n, seed), n = 7..9, seeds 0..11
+RMC_GAPS = (36, 22, 19, 27, 1)
+# perturb(T_3(n), 0.7, 4, seed, keep_cancellative=True), n = 7..10, seeds 0..3
+PERTURBED_GAPS = (16, 8, 9, 11, 3)
+
+
+def test_stability_oracle_random_maximal_cancellative():
+    rows = _stability_oracle_rows(
+        [random_maximal_cancellative(n, seed) for n in (7, 8, 9) for seed in range(12)]
+    )
+    assert _gap_record(rows) == RMC_GAPS
+    _stability_oracle_rows([random_maximal_cancellative(10, seed) for seed in range(3)])
+
+
+def test_stability_oracle_perturbed_keep_cancellative():
+    rows = _stability_oracle_rows(
+        [
+            perturb(turan_hypergraph(n, 3, 3), 0.7, 4, seed, keep_cancellative=True)
+            for n in (7, 8, 9, 10)
+            for seed in range(4)
+        ]
+    )
+    assert _gap_record(rows) == PERTURBED_GAPS
