@@ -3,7 +3,6 @@ partition extraction for small Turan-type hypergraph problems."""
 
 __version__ = "0.1.0"
 
-from .canonical import CanonicalForm, are_isomorphic, canonical_form, permute_hypergraph
 from .checkers import (
     CertificateReport,
     cancellative_witness,
@@ -18,10 +17,7 @@ from .checkers import (
     theorem13_certificate,
 )
 from .constructions import (
-    BalancedPartition,
-    ForbiddenFamily,
     balanced_partition,
-    k_family,
     perturb,
     random_maximal_cancellative,
     random_triangle_free_near_bipartite,
@@ -33,25 +29,13 @@ from .hypergraph import (
     auxiliary_graph,
     contains_clique,
     count_cliques,
-    degree,
     format_hypergraph,
-    is_subgraph,
-    link,
-    link_pair,
     load_hypergraph,
-    neighborhood,
     parse_hypergraph,
     save_hypergraph,
-    shadow,
 )
-from .partitions import Partition, bad_edges, crossing_count
-from .search import (
-    ExtremalRecord,
-    extremal_number,
-    max_ell_cut,
-    uniqueness_check,
-    vertex_move_optimal,
-)
+from .partitions import Partition, bad_edges
+from .search import ExtremalRecord, extremal_number, max_ell_cut, vertex_move_optimal
 from .stability import (
     BipartiteDistanceReport,
     StabilityReport,

@@ -1,4 +1,4 @@
-"""Exact canonical forms for small hypergraphs.
+"""`canonical_code`: the exact isomorphism-class key of a small hypergraph.
 
 The canonical code of an r-graph on [n] is the lexicographically smallest
 sorted tuple of relabeled edge masks over all vertex relabelings, so equal
@@ -12,21 +12,9 @@ worst case, which is fine at the small-n scale this artifact works at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .hypergraph import Hypergraph, iter_bits
-
-DEFAULT_CANONICAL_CEILING = 12
-
-
-@dataclass(frozen=True, order=True)
-class CanonicalForm:
-    """Total-order key identifying an isomorphism class on a fixed (n, r)."""
-
-    n: int
-    r: int
-    code: tuple[int, ...]
+from .hypergraph import iter_bits
 
 
 def _refine_colors(n: int, members: list[tuple[int, ...]], incident: list[list[int]]) -> list[int]:
@@ -142,29 +130,3 @@ def canonical_code(n: int, edges: Sequence[int]) -> tuple[int, ...]:
     rec(0)
     assert best is not None
     return tuple(best)
-
-
-def canonical_form(h: Hypergraph, ceiling: int = DEFAULT_CANONICAL_CEILING) -> CanonicalForm:
-    """Canonical form of a hypergraph; rejects n above the configured ceiling."""
-    if h.n > ceiling:
-        raise ValueError(f"canonical_form supports n <= {ceiling}, got n = {h.n}")
-    return CanonicalForm(h.n, h.r, canonical_code(h.n, h.edges))
-
-
-def are_isomorphic(a: Hypergraph, b: Hypergraph, ceiling: int = DEFAULT_CANONICAL_CEILING) -> bool:
-    if a.n != b.n or a.r != b.r or len(a.edges) != len(b.edges):
-        return False
-    return canonical_form(a, ceiling) == canonical_form(b, ceiling)
-
-
-def permute_hypergraph(h: Hypergraph, perm: Sequence[int]) -> Hypergraph:
-    """Relabel with perm[v-1] = new label of vertex v (a bijection on 1..n)."""
-    if sorted(perm) != list(range(1, h.n + 1)):
-        raise ValueError("perm must be a permutation of 1..n")
-    edges = []
-    for e in h.edges:
-        new = 0
-        for b in iter_bits(e):
-            new |= 1 << (perm[b] - 1)
-        edges.append(new)
-    return Hypergraph(h.n, h.r, tuple(edges))

@@ -1,7 +1,7 @@
 """Named extremal constructions and seeded instance generators.
 
-The balanced transversal hypergraph and its edge count are the reference
-objects everything else is measured against; the generators produce the
+The balanced partition, the transversal hypergraph on it and its edge
+count are the reference objects everything else is measured against; the generators produce the
 near-extremal and adversarial inputs the stability extractors and the
 certificate property runs consume.  Every randomized generator takes an
 explicit seed and is a deterministic function of (parameters, seed).
@@ -11,37 +11,14 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Iterator
 
-from .canonical import canonical_code
 from .checkers import _CancellativeState
-from .hypergraph import Hypergraph, all_r_subsets, iter_bits, mask_of
+from .hypergraph import Hypergraph, all_r_subsets, contains_clique, iter_bits, mask_of
 
 
-@dataclass(frozen=True)
-class BalancedPartition:
-    """Ordered blocks of consecutive labels, sizes differing by at most one."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class ForbiddenFamily:
-    """A named finite family of same-uniformity forbidden subgraphs."""
-
-    name: str
-    members: tuple[Hypergraph, ...]
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("forbidden family must be nonempty")
-        if len({f.r for f in self.members}) != 1:
-            raise ValueError("forbidden family members must share a uniformity")
-
-
-def balanced_partition(n: int, ell: int) -> BalancedPartition:
-    """Split [n] into ell blocks of consecutive labels, larger blocks first."""
+def balanced_partition(n: int, ell: int) -> tuple[tuple[int, ...], ...]:
+    """Split [n] into ell blocks of consecutive labels, sizes differing by at most one, larger first."""
     if ell < 1:
         raise ValueError(f"need at least one block, got ell = {ell}")
     small, extra = divmod(n, ell)
@@ -51,7 +28,7 @@ def balanced_partition(n: int, ell: int) -> BalancedPartition:
         size = small + (1 if i < extra else 0)
         blocks.append(tuple(range(start, start + size)))
         start += size
-    return BalancedPartition(tuple(blocks))
+    return tuple(blocks)
 
 
 def turan_count(n: int, r: int, ell: int) -> int:
@@ -60,7 +37,7 @@ def turan_count(n: int, r: int, ell: int) -> int:
         raise ValueError(f"need ell >= r >= 2, got r = {r}, ell = {ell}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    sizes = [len(b) for b in balanced_partition(n, ell).blocks]
+    sizes = [len(b) for b in balanced_partition(n, ell)]
     # elementary symmetric polynomial e_r(sizes) via the product expansion
     coeffs = [1] + [0] * r
     for s in sizes:
@@ -75,7 +52,7 @@ def turan_hypergraph(n: int, r: int, ell: int) -> Hypergraph:
         raise ValueError(f"need ell >= r >= 2, got r = {r}, ell = {ell}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    blocks = balanced_partition(n, ell).blocks
+    blocks = balanced_partition(n, ell)
     edges = []
     for chosen in itertools.combinations(range(ell), r):
         pools = [blocks[i] for i in chosen]
@@ -86,99 +63,6 @@ def turan_hypergraph(n: int, r: int, ell: int) -> Hypergraph:
     h = Hypergraph(n, r, tuple(edges))
     assert h.size == turan_count(n, r, ell)
     return h
-
-
-def k_family(r: int, ell: int, max_vertices: int | None = None) -> ForbiddenFamily:
-    """Minimal r-graphs covering every pair of some (ell+1)-set, up to isomorphism.
-
-    Any member of the pair-cover family with at most C(ell+1, 2) edges
-    contains one of these minimal covers as a subgraph, so subgraph tests
-    against this list decide freeness; that is all the cross-validation
-    of the auxiliary-graph shortcut needs.  Guarded to small (r, ell)
-    because members are found by exhaustive cover search.  Members come
-    out in canonical code order.  ell < r is allowed here (a single
-    r-edge can cover a small set's pairs on its own).
-
-    max_vertices truncates the family to members on at most that many
-    vertices, which is sound for freeness tests on hosts of that size and
-    keeps the bigger (r, ell) enumerations tractable.
-    """
-    if r < 2 or ell < 2:
-        raise ValueError(f"need r >= 2 and ell >= 2, got r = {r}, ell = {ell}")
-    if ell > 4 or r > 4:
-        raise ValueError("k_family enumeration is guarded to ell <= 4, r <= 4")
-    s = ell + 1
-    pairs = list(itertools.combinations(range(1, s + 1), 2))
-    pair_masks = [mask_of(p) for p in pairs]
-    all_covered = (1 << len(pairs)) - 1
-    fresh_cap = (r - 2) * len(pairs)
-    if max_vertices is not None:
-        fresh_cap = min(fresh_cap, max(0, max_vertices - s))
-
-    found: dict[tuple, Hypergraph] = {}
-    seen_states: set[tuple] = set()
-
-    def rec(edges: list[int], covered: int, fresh_used: int) -> None:
-        if covered == all_covered:
-            g = _embed_on_own_support(tuple(sorted(edges)), r)
-            found.setdefault((g.n, canonical_code(g.n, g.edges)), g)
-            return
-        if len(edges) >= len(pairs):
-            return
-        state = (frozenset(edges), covered)
-        if state in seen_states:
-            return
-        seen_states.add(state)
-        idx = next(i for i in range(len(pairs)) if not covered & (1 << i))
-        pair = pairs[idx]
-        # extras come from the (ell+1)-set or fresh labels introduced in order
-        others = [v for v in range(1, s + 1) if v not in pair]
-        allowed_fresh = min(fresh_used + (r - 2), fresh_cap)
-        pool = others + list(range(s + 1, s + 1 + allowed_fresh))
-        for extra in itertools.combinations(pool, r - 2):
-            new = sorted(v for v in extra if v > s + fresh_used)
-            if new != list(range(s + 1 + fresh_used, s + 1 + fresh_used + len(new))):
-                continue  # fresh labels must appear consecutively
-            e = mask_of(pair + extra)
-            if e in edges:
-                continue
-            gained = covered
-            for i, pm in enumerate(pair_masks):
-                if not gained & (1 << i) and pm & e == pm:
-                    gained |= 1 << i
-            edges.append(e)
-            rec(edges, gained, fresh_used + len(new))
-            edges.pop()
-
-    rec([], 0, 0)
-
-    from .hypergraph import is_subgraph
-
-    minimal: list[tuple[tuple, Hypergraph]] = []
-    for key in sorted(found, key=lambda k: (len(found[k].edges), k)):
-        g = found[key]
-        if any(is_subgraph(kept, g) for _, kept in minimal):
-            continue
-        minimal.append((key, g))
-    members = tuple(g for _, g in sorted(minimal))
-    return ForbiddenFamily(f"pair-cover(r={r},ell={ell})", members)
-
-
-def _embed_on_own_support(edges: tuple[int, ...], r: int) -> Hypergraph:
-    """Relabel an edge-mask tuple onto 1..|support| and wrap as a Hypergraph."""
-    used = 0
-    for e in edges:
-        used |= e
-    relabel = {}
-    for new, old in enumerate(iter_bits(used)):
-        relabel[old] = new
-    out = []
-    for e in edges:
-        m = 0
-        for b in iter_bits(e):
-            m |= 1 << relabel[b]
-        out.append(m)
-    return Hypergraph(used.bit_count(), r, tuple(sorted(out)))
 
 
 def perturb(
@@ -310,7 +194,5 @@ def random_triangle_free_near_bipartite(n: int, epsilon: float, noise: int, seed
             if u > v:
                 edges.append(mask_of((v, u)))
     g = Hypergraph(n, 2, tuple(edges))
-    from .hypergraph import contains_clique
-
     assert not contains_clique(g, 3), "generator must stay triangle-free"
     return g

@@ -1,4 +1,4 @@
-"""Core uniform-hypergraph representation and neighborhood machinery.
+"""Core uniform-hypergraph representation, graph cliques and the text format.
 
 Vertices are the labels 1..n.  Edges are stored as integer bitmasks
 (bit v-1 set iff vertex v lies in the edge), which gives O(1)
@@ -88,13 +88,6 @@ class Hypergraph:
         """Number of edges, |H|."""
         return len(self.edges)
 
-    def edge_sets(self) -> list[frozenset[int]]:
-        return [frozenset(vertices_of(e)) for e in self.edges]
-
-    def edge_set(self) -> frozenset[int]:
-        """Edges as a frozenset of masks, for O(1) membership tests."""
-        return frozenset(self.edges)
-
     @cached_property
     def adjacency(self) -> tuple[int, ...]:
         """adjacency[b] = mask of the vertices sharing an edge with vertex bit b.
@@ -108,68 +101,10 @@ class Hypergraph:
                 adj[b] |= e
         return tuple(m & ~(1 << b) for b, m in enumerate(adj))
 
-    def vertex_degrees(self) -> list[int]:
-        """deg[v-1] = number of edges containing vertex v."""
-        deg = [0] * self.n
-        for e in self.edges:
-            for b in iter_bits(e):
-                deg[b] += 1
-        return deg
-
 
 def all_r_subsets(n: int, r: int) -> list[int]:
     """Masks of every r-subset of [n], in colex order (= ascending masks)."""
     return sorted(mask_of(c) for c in itertools.combinations(range(1, n + 1), r))
-
-
-def shadow(h: Hypergraph) -> frozenset[int]:
-    """All (r-1)-sets contained in some edge, as masks."""
-    out = set()
-    for e in h.edges:
-        for b in iter_bits(e):
-            out.add(e ^ (1 << b))
-    return frozenset(out)
-
-
-def link(h: Hypergraph, s: Iterable[int]) -> frozenset[int]:
-    """Link L(S): shadow elements A with A + {x} an edge for every x in S.
-
-    S is given by 1-based labels; repeated labels collapse, so the
-    ordered-pair convention L(u, u) = L({u}) falls out of set semantics.
-    """
-    smask = mask_of(s)
-    if smask == 0:
-        raise ValueError("link requires a nonempty vertex set")
-    edge_set = h.edge_set()
-    out = set()
-    for a in shadow(h):
-        if all((a | (1 << b)) in edge_set for b in iter_bits(smask)):
-            out.add(a)
-    return frozenset(out)
-
-
-def link_pair(h: Hypergraph, u: int, v: int) -> frozenset[int]:
-    """L(u, v) with the L(u, u) = L({u}) convention."""
-    return link(h, (u, v))
-
-
-def neighborhood(h: Hypergraph, t: Iterable[int]) -> frozenset[int]:
-    """N(T) = {v : T + {v} in H} for an (r-1)-set T, as 1-based labels."""
-    tmask = mask_of(t)
-    if tmask.bit_count() != h.r - 1:
-        raise ValueError(
-            f"neighborhood requires |T| = r-1 = {h.r - 1}, got {tmask.bit_count()}"
-        )
-    out = []
-    for e in h.edges:
-        if e & tmask == tmask:
-            out.append((e ^ tmask).bit_length())  # single remaining bit
-    return frozenset(out)
-
-
-def degree(h: Hypergraph, t: Iterable[int]) -> int:
-    """d(T) = |N(T)|."""
-    return len(neighborhood(h, t))
 
 
 def auxiliary_graph(h: Hypergraph) -> Hypergraph:
@@ -223,56 +158,6 @@ def contains_clique(g: Hypergraph, q: int) -> bool:
     if q < 1:
         raise ValueError(f"clique size must be >= 1, got {q}")
     return next(iter_cliques(g.adjacency, (1 << g.n) - 1, q), None) is not None
-
-
-def is_subgraph(f: Hypergraph, h: Hypergraph) -> bool:
-    """True iff some injective vertex map sends every edge of F into an edge of H.
-
-    Backtracking over F's vertices in decreasing-degree order, pruning
-    candidates whose H-degree is below the F-degree.
-    """
-    if f.r != h.r:
-        raise ValueError(f"uniformity mismatch: {f.r} vs {h.r}")
-    active = [v for v, d in enumerate(f.vertex_degrees(), start=1) if d > 0]
-    if not f.edges:
-        return True
-    if len(active) > h.n:
-        return False
-    fdeg = f.vertex_degrees()
-    hdeg = h.vertex_degrees()
-    order = sorted(active, key=lambda v: -fdeg[v - 1])
-    pos = {v: k for k, v in enumerate(order)}
-    # F-edges become checkable once their last vertex (in `order`) is mapped
-    edges_by_last = [[] for _ in order]
-    for e in f.edges:
-        last = max(pos[v] for v in vertices_of(e))
-        edges_by_last[last].append(vertices_of(e))
-    h_edge_set = h.edge_set()
-    mapping: dict[int, int] = {}
-    used = [False] * (h.n + 1)
-
-    def place(k: int) -> bool:
-        if k == len(order):
-            return True
-        v = order[k]
-        for img in range(1, h.n + 1):
-            if used[img] or hdeg[img - 1] < fdeg[v - 1]:
-                continue
-            mapping[v] = img
-            used[img] = True
-            ok = True
-            for fe in edges_by_last[k]:
-                m = mask_of(mapping[x] for x in fe)
-                if m not in h_edge_set:
-                    ok = False
-                    break
-            if ok and place(k + 1):
-                return True
-            used[img] = False
-            del mapping[v]
-        return False
-
-    return place(0)
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,6 @@ class Partition:
     def block_masks(self) -> list[int]:
         return [mask_of(b) for b in self.blocks]
 
-    def relabeled_blocks(self) -> set[frozenset[int]]:
-        """Blocks as an unordered family, for up-to-relabeling comparisons."""
-        return {frozenset(b) for b in self.blocks}
-
 
 def bad_edges(h: Hypergraph, part: Partition) -> list[int]:
     """Edges with at least two vertices in one block, as masks."""
@@ -51,10 +47,3 @@ def bad_edges(h: Hypergraph, part: Partition) -> list[int]:
         if any((e & bm).bit_count() >= 2 for bm in masks):
             out.append(e)
     return out
-
-
-def crossing_count(g: Hypergraph, part: Partition) -> int:
-    """Edges of a graph with endpoints in two different blocks."""
-    if g.r != 2:
-        raise ValueError("crossing_count expects a graph (r = 2)")
-    return g.size - len(bad_edges(g, part))

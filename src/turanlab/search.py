@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 
 from .canonical import _twin_classes, canonical_code
 from .checkers import _CancellativeState
+from .constructions import turan_count
 from .hypergraph import Hypergraph, all_r_subsets, iter_bits, iter_cliques
 from .partitions import Partition
 
@@ -308,18 +309,6 @@ def extremal_number(
     )
 
 
-def uniqueness_check(record: ExtremalRecord, target: Hypergraph) -> bool:
-    """True iff the search found exactly one extremal class, isomorphic to target."""
-    if not record.complete:
-        raise ValueError("uniqueness_check requires a complete search record")
-    if record.extremal_classes != 1 or record.cap_hit:
-        return False
-    witness = record.witnesses[0]
-    if witness.n != target.n or witness.r != target.r:
-        return False
-    return canonical_code(target.n, target.edges) == witness.edges
-
-
 # ---------------------------------------------------------------------------
 # Multiway cuts
 
@@ -416,7 +405,10 @@ def _exact_cut(adj: list[int], n: int, ell: int, nedges: int, seed: int) -> tupl
     bm[b] holds the assigned vertices of block b and placed their union, both
     updated in place: placing v in b gains its edges to placed minus those to
     bm[b], and an unassigned v adds at most its edges to placed minus its
-    fewest to one block, plus its edges to later vertices.
+    fewest to one block.  The k unplaced vertices add at most the edges among
+    them, and at most t_2(k, ell), since k vertices in ell blocks cross no
+    more pairs than the balanced split does.  The bound prunes only branches
+    that cannot beat the incumbent strictly, so the cap changes no result.
     """
     seed_assign, seed_cut = _local_cut(adj, n, ell, nedges, seed)
 
@@ -435,6 +427,7 @@ def _exact_cut(adj: list[int], n: int, ell: int, nedges: int, seed: int) -> tupl
     for i in range(n - 1, -1, -1):
         suffix_pairs[i] = suffix_pairs[i + 1] + (adj[order[i]] & later).bit_count()
         later |= 1 << order[i]
+    suffix_cap = [min(pairs, turan_count(n - i, 2, ell)) for i, pairs in enumerate(suffix_pairs)]
 
     assign = [-1] * n
     bm = [0] * ell
@@ -443,7 +436,7 @@ def _exact_cut(adj: list[int], n: int, ell: int, nedges: int, seed: int) -> tupl
     best_assign = list(seed_assign)
 
     def bound(idx: int) -> int:
-        opt = suffix_pairs[idx]
+        opt = suffix_cap[idx]
         for j in range(idx, n):
             av = adj[order[j]]
             opt += (av & placed).bit_count() - min((av & m).bit_count() for m in bm)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .checkers import _cancellative_index, is_k_free
-from .constructions import turan_count
+from .constructions import perturb, random_triangle_free_near_bipartite, turan_count, turan_hypergraph
 from .hypergraph import (
     Hypergraph,
     auxiliary_graph,
@@ -436,8 +436,6 @@ def epsilon_delta_scan(
     bipartite-distance analyzer over generator outputs at the given
     epsilon targets.
     """
-    from .constructions import perturb, random_triangle_free_near_bipartite, turan_hypergraph
-
     if kind not in ("cancellative", "kfree", "triangle-free"):
         raise ValueError(f"unknown scan kind {kind!r}")
 

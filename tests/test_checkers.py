@@ -27,7 +27,6 @@ from turanlab.checkers import (
     theorem13_certificate,
 )
 from turanlab.constructions import (
-    k_family,
     perturb,
     random_maximal_cancellative,
     random_triangle_free_near_bipartite,
@@ -39,7 +38,6 @@ from turanlab.hypergraph import (
     auxiliary_graph,
     contains_clique,
     count_cliques,
-    is_subgraph,
     mask_of,
     vertices_of,
 )
@@ -50,6 +48,8 @@ from turanlab.stability import (
     greedy_clique_removal,
     lemma25_pair,
 )
+
+from oracles import is_subgraph, k_family, link_sets, shadow_neighborhoods
 
 
 def random_hypergraph(n, r, p, rng):
@@ -112,7 +112,7 @@ def test_is_k_free_examples():
     t9 = turan_hypergraph(9, 3, 3)
     assert is_k_free(t9, 3)
     # adding any absent triple creates a forbidden configuration
-    present = t9.edge_set()
+    present = set(t9.edges)
     for e in all_r_subsets(9, 3):
         if e not in present:
             assert not is_k_free(Hypergraph(9, 3, t9.edges + (e,)), 3)
@@ -127,13 +127,13 @@ def is_k_free_direct(h, members):
 
 def test_is_k_free_cross_validation():
     rng = random.Random(31)
-    members = k_family(3, 3).members
+    members = k_family(3, 3)
     for _ in range(120):
         n = rng.randint(4, 7)
         h = random_hypergraph(n, 3, rng.uniform(0.05, 0.35), rng)
         assert is_k_free(h, 3) == is_k_free_direct(h, members)
     # ell = 4 on hosts up to 6 vertices, against the capped family
-    members = k_family(3, 4, max_vertices=6).members
+    members = k_family(3, 4, max_vertices=6)
     for _ in range(60):
         h = random_hypergraph(6, 3, rng.uniform(0.1, 0.5), rng)
         assert is_k_free(h, 4) == is_k_free_direct(h, members)
@@ -304,30 +304,13 @@ def test_incremental_state_matches_direct_checker(n, steps):
 
 # ---------------------------------------------------------------------------
 # Differential tests: the per-(T, u, v) paths and the separate link and
-# neighborhood tables the incidence index replaced, kept here as oracles.
-
-
-def _link_sets(h):
-    """links[v-1] = set of pair masks A with A + {v} an edge."""
-    links = [set() for _ in range(h.n)]
-    for e in h.edges:
-        for v in vertices_of(e):
-            links[v - 1].add(e ^ (1 << (v - 1)))
-    return links
+# neighborhood tables the incidence index replaced (`link_sets` and
+# `shadow_neighborhoods` in oracles.py), kept as oracles.
 
 
 def _pair_cover_oracle(h):
     """Reference pair cover: every 2-subset of every edge, into a set, sorted."""
     return sorted({mask_of(p) for e in h.edges for p in itertools.combinations(vertices_of(e), 2)})
-
-
-def _shadow_neighborhoods(h):
-    """shadow mask -> sorted 1-based labels of N(T)."""
-    out = {}
-    for e in h.edges:
-        for v in vertices_of(e):
-            out.setdefault(e ^ (1 << (v - 1)), []).append(v)
-    return {t: sorted(vs) for t, vs in out.items()}
 
 
 def oracle_cancellative_witness(h):
@@ -365,8 +348,8 @@ def _report(name, quantities, witness):
 
 
 def oracle_inequality2(h):
-    sh = _shadow_neighborhoods(h)
-    links = _link_sets(h)
+    sh = shadow_neighborhoods(h)
+    links = link_sets(h)
     hist = Counter()
     for t in sorted(sh):
         for u in sh[t]:
@@ -381,8 +364,8 @@ def oracle_inequality2(h):
 
 
 def oracle_mantel_link(h):
-    sh = _shadow_neighborhoods(h)
-    links = _link_sets(h)
+    sh = shadow_neighborhoods(h)
+    links = link_sets(h)
     checked = max_link = 0
     witness = None
     has_triangle = {}
@@ -413,23 +396,23 @@ def oracle_mantel_link(h):
 
 def oracle_link_count(h):
     counts = Counter()
-    for nbrs in _shadow_neighborhoods(h).values():
+    for nbrs in shadow_neighborhoods(h).values():
         for u, v in itertools.product(nbrs, repeat=2):
             counts[(u, v)] += 1
-    links = _link_sets(h)
+    links = link_sets(h)
     witness = None
     for u, v in itertools.product(range(1, h.n + 1), repeat=2):
         lhs, rhs = counts.get((u, v), 0), _pair_link_size(links, u, v)
         if lhs != rhs:
             witness = {"u": u, "v": v, "containment_count": lhs, "link_size": rhs}
             break
-    quantities = {"n": h.n, "edges": h.size, "shadow": len(_shadow_neighborhoods(h)),
+    quantities = {"n": h.n, "edges": h.size, "shadow": len(shadow_neighborhoods(h)),
                   "ordered_pairs_checked": h.n * h.n}
     return _report("link-count", quantities, witness)
 
 
 def oracle_neighborhoods_independent(h):
-    for t in _shadow_neighborhoods(h):
+    for t in shadow_neighborhoods(h):
         nmask = 0
         for e in h.edges:
             if e & t == t:
@@ -554,7 +537,7 @@ def test_pair_link_table_matches_per_pair_links():
     for _ in range(60):
         h = random_hypergraph(rng.randint(3, 9), 3, rng.uniform(0.05, 0.6), rng)
         ix = _Incidence(h)
-        links = _link_sets(h)
+        links = link_sets(h)
         for u, v in itertools.product(range(1, h.n + 1), repeat=2):
             lg = links[u - 1] if u == v else links[u - 1] & links[v - 1]
             assert ix.size[u - 1][v - 1] == _pair_link_size(links, u, v) == len(lg)
@@ -569,8 +552,8 @@ def test_incidence_index_matches_oracles():
     for _ in range(120):
         h = random_hypergraph(rng.randint(0, 10), 3, rng.uniform(0.05, 0.6), rng)
         ix = _Incidence(h)
-        sh = _shadow_neighborhoods(h)
-        links = _link_sets(h)
+        sh = shadow_neighborhoods(h)
+        links = link_sets(h)
         pairs = _pair_cover_oracle(h)
         assert ix.ts == sorted(sh) == pairs
         assert ix.nbr == [mask_of(sh[t]) for t in ix.ts]

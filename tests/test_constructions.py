@@ -6,11 +6,10 @@ import random
 
 import pytest
 
-from turanlab.canonical import are_isomorphic, canonical_code
+from turanlab.canonical import canonical_code
 from turanlab.checkers import is_cancellative, is_k_free
 from turanlab.constructions import (
     balanced_partition,
-    k_family,
     perturb,
     random_maximal_cancellative,
     random_triangle_free_near_bipartite,
@@ -27,15 +26,17 @@ from turanlab.hypergraph import (
 )
 from turanlab.checkers import _CancellativeState
 
+from oracles import are_isomorphic, is_subgraph, k_family
+
 
 def test_balanced_partition_shapes():
     bp = balanced_partition(7, 3)
-    assert [len(b) for b in bp.blocks] == [3, 2, 2]
-    assert bp.blocks[0] == (1, 2, 3)
+    assert [len(b) for b in bp] == [3, 2, 2]
+    assert bp[0] == (1, 2, 3)
     bp = balanced_partition(9, 3)
-    assert [len(b) for b in bp.blocks] == [3, 3, 3]
+    assert [len(b) for b in bp] == [3, 3, 3]
     bp = balanced_partition(2, 3)
-    assert [len(b) for b in bp.blocks] == [1, 1, 0]
+    assert [len(b) for b in bp] == [1, 1, 0]
 
 
 def test_turan_count_examples():
@@ -61,7 +62,7 @@ def test_turan_count_closed_forms():
         assert turan_count(n, r, ell) == math.comb(ell, r) * (n // ell) ** r
     # elementary symmetric oracle by direct expansion
     for n, r, ell in [(7, 3, 3), (8, 3, 4), (11, 2, 4)]:
-        sizes = [len(b) for b in balanced_partition(n, ell).blocks]
+        sizes = [len(b) for b in balanced_partition(n, ell)]
         direct = sum(
             math.prod(combo) for combo in itertools.combinations(sizes, r)
         )
@@ -93,12 +94,12 @@ def test_turan_is_cancellative_and_free():
 
 def test_k_family_small_cases():
     fam22 = k_family(2, 2)
-    assert len(fam22.members) == 1
+    assert len(fam22) == 1
     k3 = Hypergraph.from_edges(3, 2, [(1, 2), (1, 3), (2, 3)])
-    assert are_isomorphic(fam22.members[0], k3)
+    assert are_isomorphic(fam22[0], k3)
     fam32 = k_family(3, 2)
-    assert len(fam32.members) == 1
-    assert fam32.members[0].size == 1 and fam32.members[0].n == 3
+    assert len(fam32) == 1
+    assert fam32[0].size == 1 and fam32[0].n == 3
 
 
 def _k33_member_oracle():
@@ -158,8 +159,6 @@ def _k33_member_oracle():
             g = Hypergraph(nverts, 3, tuple(sorted(normed)))
             found[(nverts, canonical_code(nverts, g.edges))] = g
     # minimality: drop members containing another member as a subgraph
-    from turanlab.hypergraph import is_subgraph
-
     keys = sorted(found, key=lambda k: (len(found[k].edges), k))
     minimal = []
     for k in keys:
@@ -173,14 +172,14 @@ def _k33_member_oracle():
 def test_k_family_33_member_count_cross_checked():
     fam = k_family(3, 3)
     oracle = _k33_member_oracle()
-    assert len(fam.members) == len(oracle) == 4
-    for m in fam.members:
+    assert len(fam) == len(oracle) == 4
+    for m in fam:
         assert any(are_isomorphic(m, o) for o in oracle)
 
 
 def test_k_family_members_cover_a_set():
     for r, ell in [(2, 2), (2, 3), (3, 3)]:
-        for m in k_family(r, ell).members:
+        for m in k_family(r, ell):
             assert m.size <= math.comb(ell + 2, 2)
             covered_sets = 0
             for s in itertools.combinations(range(1, m.n + 1), ell + 1):
@@ -272,7 +271,7 @@ def test_random_maximal_cancellative():
         for e in h.edges:
             state.add(e)
         for e in all_r_subsets(9, 3):
-            if e not in h.edge_set():
+            if e not in h.edges:
                 assert not state.addable(e)
     assert random_maximal_cancellative(8, 4) == random_maximal_cancellative(8, 4)
 

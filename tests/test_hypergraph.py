@@ -13,20 +13,16 @@ from turanlab.hypergraph import (
     auxiliary_graph,
     contains_clique,
     count_cliques,
-    degree,
     format_hypergraph,
-    is_subgraph,
     iter_bits,
     iter_cliques,
-    link,
-    link_pair,
     mask_of,
-    neighborhood,
     parse_hypergraph,
-    shadow,
     vertices_of,
 )
 from turanlab.constructions import turan_hypergraph
+
+from oracles import is_subgraph, link_sets, shadow_neighborhoods
 
 
 def edge_sets(masks):
@@ -51,10 +47,10 @@ def test_hypergraph_validation():
 
 def test_shadow_examples():
     h = Hypergraph.from_edges(3, 3, [(1, 2, 3)])
-    assert edge_sets(shadow(h)) == [(1, 2), (1, 3), (2, 3)]
+    assert edge_sets(shadow_neighborhoods(h)) == [(1, 2), (1, 3), (2, 3)]
     h = Hypergraph.from_edges(4, 3, [(1, 2, 3), (1, 2, 4)])
-    assert edge_sets(shadow(h)) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
-    assert shadow(Hypergraph(4, 3, ())) == frozenset()
+    assert edge_sets(shadow_neighborhoods(h)) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
+    assert shadow_neighborhoods(Hypergraph(4, 3, ())) == {}
 
 
 def test_shadow_matches_direct_expansion():
@@ -63,40 +59,40 @@ def test_shadow_matches_direct_expansion():
         n, r = rng.choice([(6, 2), (7, 3), (8, 4)])
         h = random_hypergraph(n, r, 0.25, rng)
         expected = set()
-        for e in h.edge_sets():
-            for a in itertools.combinations(sorted(e), r - 1):
+        for e in h.edges:
+            for a in itertools.combinations(vertices_of(e), r - 1):
                 expected.add(a)
-        assert set(edge_sets(shadow(h))) == expected
+        assert set(edge_sets(shadow_neighborhoods(h))) == expected
 
 
 def test_link_examples():
     h = Hypergraph.from_edges(4, 3, [(1, 2, 3), (1, 2, 4)])
-    assert edge_sets(link(h, (3, 4))) == [(1, 2)]
+    links = link_sets(h)
+    assert edge_sets(links[2] & links[3]) == [(1, 2)]
     h1 = Hypergraph.from_edges(3, 3, [(1, 2, 3)])
-    assert edge_sets(link(h1, (1,))) == [(2, 3)]
+    assert edge_sets(link_sets(h1)[0]) == [(2, 3)]
     h2 = Hypergraph.from_edges(4, 3, [(1, 2, 3)])
-    assert link(h2, (4,)) == frozenset()
-    with pytest.raises(ValueError):
-        link(h, ())
+    assert link_sets(h2)[3] == set()
 
 
 def test_link_pair_diagonal_convention():
     h = Hypergraph.from_edges(5, 3, [(1, 2, 3), (1, 2, 4), (1, 4, 5)])
-    assert link_pair(h, 1, 1) == link(h, (1,))
-    # definition round-trip: A in L(S) implies A + {s} is an edge for all s in S
-    for s in [(1,), (2,), (1, 2), (3, 4)]:
-        for a in link(h, s):
-            for v in s:
-                assert (a | (1 << (v - 1))) in h.edge_set()
+    links = link_sets(h)
+    edges = set(h.edges)
+    # definition: L(u, v) holds the shadow sets A with A + {u} and A + {v} both
+    # edges, which for u = v is the vertex link L({u})
+    for u, v in itertools.product(range(1, h.n + 1), repeat=2):
+        expected = {a for a in shadow_neighborhoods(h) if {a | 1 << (u - 1), a | 1 << (v - 1)} <= edges}
+        assert links[u - 1] & links[v - 1] == expected
+    assert links[0] == {mask_of((2, 3)), mask_of((2, 4)), mask_of((4, 5))}
 
 
 def test_neighborhood_examples():
     h = Hypergraph.from_edges(4, 3, [(1, 2, 3), (1, 2, 4)])
-    assert neighborhood(h, (1, 2)) == frozenset({3, 4})
-    assert degree(h, (1, 2)) == 2
-    assert neighborhood(h, (3, 4)) == frozenset()
-    with pytest.raises(ValueError):
-        neighborhood(h, (1,))
+    nbrs = shadow_neighborhoods(h)
+    assert nbrs[mask_of((1, 2))] == [3, 4]
+    assert nbrs[mask_of((1, 3))] == [2]
+    assert mask_of((3, 4)) not in nbrs
 
 
 def test_degree_sum_identity():
@@ -104,8 +100,11 @@ def test_degree_sum_identity():
     for _ in range(40):
         n, r = rng.choice([(7, 2), (8, 3), (9, 4), (12, 3)])
         h = random_hypergraph(n, r, 0.2, rng)
-        total = sum(degree(h, vertices_of(t)) for t in shadow(h))
-        assert total == r * h.size
+        nbrs = shadow_neighborhoods(h)
+        edges = set(h.edges)
+        for t, labels in nbrs.items():
+            assert labels == [v for v in range(1, n + 1) if not t >> (v - 1) & 1 and t | 1 << (v - 1) in edges]
+        assert sum(len(labels) for labels in nbrs.values()) == r * h.size
 
 
 def test_auxiliary_graph():
@@ -156,8 +155,8 @@ def test_adjacency_examples():
 
 def count_cliques_oracle(g, i):
     adj = {v: set() for v in range(1, g.n + 1)}
-    for e in g.edge_sets():
-        u, v = sorted(e)
+    for e in g.edges:
+        u, v = vertices_of(e)
         adj[u].add(v)
         adj[v].add(u)
     total = 0
@@ -193,7 +192,7 @@ def test_count_cliques_against_oracle():
             assert count_cliques(g, i) == count_cliques_oracle(g, i)
         # iter_cliques lists the same cliques in lexicographic order, and
         # restricted to a candidate mask it stays inside it
-        edges = g.edge_set()
+        edges = set(g.edges)
         for i in range(0, 5):
             brute = [
                 c for c in itertools.combinations(range(1, n + 1), i)

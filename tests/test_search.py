@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from collections import Counter
 from functools import partial
 from math import comb
@@ -21,14 +22,10 @@ from turanlab.hypergraph import (
     iter_bits,
     mask_of,
 )
-from turanlab.partitions import Partition, crossing_count
-from turanlab.search import (
-    check_request,
-    extremal_number,
-    max_ell_cut,
-    uniqueness_check,
-    vertex_move_optimal,
-)
+from turanlab.partitions import Partition
+from turanlab.search import check_request, extremal_number, max_ell_cut, vertex_move_optimal
+
+from oracles import crossing_count, permute_hypergraph, uniqueness_check
 
 
 def brute_force(n, r, keep):
@@ -125,8 +122,6 @@ def test_uniqueness_check():
     rec = extremal_number(6, 3, "cancellative")
     assert uniqueness_check(rec, turan_hypergraph(6, 3, 3))
     # relabeled target still matches
-    from turanlab.canonical import permute_hypergraph
-
     assert uniqueness_check(rec, permute_hypergraph(turan_hypergraph(6, 3, 3), [3, 1, 6, 2, 5, 4]))
     wrong = Hypergraph.from_edges(6, 3, [(1, 2, 3)])
     assert not uniqueness_check(rec, wrong)
@@ -376,6 +371,25 @@ def test_cut_partition_shape():
         max_ell_cut(Hypergraph(25, 2, ()), 2, "exact")  # exact-mode size guard
     with pytest.raises(ValueError):
         max_ell_cut(g, 1, "local")
+
+
+def test_exact_cut_dense_graphs():
+    # the bound caps the cut among k unplaced vertices at t_2(k, ell); without
+    # the cap K_16 at ell = 4 took over 40 s, with it each case takes milliseconds
+    t0 = time.perf_counter()
+    for n, want in ((14, 73), (16, 96)):
+        part, cut = max_ell_cut(Hypergraph(n, 2, tuple(all_r_subsets(n, 2))), 4, "exact")
+        assert cut == turan_count(n, 2, 4) == want
+        sizes = sorted(map(len, part.blocks))
+        assert sizes[-1] - sizes[0] <= 1
+    rng = random.Random(1)
+    g = Hypergraph(15, 2, tuple(m for m in all_r_subsets(15, 2) if rng.random() < 0.97))
+    # blocks and cut as the uncapped bound returned them
+    assert max_ell_cut(g, 4, "exact") == (
+        Partition(15, ((1, 5, 10), (2, 6, 11, 14), (3, 7, 12, 15), (4, 8, 9, 13))),
+        84,
+    )
+    assert time.perf_counter() - t0 < 5
 
 
 def test_exact_cut_fills_empty_blocks_after_a_poor_seed(monkeypatch):
