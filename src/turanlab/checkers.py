@@ -13,7 +13,7 @@ the vertex links, the pair-cover adjacency and the pair-link sizes.  A
 certificate that needs a cancellative input shares one index with its
 precondition (`_cancellative_index`): the index is built once, scanned for
 a cancellativity witness, then read by the certificate.  The incremental
-state of the cancellative search keeps its own counters.
+search state extends `hypergraph.PairCover` with N(T) and co-link counts.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import cached_property
 from math import comb
 from typing import Collection, Optional
 
-from .hypergraph import Hypergraph, contains_clique, count_cliques, iter_bits, iter_cliques, vertices_of
+from .hypergraph import Hypergraph, PairCover, contains_clique, count_cliques, iter_bits, iter_cliques, vertices_of
 
 
 @dataclass
@@ -62,11 +62,10 @@ def _frac_str(x: Fraction) -> str:
 # Cancellativity
 
 
-class _CancellativeState:
+class _CancellativeState(PairCover):
     """Incrementally maintained cancellativity of a growing/shrinking 3-graph.
 
-    Tracks, for the current edge set S:
-      pair_cov[P]  -- number of edges covering the pair P
+    Beside the pair-cover graph of `PairCover`, tracks for the current edge set:
       nbrs[T]      -- N(T) as a set of 0-based bits, for T in the shadow
       colink[P]    -- number of shadow pairs T with both ends of P in N(T)
 
@@ -77,50 +76,38 @@ class _CancellativeState:
     """
 
     def __init__(self, n: int) -> None:
-        self.n = n
-        self.pair_cov: Counter = Counter()
+        super().__init__(n)
         self.colink: Counter = Counter()
         self.nbrs: dict[int, set[int]] = {}
 
-    @staticmethod
-    def _pairs_of(e: int) -> list[tuple[int, int]]:
-        """(pair mask, remaining-vertex bit) for each 2-subset of a triple."""
-        b = list(iter_bits(e))
-        return [
-            ((1 << b[0]) | (1 << b[1]), b[2]),
-            ((1 << b[0]) | (1 << b[2]), b[1]),
-            ((1 << b[1]) | (1 << b[2]), b[0]),
-        ]
-
     def addable(self, e: int) -> bool:
-        pairs = self._pairs_of(e)
-        for pm, _ in pairs:
-            if self.colink.get(pm, 0):
-                return False
-        for pm, w in pairs:
-            wb = 1 << w
-            for x in self.nbrs.get(pm, ()):
-                if self.pair_cov.get(wb | (1 << x), 0):
+        x = e & -e
+        y = (e ^ x) & -(e ^ x)
+        z = e ^ x ^ y
+        if self.colink.get(y | z) or self.colink.get(x | z) or self.colink.get(x | y):
+            return False
+        for pm, w in ((y | z, x), (x | z, y), (x | y, z)):
+            aw = self.adj[w.bit_length() - 1]
+            for b in self.nbrs.get(pm, ()):
+                if aw >> b & 1:
                     return False
         return True
 
     def add(self, e: int) -> None:
-        for pm, w in self._pairs_of(e):
-            cur = self.nbrs.setdefault(pm, set())
-            wb = 1 << w
-            for x in cur:
-                self.colink[wb | (1 << x)] += 1
+        super().add(e)
+        for w in iter_bits(e):
+            cur = self.nbrs.setdefault(e ^ (1 << w), set())
+            for b in cur:
+                self.colink[(1 << w) | (1 << b)] += 1
             cur.add(w)
-            self.pair_cov[pm] += 1
 
     def remove(self, e: int) -> None:
-        for pm, w in self._pairs_of(e):
-            cur = self.nbrs[pm]
+        super().remove(e)
+        for w in iter_bits(e):
+            cur = self.nbrs[e ^ (1 << w)]
             cur.discard(w)
-            wb = 1 << w
-            for x in cur:
-                self.colink[wb | (1 << x)] -= 1
-            self.pair_cov[pm] -= 1
+            for b in cur:
+                self.colink[(1 << w) | (1 << b)] -= 1
 
 
 def _first_witness(ix: _Incidence) -> Optional[tuple]:

@@ -385,7 +385,7 @@ def run(argv: list[str]) -> int:
                 manifest.seeds.extend(_int_list(args.seeds))
             elif getattr(args, "seed", None) is not None:
                 manifest.seeds.append(args.seed)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except AssertionError as exc:

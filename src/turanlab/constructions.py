@@ -10,6 +10,7 @@ explicit seed and is a deterministic function of (parameters, seed).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Iterator
 
@@ -128,6 +129,8 @@ def random_triangle_free_near_bipartite(n: int, epsilon: float, noise: int, seed
     target count.  noise = 0 keeps the graph bipartite, and epsilon = 0
     with even n returns the complete balanced bipartite graph itself.
     """
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     target = round((0.25 - epsilon) * n * n)
     left = list(range(1, (n + 1) // 2 + 1))
     right = list(range(len(left) + 1, n + 1))

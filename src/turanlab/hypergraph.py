@@ -7,8 +7,10 @@ the same encoding work for any n.
 
 A Hypergraph with r = 2 is an ordinary graph, and the graph-specific
 helpers (clique counting, the auxiliary graph) live here as well because
-the auxiliary-graph reductions keep crossing between the two worlds.  Every
-one of them reads `Hypergraph.adjacency`, derived once per instance.
+the auxiliary-graph reductions keep crossing between the two worlds.  The
+pair-cover (auxiliary) graph comes in two forms, both vertex masks: the
+static `Hypergraph.adjacency`, derived once per instance and read by every
+graph helper here, and the incremental `PairCover` of the search states.
 """
 
 from __future__ import annotations
@@ -100,6 +102,34 @@ class Hypergraph:
             for b in iter_bits(e):
                 adj[b] |= e
         return tuple(m & ~(1 << b) for b, m in enumerate(adj))
+
+
+class PairCover:
+    """The pair-cover graph of a changing edge set, updated one edge at a time.
+
+    adj holds the masks `Hypergraph.adjacency` gives for the current edges,
+    and cov[p] the number of current edges over the pair mask p; remove
+    clears a pair's bits only when its count reaches 0.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.adj = [0] * n
+        self.cov: dict[int, int] = {}
+
+    def add(self, e: int) -> None:
+        for i, j in itertools.combinations(iter_bits(e), 2):
+            p = (1 << i) | (1 << j)
+            self.cov[p] = self.cov.get(p, 0) + 1
+            self.adj[i] |= 1 << j
+            self.adj[j] |= 1 << i
+
+    def remove(self, e: int) -> None:
+        for i, j in itertools.combinations(iter_bits(e), 2):
+            p = (1 << i) | (1 << j)
+            self.cov[p] -= 1
+            if not self.cov[p]:
+                self.adj[i] ^= 1 << j
+                self.adj[j] ^= 1 << i
 
 
 def all_r_subsets(n: int, r: int) -> list[int]:

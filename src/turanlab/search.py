@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 from .canonical import _twin_classes, canonical_code
 from .checkers import _CancellativeState
 from .constructions import turan_count
-from .hypergraph import Hypergraph, all_r_subsets, iter_bits, iter_cliques
+from .hypergraph import Hypergraph, PairCover, all_r_subsets, iter_bits, iter_cliques
 from .partitions import Partition
 
 DEFAULT_GUARDS = {2: 10, 3: 8}
@@ -81,59 +81,32 @@ def edge_invariants(n: int, edges: Sequence[int]) -> list[tuple[tuple[int, int],
 # Hereditary predicates with incremental add/remove/addable
 
 
-class KFreeState:
-    """Auxiliary graph stays K_{ell+1}-free; pair coverage counts track removal."""
+class KFreeState(PairCover):
+    """The pair-cover graph stays K_{ell+1}-free: e is addable when no pair it
+    newly covers has ell - 1 common neighbours forming a clique once e is in."""
 
     def __init__(self, n: int, r: int, ell: int) -> None:
         if ell < r:
             raise ValueError(f"need ell >= r, got ell = {ell}, r = {r}")
-        self.n = n
+        super().__init__(n)
         self.r = r
         self.ell = ell
-        self.adj = [0] * n
-        self.pair_cov: dict[tuple[int, int], int] = {}
-
-    def _pairs(self, e: int) -> list[tuple[int, int]]:
-        return list(itertools.combinations(list(iter_bits(e)), 2))
 
     def addable(self, e: int) -> bool:
+        adj = self.adj
         if self.r == 2:
             lo = e & -e
-            i, j = lo.bit_length() - 1, (e ^ lo).bit_length() - 1
-            if self.pair_cov.get((i, j)):
-                return True
-            common = self.adj[i] & self.adj[j]
+            common = adj[lo.bit_length() - 1] & adj[(e ^ lo).bit_length() - 1]
             if self.ell == 2:
                 return common == 0
-            return next(iter_cliques(self.adj, common, self.ell - 1), None) is None
-        pairs = self._pairs(e)
-        new = [(i, j) for i, j in pairs if not self.pair_cov.get((i, j))]
+            return next(iter_cliques(adj, common, self.ell - 1), None) is None
+        new = [(i, j) for i, j in itertools.combinations(iter_bits(e), 2) if not adj[i] >> j & 1]
         if not new:
             return True
-        adj2 = list(self.adj)
-        for i, j in pairs:
-            adj2[i] |= 1 << j
-            adj2[j] |= 1 << i
-        for i, j in new:
-            if next(iter_cliques(adj2, adj2[i] & adj2[j], self.ell - 1), None) is not None:
-                return False
-        return True
-
-    def add(self, e: int) -> None:
-        for i, j in self._pairs(e):
-            c = self.pair_cov.get((i, j), 0)
-            self.pair_cov[(i, j)] = c + 1
-            if c == 0:
-                self.adj[i] |= 1 << j
-                self.adj[j] |= 1 << i
-
-    def remove(self, e: int) -> None:
-        for i, j in self._pairs(e):
-            c = self.pair_cov[(i, j)] - 1
-            self.pair_cov[(i, j)] = c
-            if c == 0:
-                self.adj[i] &= ~(1 << j)
-                self.adj[j] &= ~(1 << i)
+        adj2 = list(adj)
+        for b in iter_bits(e):
+            adj2[b] |= e ^ (1 << b)
+        return all(next(iter_cliques(adj2, adj2[i] & adj2[j], self.ell - 1), None) is None for i, j in new)
 
 
 @dataclass
@@ -193,7 +166,6 @@ def extremal_number(
         state = _CancellativeState(n)
     else:
         state = KFreeState(n, r, ell if predicate == "k-free" else 2)
-    candidates = all_r_subsets(n, r)
     cur: list[int] = []
     visited: set[tuple[int, ...]] = set()
     best = 0
@@ -202,25 +174,21 @@ def extremal_number(
     exhausted = False
     cap_hit = False
 
-    def record_tie(code: Optional[tuple[int, ...]]) -> None:
-        nonlocal cap_hit
+    def note_state(code: Optional[tuple[int, ...]]) -> None:
+        nonlocal best, cap_hit
+        m = len(cur)
+        if m < best:
+            return
+        if m > best:
+            best = m
+            best_codes.clear()
+            cap_hit = False
         if code is None:
             code = canonical_code(n, cur)
         if len(best_codes) < WITNESS_CAP:
             best_codes.add(code)
         elif code not in best_codes:
             cap_hit = True
-
-    def note_state(code: Optional[tuple[int, ...]]) -> None:
-        nonlocal best, cap_hit
-        m = len(cur)
-        if m > best:
-            best = m
-            best_codes.clear()
-            cap_hit = False
-            record_tie(code)
-        elif m == best:
-            record_tie(code)
 
     def push(e: int) -> None:
         cur.append(e)
@@ -231,14 +199,11 @@ def extremal_number(
         cur.pop()
 
     def dfs(code: tuple[int, ...], addable: list[int]) -> None:
+        """Expand a node whose bound len(cur) + len(addable) its caller checked."""
         nonlocal nodes, exhausted
-        if exhausted:
-            return
         nodes += 1
         if nodes > node_budget:
             exhausted = True
-            return
-        if len(cur) + len(addable) < best:
             return
         note_state(code)
         if len(addable) <= LABELED_TAIL:
@@ -291,7 +256,7 @@ def extremal_number(
                 return
 
     visited.add(())
-    dfs((), [e for e in candidates if state.addable(e)])
+    dfs((), [e for e in all_r_subsets(n, r) if state.addable(e)])
     runtime = time.perf_counter() - t0
     witnesses = [Hypergraph(n, r, code) for code in sorted(best_codes)]
     return ExtremalRecord(

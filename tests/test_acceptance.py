@@ -5,14 +5,9 @@ lines.  Every tolerance and grid here is pinned; the runtime budgets are
 asserted, not aspirational.
 """
 
-import itertools
-import json
 import random
 import time
 
-import pytest
-
-from turanlab.canonical import canonical_code
 from turanlab.checkers import (
     fisher_ryan_certificate,
     inequality2_certificate,

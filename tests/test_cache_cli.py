@@ -5,13 +5,11 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 import turanlab
 from turanlab.cache import CacheEntry, cache_entries, cache_lookup, cache_store, resolve_cache_path
 from turanlab.cli import run
 from turanlab.constructions import turan_hypergraph
-from turanlab.hypergraph import auxiliary_graph, format_hypergraph, save_hypergraph
+from turanlab.hypergraph import auxiliary_graph, save_hypergraph
 from turanlab.search import SEARCH_VERSION
 
 # child interpreters import the same turanlab as this suite, with or without PYTHONPATH
@@ -143,6 +141,23 @@ def test_cli_usage_errors(tmp_path, capsys):
         ["search", "--n", "5", "--r", "1", "--predicate", "k-free", "--ell", "2", "--cache", cache], capsys
     )
     assert code == 2 and out == "" and "uniformity must be >= 2, got 1" in err
+    # a path that exists but cannot be read as a file is a usage error, not a violation
+    code, out, err = run_cli(["verify", "cancellative", str(tmp_path)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ") and "directory" in err
+    code, out, err = run_cli(
+        ["search", "--n", "5", "--r", "2", "--predicate", "triangle-free", "--cache", str(tmp_path)], capsys
+    )
+    assert code == 2 and out == "" and err.startswith("error: ") and "directory" in err
+
+
+def test_cli_rejects_non_finite_epsilon(capsys):
+    for eps in ("inf", "nan"):
+        for args in (
+            ["construct", "triangle-free", "--n", "6", "--epsilon", eps, "--seed", "1"],
+            ["scan", "--kind", "triangle-free", "--n", "6", "--params", eps, "--seeds", "1"],
+        ):
+            code, out, err = run_cli(args, capsys)
+            assert code == 2 and out == "" and f"epsilon must be finite, got {eps}" in err
 
 
 def test_cli_search_cache_flow(tmp_path, capsys, monkeypatch):

@@ -37,7 +37,6 @@ from turanlab.hypergraph import (
     all_r_subsets,
     auxiliary_graph,
     contains_clique,
-    count_cliques,
     mask_of,
     vertices_of,
 )

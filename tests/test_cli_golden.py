@@ -8,7 +8,12 @@ queries, the cuts, the greedy clique removal and the bipartite analyzer
 across that change; criterion 9 only compares runs of one implementation.
 The rows from "perturb-3-keep-cancellative" on were recorded before the
 exact cut moved to per-block masks, the clique removal to a single clique
-listing and the cancellative perturbation to one incremental state.
+listing and the cancellative perturbation to one incremental state.  The
+rows from "random-cancellative" on were recorded before both incremental
+search states moved onto one pair-cover graph (`hypergraph.PairCover`): the
+greedy maximal cancellative construction, the cancellativity and
+neighbourhood checks, and, through `nodes_explored` and the witnesses, the
+searches of both states.
 A change that means to alter one of these outputs must say so and re-record.
 """
 
@@ -85,6 +90,35 @@ GOLDEN = [
     # 31 removal rounds, then the exact cut of the cleaned graph
     ("stability-generalized-many-rounds-json", "stability generalized {g20} --ell 3 --r 3 --seed 2 --json", None, 0,
      "3e66b8c4484d37a140478feb489713dd5364f08455071f13aeac60b29840d078"),
+    # the search rows pin nodes_explored and the witnesses of both predicate states
+    ("random-cancellative", "construct random-cancellative --n 12 --seed 3", None, 0,
+     "71e94f7416bf17f8f52b9c55e46c171475c1681f90123d552e84df8cfc63e9cf"),
+    ("random-cancellative-json", "construct random-cancellative --n 12 --seed 3 --json", None, 0,
+     "a07770ec7d123f9f1f9a7bc8d54ab9ccd4d87266f1a13317f4dcb4996f1c6588"),
+    ("verify-cancellative", "verify cancellative {h3}", None, 0,
+     "8154b2f717e11f4f6dc95a5b350bf0efce3eef9abd12838e53b5a2bd48d0e38b"),
+    ("verify-cancellative-violated", "verify cancellative {h3bad}", None, 1,
+     "64d956bc4268137ba25243f92e1219fbebb99920dfb14465196fd0b9e3e571d1"),
+    ("verify-neighborhoods-independent", "verify neighborhoods-independent {h3}", None, 0,
+     "b1986295e43ce589c9d4f991aabf3902f473e2dad8d59d430abb038dc9dbdbb5"),
+    ("verify-neighborhoods-independent-violated", "verify neighborhoods-independent {h3bad}", None, 1,
+     "ad336948955dfc1072d98cfaca4bd3807148ca78fe0d167b00d76f043e35f5ff"),
+    ("verify-links-triangle-free", "verify links-triangle-free {h3}", None, 0,
+     "2f59eb01ac6862796768779cacfb743b41e99c39d6f8a444f4a721324ec1b2c6"),
+    ("verify-links-triangle-free-violated", "verify links-triangle-free {h3bad}", None, 1,
+     "75ef94074e248207a526389b76bab8e68483c46672d5bf8d510b06ccb4d5cdb3"),
+    ("search-cancellative-7", "search --n 7 --r 3 --predicate cancellative --no-cache", None, 0,
+     "637b51f0b6c67f72477f93a25424012bb28b3a0b787894fb3c63df34d35bee51"),
+    ("search-k-free-r3-ell3-6", "search --n 6 --r 3 --predicate k-free --ell 3 --no-cache", None, 0,
+     "60d31f5f23c9b660c8c9995824ccfb9bc7196303f60b6ded4b71671230402f0e"),
+    ("search-k-free-r4-ell4-5", "search --n 5 --r 4 --predicate k-free --ell 4 --no-cache", None, 0,
+     "e25780c986124699b6c483c485ea291b0cd45bbb824312e4b01ecc4003e6ebf8"),
+    ("search-triangle-free-8", "search --n 8 --r 2 --predicate triangle-free --no-cache", None, 0,
+     "f69e46bce2e63df7d37799b50797bee74b4b54f0af7394f5f5d712d8aedba100"),
+    ("search-k-free-r2-ell3-6", "search --n 6 --r 2 --predicate k-free --ell 3 --no-cache", None, 0,
+     "c801eed98494947a25bd586c0f45da8ceba9fe015e427ae8ef40c3cf791e078c"),
+    ("search-cancellative-7-budget", "search --n 7 --r 3 --predicate cancellative --no-cache --budget 50", None, 3,
+     "134260010dc9ca7627d4f5e5139c7dccb6ee40126b4e7e742d6946f6468fadb8"),
 ]
 
 

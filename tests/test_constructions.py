@@ -26,7 +26,7 @@ from turanlab.hypergraph import (
 )
 from turanlab.checkers import _CancellativeState
 
-from oracles import are_isomorphic, is_subgraph, k_family
+from oracles import _embed_on_own_support, are_isomorphic, is_subgraph, k_family
 
 
 def test_balanced_partition_shapes():
@@ -134,30 +134,8 @@ def _k33_member_oracle():
                 for p in group:
                     edges.append(mask_of(p + (nxt,)))
                 nxt += 1
-            support = 0
-            for e in edges:
-                support |= e
-            nverts = support.bit_count()
-            # relabel onto 1..nverts
-            relabel = {}
-            idx = 0
-            m = support
-            while m:
-                low = m & -m
-                relabel[low.bit_length() - 1] = idx
-                idx += 1
-                m ^= low
-            normed = []
-            for e in edges:
-                out = 0
-                mm = e
-                while mm:
-                    low = mm & -mm
-                    out |= 1 << relabel[low.bit_length() - 1]
-                    mm ^= low
-                normed.append(out)
-            g = Hypergraph(nverts, 3, tuple(sorted(normed)))
-            found[(nverts, canonical_code(nverts, g.edges))] = g
+            g = _embed_on_own_support(edges, 3)
+            found[(g.n, canonical_code(g.n, g.edges))] = g
     # minimality: drop members containing another member as a subgraph
     keys = sorted(found, key=lambda k: (len(found[k].edges), k))
     minimal = []
@@ -291,6 +269,12 @@ def test_triangle_free_generator():
         assert g.size == round((0.25 - 0.03) * 196)
     with pytest.raises(ValueError):
         random_triangle_free_near_bipartite(10, -0.5, 0, seed=1)  # target above max
+
+
+def test_triangle_free_generator_rejects_non_finite_epsilon():
+    for eps in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            random_triangle_free_near_bipartite(6, eps, 0, seed=1)
 
 
 def test_generator_determinism():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from turanlab.hypergraph import (
     Hypergraph,
+    PairCover,
     all_r_subsets,
     auxiliary_graph,
     contains_clique,
@@ -269,6 +270,46 @@ def test_adjacency_and_auxiliary_graph_match_oracle(h):
     assert h.adjacency == graph_adjacency_oracle(oracle) == g.adjacency
     if h.r == 2:
         assert g == h
+
+
+def test_pair_cover_keeps_a_shared_pair():
+    for r in (3, 4):
+        a, b = mask_of(range(1, r + 1)), mask_of([1, 2, *range(r + 1, 2 * r - 1)])
+        pc = PairCover(2 * r)
+        pc.add(a)
+        pc.add(b)
+        pc.remove(a)
+        # {1, 2} is still covered by b; a's other pairs are gone
+        assert list(pc.adj) == list(Hypergraph(2 * r, r, (b,)).adjacency)
+        assert pc.adj[0] >> 1 & 1 and pc.cov[0b11] == 1
+        pc.remove(b)
+        assert pc.adj == [0] * (2 * r)
+
+
+# each step adds the i-th r-set (mod their count) or removes the i-th current
+# edge (mod their count); a removed edge may be added again
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(4, 9),
+    st.sampled_from([2, 3, 4]),
+    st.lists(st.tuples(st.sampled_from(["add", "add", "remove"]), st.integers(0, 1000)), max_size=40),
+)
+def test_pair_cover_matches_static_adjacency(n, r, steps):
+    pc = PairCover(n)
+    current = []
+    cands = all_r_subsets(n, r)
+    for op, i in steps:
+        if op == "remove":
+            if not current:
+                continue
+            pc.remove(current.pop(i % len(current)))
+        else:
+            e = cands[i % len(cands)]
+            if e in current:
+                continue
+            pc.add(e)
+            current.append(e)
+        assert list(pc.adj) == list(Hypergraph(n, r, tuple(current)).adjacency)
 
 
 def test_text_format_tolerance_and_errors():

@@ -20,7 +20,6 @@ from turanlab.hypergraph import (
     all_r_subsets,
     contains_clique,
     iter_bits,
-    mask_of,
 )
 from turanlab.partitions import Partition
 from turanlab.search import check_request, extremal_number, max_ell_cut, vertex_move_optimal
