@@ -131,6 +131,10 @@ def random_triangle_free_near_bipartite(n: int, epsilon: float, noise: int, seed
     """
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if noise < 0:
+        raise ValueError(f"noise must be >= 0, got {noise}")
     target = round((0.25 - epsilon) * n * n)
     left = list(range(1, (n + 1) // 2 + 1))
     right = list(range(len(left) + 1, n + 1))

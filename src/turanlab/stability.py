@@ -1,5 +1,10 @@
 """Partition extractors, the clique-removal pipeline, and the bipartite-distance analyzer.
 
+Every extractor reports through one measurement: epsilon = 1 - count/target,
+how far the measured count falls below the extremal one, and delta = bad/n^r,
+the share of edges the extracted partition leaves bad.  The inputs need
+n >= 1; an empty vertex set is a precondition error.
+
 The cancellative extractor follows the constructive proof chain: a shadow
 pair T with maximal normalized co-link mass, a pair (u, v) in N(T)^2 with
 the largest pair link, then `lemma25_pair` on that pair link L: its
@@ -76,7 +81,6 @@ class BipartiteDistanceReport:
     delta: float
     partition: Partition
     bad_edge_list: list[tuple[int, ...]]
-    missing_pairs: list[tuple[int, int]]
     missing_count: int
     b1_internal: int
     b2_internal: int
@@ -109,25 +113,35 @@ def _cut_mode(n: int) -> str:
     return "exact" if n <= EXACT_CUT_CEILING else "local"
 
 
-def extract_partition_kfree(h: Hypergraph, ell: int, seed: int = 0) -> StabilityReport:
-    """Partition a pair-cover-free r-graph via the best ell-cut of its auxiliary graph."""
-    if not is_k_free(h, ell):
-        raise ValueError("input is not free of the pair-cover family for this ell")
-    g = auxiliary_graph(h)
-    part, _ = max_ell_cut(g, ell, mode=_cut_mode(h.n), seed=seed)
-    bad = bad_edges(h, part)
-    target = turan_count(h.n, h.r, ell)
-    eps = 1.0 - h.size / target if target else 0.0
+def _require_vertices(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"the stability measures need n >= 1, got n = {n}")
+
+
+def _measure(
+    h: Hypergraph, part: Partition, bad: list[int], count: int, target: int, chain: Optional[dict] = None
+) -> StabilityReport:
+    """The (epsilon, delta) report of a partition of h: count against target, bad edges over n^r."""
+    _require_vertices(h.n)
     return StabilityReport(
         n=h.n,
         r=h.r,
         edges=h.size,
         target=target,
-        epsilon=eps,
+        epsilon=1.0 - count / target if target else 0.0,
         delta=len(bad) / h.n**h.r,
         bad_edge_count=len(bad),
         partition=part,
+        witness_chain=chain,
     )
+
+
+def extract_partition_kfree(h: Hypergraph, ell: int, seed: int = 0) -> StabilityReport:
+    """Partition a pair-cover-free r-graph via the best ell-cut of its auxiliary graph."""
+    if not is_k_free(h, ell):
+        raise ValueError("input is not free of the pair-cover family for this ell")
+    part, _ = max_ell_cut(auxiliary_graph(h), ell, mode=_cut_mode(h.n), seed=seed)
+    return _measure(h, part, bad_edges(h, part), h.size, turan_count(h.n, h.r, ell))
 
 
 def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
@@ -153,21 +167,13 @@ def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
             num * best_den == best_num * den and d > best_d
         ):
             best_i, best_num, best_den, best_d = i, num, den, d
-    t_mask = ix.ts[best_i]
     nbrs = [b + 1 for b in iter_bits(ix.nbr[best_i])]
-    d_t = len(nbrs)
     score = Fraction(best_num, best_den) if best_den else Fraction(0)
 
-    # (ii) ordered pair (u, v) in N(T)^2 with the largest pair link, lex ties
-    best_pair = None
-    best_size = -1
-    for u in nbrs:
-        for v in nbrs:
-            size = sizes[u - 1][v - 1]
-            if size > best_size:
-                best_size = size
-                best_pair = (u, v)
-    u, v = best_pair
+    # (ii) ordered pair (u, v) in N(T)^2 with the largest pair link; max keeps
+    # the first maximal pair, so ties go lex
+    u, v = max(itertools.product(nbrs, repeat=2), key=lambda p: sizes[p[0] - 1][p[1] - 1])
+    best_size = sizes[u - 1][v - 1]
 
     # (iii) the pair link as a graph, then lemma25_pair: its max-degree-sum
     # edge {x, y} with V2 = N_L(x) and V3 = N_L(y)
@@ -183,34 +189,23 @@ def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
 
     v2_mask, v3_mask = mask_of(v2), mask_of(v3)
     assert v2_mask & v3_mask == 0, "V2 and V3 must be disjoint (link graph is triangle-free)"
-    for blk in (v2_mask, v3_mask):
-        for e in h.edges:
-            assert (e & blk).bit_count() < 2, "V2 and V3 must be independent in H"
     v1 = [w for w in range(1, n + 1) if not ((1 << (w - 1)) & (v2_mask | v3_mask))]
     part = Partition(n, (tuple(v1), tuple(v2), tuple(v3)))
-
     bad = bad_edges(h, part)
-    target = turan_count(n, 3, 3)
+    for e in bad:  # two vertices in V2 or in V3 make an edge bad
+        for blk in (v2_mask, v3_mask):
+            assert (e & blk).bit_count() < 2, "V2 and V3 must be independent in H"
+
     chain = {
-        "T": vertices_of(t_mask),
-        "T_degree": d_t,
+        "T": vertices_of(ix.ts[best_i]),
+        "T_degree": len(nbrs),
         "T_neighborhood": nbrs,
         "score": float(score),
         "pair": [u, v],
         "pair_link_size": best_size,
         "edge": [x, y],
     }
-    return StabilityReport(
-        n=n,
-        r=3,
-        edges=h.size,
-        target=target,
-        epsilon=1.0 - h.size / target,
-        delta=len(bad) / n**3,
-        bad_edge_count=len(bad),
-        partition=part,
-        witness_chain=chain,
-    )
+    return _measure(h, part, bad, h.size, turan_count(n, 3, 3), chain)
 
 
 def lemma25_pair(g: Hypergraph) -> tuple[int, int, frozenset[int], frozenset[int]]:
@@ -284,18 +279,8 @@ def extract_partition_generalized(
     kr = count_cliques(cleaned, r)
     target = turan_count(g.n, r, ell)
     part, _ = max_ell_cut(cleaned, ell, mode=_cut_mode(g.n), seed=seed)
-    bad = bad_edges(g, part)
-    return StabilityReport(
-        n=g.n,
-        r=2,
-        edges=g.size,
-        target=target,
-        epsilon=1.0 - kr / target if target else 0.0,
-        delta=len(bad) / g.n**2,
-        bad_edge_count=len(bad),
-        partition=part,
-        witness_chain={"removed_edges": [list(p) for p in removed], "clique_count": kr},
-    )
+    chain = {"removed_edges": [list(p) for p in removed], "clique_count": kr}
+    return _measure(g, part, bad_edges(g, part), kr, target, chain)
 
 
 def bipartite_distance_analysis(g: Hypergraph, seed: int = 0) -> BipartiteDistanceReport:
@@ -312,52 +297,38 @@ def bipartite_distance_analysis(g: Hypergraph, seed: int = 0) -> BipartiteDistan
     if contains_clique(g, 3):
         raise ValueError("input graph must be triangle-free")
     n = g.n
+    _require_vertices(n)
     part, _ = max_ell_cut(g, 2, mode=_cut_mode(n), seed=seed)
 
     adj = g.adjacency
+    bad = bad_edges(g, part)
     masks = part.block_masks()
-    internal = [0, 0]
-    for e in g.edges:
-        for k in (0, 1):
-            if e & masks[k] == e:
-                internal[k] += 1
+    # with two blocks every bad edge lies inside exactly one of them
+    internal = [sum(e & m == e for e in bad) for m in masks]
     if internal[1] > internal[0]:
-        part = Partition(n, (part.blocks[1], part.blocks[0]))
-        masks = part.block_masks()
-        internal = [internal[1], internal[0]]
+        part = Partition(n, part.blocks[::-1])
+        masks.reverse()
+        internal.reverse()
 
     move_optimal = vertex_move_optimal(g, part)
     assert move_optimal, "maxant cut must be vertex-move-optimal"
 
     v1, v2 = part.blocks
     m1, m2 = masks
-    bad = bad_edges(g, part)
     b_count = len(bad)
-    cross = g.size - b_count
-    missing_list = [
-        (u, w) for u in v1 for w in v2 if not adj[u - 1] & (1 << (w - 1))
-    ]
-    missing = len(missing_list)
-    assert missing == len(v1) * len(v2) - cross
-    eps = 0.25 - g.size / (n * n)
-    delta = b_count / (n * n)
+    missing = sum((m2 & ~adj[u - 1]).bit_count() for u in v1)
+    assert missing == len(v1) * len(v2) - (g.size - b_count)
 
     d1 = {w: (adj[w - 1] & m1).bit_count() for w in v1}
-    d2 = {w: (adj[w - 1] & m2).bit_count() for w in v1}
     big = max(d1.values(), default=0)
     vstar = min((w for w in v1 if d1[w] == big), default=None)
 
-    verified: dict[str, bool] = {}
-    verified["a_per_vertex_move_optimal"] = move_optimal
-
+    verified = {"a_per_vertex_move_optimal": move_optimal}
     if vstar is not None and big > 0:
         n1 = adj[vstar - 1] & m1
         n2 = adj[vstar - 1] & m2
-        no_edge_between = all(
-            not (adj[b] & n2) for b in iter_bits(n1)
-        )
-        verified["b_neighborhood_product_missing"] = no_edge_between
-        verified["b_missing_ge_delta_sq"] = missing >= d1[vstar] * d2[vstar] >= big * big
+        verified["b_neighborhood_product_missing"] = all(not (adj[b] & n2) for b in iter_bits(n1))
+        verified["b_missing_ge_delta_sq"] = missing >= d1[vstar] * n2.bit_count() >= big * big
     else:
         verified["b_neighborhood_product_missing"] = True
         verified["b_missing_ge_delta_sq"] = missing >= 0
@@ -384,20 +355,18 @@ def bipartite_distance_analysis(g: Hypergraph, seed: int = 0) -> BipartiteDistan
     verified["c_missing_ge_matching_bound"] = missing >= bound_sum >= len(matching) * len(v2)
     verified["d_missing_le_eps_plus_delta"] = 4 * missing <= n * n - 4 * g.size + 4 * b_count
 
-    case = 1 if big**3 >= b_count * n else 2
     return BipartiteDistanceReport(
         n=n,
         edges=g.size,
-        epsilon=eps,
-        delta=delta,
+        epsilon=0.25 - g.size / (n * n),
+        delta=b_count / (n * n),
         partition=part,
         bad_edge_list=[vertices_of(e) for e in bad],
-        missing_pairs=missing_list,
         missing_count=missing,
         b1_internal=internal[0],
         b2_internal=internal[1],
         max_internal_degree=big,
-        case=case,
+        case=1 if big**3 >= b_count * n else 2,
         matching=matching,
         verified=verified,
         notes={
@@ -440,13 +409,16 @@ def epsilon_delta_scan(
         raise ValueError(f"unknown scan kind {kind!r}")
 
     rows = []
+    bases: dict[int, Hypergraph] = {}  # T3(n), built on first use
     for p, n, s in itertools.product(params, ns, seeds):
         if kind == "triangle-free":
             g = random_triangle_free_near_bipartite(n, p, noise, s)
             rep = bipartite_distance_analysis(g, seed=s)
             rows.append(ScanRow(n, s, rep.epsilon, rep.delta, len(rep.bad_edge_list), str(rep.case)))
         else:
-            h = perturb(turan_hypergraph(n, 3, 3), p, 0, s)
+            if n not in bases:
+                bases[n] = turan_hypergraph(n, 3, 3)
+            h = perturb(bases[n], p, 0, s)
             if kind == "cancellative":
                 rep2 = extract_partition_cancellative(h)
             else:

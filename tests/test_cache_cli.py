@@ -9,7 +9,7 @@ import turanlab
 from turanlab.cache import CacheEntry, cache_entries, cache_lookup, cache_store, resolve_cache_path
 from turanlab.cli import run
 from turanlab.constructions import turan_hypergraph
-from turanlab.hypergraph import auxiliary_graph, save_hypergraph
+from turanlab.hypergraph import Hypergraph, auxiliary_graph, mask_of, save_hypergraph
 from turanlab.search import SEARCH_VERSION
 
 # child interpreters import the same turanlab as this suite, with or without PYTHONPATH
@@ -148,6 +148,17 @@ def test_cli_usage_errors(tmp_path, capsys):
         ["search", "--n", "5", "--r", "2", "--predicate", "triangle-free", "--cache", str(tmp_path)], capsys
     )
     assert code == 2 and out == "" and err.startswith("error: ") and "directory" in err
+    # the stability measures divide by n, so an empty vertex set is a precondition error
+    for r in (2, 3):
+        (tmp_path / f"empty{r}.txt").write_text(f"0 {r}\n")
+    for args in (
+        ["stability", "bipartite", str(tmp_path / "empty2.txt"), "--seed", "0"],
+        ["stability", "kfree", str(tmp_path / "empty3.txt"), "--ell", "3", "--seed", "0"],
+        ["stability", "generalized", str(tmp_path / "empty2.txt"), "--ell", "3", "--r", "3", "--seed", "0"],
+        ["scan", "--kind", "triangle-free", "--n", "0", "--params", "0", "--seeds", "1"],
+    ):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == "" and err == "error: the stability measures need n >= 1, got n = 0\n"
 
 
 def test_cli_rejects_non_finite_epsilon(capsys):
@@ -158,6 +169,19 @@ def test_cli_rejects_non_finite_epsilon(capsys):
         ):
             code, out, err = run_cli(args, capsys)
             assert code == 2 and out == "" and f"epsilon must be finite, got {eps}" in err
+
+
+def test_cli_rejects_negative_generator_sizes(capsys):
+    for args, message in (
+        (["construct", "triangle-free", "--n", "6", "--epsilon", "0.1", "--noise", "-4", "--seed", "1"],
+         "noise must be >= 0, got -4"),
+        (["construct", "triangle-free", "--n", "-3", "--epsilon", "0.1", "--seed", "1"], "n must be >= 0, got -3"),
+        (["scan", "--kind", "triangle-free", "--n", "6", "--params", "0.1", "--seeds", "1", "--noise", "-4"],
+         "noise must be >= 0, got -4"),
+        (["scan", "--kind", "triangle-free", "--n", "-3", "--params", "0.1", "--seeds", "1"], "n must be >= 0, got -3"),
+    ):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
 def test_cli_search_cache_flow(tmp_path, capsys, monkeypatch):
@@ -405,3 +429,21 @@ def test_cli_entry_point_subprocess():
     )
     assert script.returncode == 0
     assert script.stdout.startswith("4 2\n")
+
+
+def test_cli_module_runs_as_script(tmp_path, capsys):
+    # `python -m turanlab.cli` is the entry point of a checkout that is not installed
+    good, bad = str(tmp_path / "good.txt"), str(tmp_path / "bad.txt")
+    t6 = turan_hypergraph(6, 3, 3)
+    save_hypergraph(good, t6)
+    save_hypergraph(bad, Hypergraph(6, 3, t6.edges + (mask_of((1, 2, 4)),)))
+    for path, expected in ((good, 0), (bad, 1)):
+        code, out, _ = run_cli(["verify", "cancellative", path], capsys)
+        script = subprocess.run(
+            [sys.executable, "-m", "turanlab.cli", "verify", "cancellative", path],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert code == script.returncode == expected
+        assert script.stdout == out != ""

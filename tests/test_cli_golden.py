@@ -14,6 +14,10 @@ search states moved onto one pair-cover graph (`hypergraph.PairCover`): the
 greedy maximal cancellative construction, the cancellativity and
 neighbourhood checks, and, through `nodes_explored` and the witnesses, the
 searches of both states.
+The rows from "stability-cancellative" on were recorded before every
+extractor measured (epsilon, delta) through one helper and the bipartite
+analyzer took its internal counts from one bad-edge list: the cancellative
+extractor, a block swap in the analyzer, and a scan that repeats each n.
 A change that means to alter one of these outputs must say so and re-record.
 """
 
@@ -119,6 +123,22 @@ GOLDEN = [
      "c801eed98494947a25bd586c0f45da8ceba9fe015e427ae8ef40c3cf791e078c"),
     ("search-cancellative-7-budget", "search --n 7 --r 3 --predicate cancellative --no-cache --budget 50", None, 3,
      "134260010dc9ca7627d4f5e5139c7dccb6ee40126b4e7e742d6946f6468fadb8"),
+    ("stability-cancellative", "stability cancellative {h3}", None, 0,
+     "13b2adbe552a3099e16abbe0655a1fc91c2f53cd1e15a152c220dfc113e5f349"),
+    ("stability-cancellative-json", "stability cancellative {h3} --json", None, 0,
+     "8ee72bbe594671a4b624dfc43318eaa36fa3e0892b949ad937fe0b2124aa5457"),
+    ("stability-cancellative-n18-json", "stability cancellative {h18} --json", None, 0,
+     "62a37f133689e4858c5568a63c0ca61206587fb42625ddaf05cca1bd1b6fda26"),
+    ("triangle-free-n24", "construct triangle-free --n 24 --epsilon 0.02 --noise 8 --seed 0", "tf24", 0,
+     "5d9dbd841a2b82584d6dcb2d6950274b031a1e203a34952021262e488d2dc5b6"),
+    # the cut puts the one internal edge in its second block, so the analyzer swaps blocks
+    ("stability-bipartite-swap", "stability bipartite {tf24} --seed 0", None, 0,
+     "2e5e1de187a876b919011efec8da239355bf8021f3d6e59a53d24a8792f44f11"),
+    ("stability-bipartite-swap-json", "stability bipartite {tf24} --seed 0 --json", None, 0,
+     "9ef37190041b1b26ab3520c6f4af8afcb65930334fd65f9fe7ece8d6f0f70bd6"),
+    # each n comes twice, once per delete fraction
+    ("scan-cancellative", "scan --kind cancellative --n 15,30 --params 0.01,0.05 --seeds 1,2", None, 0,
+     "c73591d128416ddc145f0fe15b018e2f108ba92158a3008547f21ff3da394239"),
 ]
 
 

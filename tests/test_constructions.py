@@ -277,6 +277,13 @@ def test_triangle_free_generator_rejects_non_finite_epsilon():
             random_triangle_free_near_bipartite(6, eps, 0, seed=1)
 
 
+def test_triangle_free_generator_rejects_negative_sizes():
+    with pytest.raises(ValueError, match="noise must be >= 0, got -4"):
+        random_triangle_free_near_bipartite(6, 0.1, -4, seed=1)
+    with pytest.raises(ValueError, match="n must be >= 0, got -3"):
+        random_triangle_free_near_bipartite(-3, 0.1, 0, seed=1)
+
+
 def test_generator_determinism():
     a = random_triangle_free_near_bipartite(16, 0.02, 8, seed=9)
     b = random_triangle_free_near_bipartite(16, 0.02, 8, seed=9)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import turanlab.stability as stability_mod
 from turanlab.checkers import is_k_free
+from turanlab.cli import run
 from turanlab.constructions import (
     balanced_partition,
     perturb,
@@ -25,6 +26,7 @@ from turanlab.hypergraph import (
     iter_bits,
     iter_cliques,
     mask_of,
+    save_hypergraph,
     vertices_of,
 )
 from turanlab.partitions import Partition, bad_edges
@@ -68,6 +70,29 @@ def test_cancellative_extractor_preconditions():
         extract_partition_cancellative(
             Hypergraph.from_edges(5, 3, [(1, 2, 3), (1, 2, 4), (3, 4, 5)])
         )
+
+
+def test_cancellative_extractor_asserts_independent_blocks(monkeypatch, tmp_path, capsys):
+    # V2 = {1, 4} holds two vertices of the edge {1, 4, 7} of T3(9)
+    monkeypatch.setattr(stability_mod, "lemma25_pair", lambda g: (1, 2, frozenset({1, 4}), frozenset({2, 5})))
+    h = turan_hypergraph(9, 3, 3)
+    with pytest.raises(AssertionError, match="V2 and V3 must be independent in H"):
+        extract_partition_cancellative(h)
+    path = tmp_path / "t9.txt"
+    save_hypergraph(str(path), h)
+    assert run(["stability", "cancellative", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "violation: V2 and V3 must be independent in H\n"
+
+
+def test_stability_measures_need_vertices():
+    for call in (
+        lambda: extract_partition_kfree(Hypergraph(0, 3, ()), 3),
+        lambda: extract_partition_generalized(Hypergraph(0, 2, ()), 3, 3),
+        lambda: bipartite_distance_analysis(Hypergraph(0, 2, ())),
+    ):
+        with pytest.raises(ValueError, match="need n >= 1, got n = 0"):
+            call()
 
 
 def test_cancellative_extractor_perturbed_recount():
