@@ -14,6 +14,13 @@ certificate that needs a cancellative input shares one index with its
 precondition (`_cancellative_index`): the index is built once, scanned for
 a cancellativity witness, then read by the certificate.  The incremental
 search state extends `hypergraph.PairCover` with N(T) and co-link counts.
+
+The pair-link certificate (`mantel_link_bound`) is decided on the diagonal.
+Its three tests on a triple (T, u, v) only get easier when L(u, v) shrinks
+with T fixed, L(u, v) is a subgraph of L(u), and (T, u, u) is itself a
+checked triple whenever u is in N(T).  So every triple passes iff every
+diagonal triple does, which is one pass over the vertex links: O(|E|) mask
+operations instead of one pair link per (T, u, v).
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from typing import Collection, Optional
+from typing import Optional, Sequence
 
 from .hypergraph import Hypergraph, PairCover, contains_clique, count_cliques, iter_bits, iter_cliques, vertices_of
 
@@ -151,8 +158,7 @@ def links_triangle_free(h: Hypergraph) -> bool:
     """Every vertex link of a 3-graph is triangle-free (a cancellativity consequence)."""
     if h.r != 3:
         raise ValueError("links_triangle_free expects r = 3")
-    ix = _Incidence(h)
-    return all(ix.detail(u, u)[1] for u in range(h.n))
+    return all(map(_triangle_free_rows, _Incidence(h).pair_nbr))
 
 
 def neighborhoods_independent(h: Hypergraph) -> bool:
@@ -172,15 +178,10 @@ def neighborhoods_independent(h: Hypergraph) -> bool:
 # The incidence index every 3-graph reader works from
 
 
-def _triangle_free(edges: Collection[int]) -> bool:
-    """A graph given by its pair masks has no triangle: no edge {i, j} whose
-    ends have a common neighbor (adj[i] & adj[j] != 0)."""
-    adj: dict[int, int] = {}
-    for e in edges:
-        low = e & -e
-        adj[low] = adj.get(low, 0) | (e ^ low)
-        adj[e ^ low] = adj.get(e ^ low, 0) | low
-    return not any(adj[e & -e] & adj[e ^ (e & -e)] for e in edges)
+def _triangle_free_rows(rows: Sequence[int]) -> bool:
+    """The graph with adjacency masks rows[a] has no triangle: no edge
+    {a, b}, a < b, whose ends have a common neighbor (rows[a] & rows[b])."""
+    return not any(ra & rows[b] for a, ra in enumerate(rows) for b in iter_bits(ra & -(2 << a)))
 
 
 class _Incidence:
@@ -191,11 +192,17 @@ class _Incidence:
                  exactly the pairs some edge covers
       nbr[i]  -- N(ts[i]) as a vertex mask
       col[u]  -- L(u) as a mask over shadow indices (bit i iff u in N(ts[i]))
-      adj[u]  -- the pair-cover (auxiliary graph) adjacency mask of u
-      size    -- size[u][v] = |L(u, v)| = popcount(col[u] & col[v]), with the
-                 diagonal |L(u, u)| = |L(u)|; built on first use
-    detail(u, v) gives the support mask of L(u, v) and whether L(u, v) is
-    triangle-free, computed on the first call for the unordered pair.
+      adj[u]  -- the pair-cover (auxiliary graph) adjacency mask of u, which
+                 is also the vertex set of the link L(u)
+    and, built on first use:
+      size     -- size[u][v] = |L(u, v)| = popcount(col[u] & col[v]), with
+                  the diagonal |L(u, u)| = |L(u)|
+      pair_nbr -- pair_nbr[u][a] = N({u, a}), 0 off the shadow; the row
+                  pair_nbr[u] is the adjacency of the graph L(u), and
+                  pair_nbr[u][a] & pair_nbr[v][a] that of L(u, v)
+      partners -- partners[u] = the union of N(T) over T in L(u)
+    Since L(u, v) is a subgraph of L(u), a test that is monotone in the
+    pair link needs only the diagonal: see `mantel_link_bound`.
     """
 
     def __init__(self, h: Hypergraph) -> None:
@@ -219,7 +226,6 @@ class _Incidence:
             low = t & -t
             self.adj[low.bit_length() - 1] |= t ^ low
             self.adj[(t ^ low).bit_length() - 1] |= low
-        self._details: dict[tuple[int, int], tuple[int, bool]] = {}
 
     @cached_property
     def size(self) -> list[list[int]]:
@@ -232,21 +238,34 @@ class _Incidence:
                     size[u][v] = size[v][u] = (cu & col[v]).bit_count()
         return size
 
+    @cached_property
+    def pair_nbr(self) -> list[list[int]]:
+        rows = [[0] * self.n for _ in range(self.n)]
+        for t, m in zip(self.ts, self.nbr):
+            low = t & -t
+            a, b = low.bit_length() - 1, t.bit_length() - 1
+            rows[a][b] = rows[b][a] = m
+        return rows
+
+    @cached_property
+    def partners(self) -> list[int]:
+        partners = [0] * self.n
+        for m in self.nbr:
+            for u in iter_bits(m):
+                partners[u] |= m
+        return partners
+
     def link(self, u: int, v: int) -> list[int]:
         """L(u, v) as ascending pair masks."""
         return [self.ts[i] for i in iter_bits(self.col[u] & self.col[v])]
 
     def detail(self, u: int, v: int) -> tuple[int, bool]:
-        """(support mask, triangle-free) of L(u, v)."""
-        key = (u, v) if u <= v else (v, u)
-        got = self._details.get(key)
-        if got is None:
-            pairs = self.link(u, v)
-            support = 0
-            for a in pairs:
-                support |= a
-            got = self._details[key] = (support, _triangle_free(pairs))
-        return got
+        """(support mask, triangle-free) of L(u, v), from its adjacency rows."""
+        rows = [x & y for x, y in zip(self.pair_nbr[u], self.pair_nbr[v])]
+        support = 0
+        for row in rows:
+            support |= row
+        return support, _triangle_free_rows(rows)
 
 
 def _cancellative_index(
@@ -311,22 +330,29 @@ def fisher_ryan_certificate(g: Hypergraph, ell: int) -> CertificateReport:
 def link_count_identity(h: Hypergraph) -> CertificateReport:
     """Each ordered pair lies in exactly |L(u, v)| of the neighborhoods N(T).
 
-    The left side is tallied from the neighborhood masks N(T), the right
-    side is popcount(col[u] & col[v]) over the link masks, so the two sides
-    really are computed along different paths.  Holds for every 3-graph,
-    cancellative or not.
+    The left side is tallied from the neighborhood masks N(T): counts[u]
+    packs one field of w bits per vertex v, and each T adds 1 to field v of
+    counts[u] for all u, v in N(T).  A field counts at most len(ts) pairs,
+    so it never carries.  The right side is popcount(col[u] & col[v]) over
+    the link masks, so the two sides really are computed along different
+    paths.  Holds for every 3-graph, cancellative or not.
     """
     if h.r != 3:
         raise ValueError("link_count_identity expects r = 3")
     ix = _Incidence(h)
-    counts: Counter = Counter()
+    w = len(ix.ts).bit_length()
+    unit = [1 << (w * v) for v in range(h.n)]
+    counts = [0] * h.n
     for m in ix.nbr:
         vs = list(iter_bits(m))
-        counts.update(itertools.product(vs, repeat=2))
+        spread = sum(map(unit.__getitem__, vs))
+        for u in vs:
+            counts[u] += spread
+    ones = (1 << w) - 1
     sizes = ix.size
     mismatch = None
     for u, v in itertools.product(range(h.n), repeat=2):
-        lhs = counts.get((u, v), 0)
+        lhs = counts[u] >> (w * v) & ones
         rhs = sizes[u][v]
         if lhs != rhs:
             mismatch = {"u": u + 1, "v": v + 1, "containment_count": lhs, "link_size": rhs}
@@ -356,11 +382,7 @@ def inequality2_certificate(h: Hypergraph) -> CertificateReport:
     ix = _cancellative_index(h, "inequality2_certificate")
     if not ix.ts:
         return _vacuous("inequality2", h.n)
-    partners = [0] * h.n
-    for m in ix.nbr:
-        for u in iter_bits(m):
-            partners[u] |= m
-    lhs = Fraction(sum(p.bit_count() for p in partners))
+    lhs = Fraction(sum(p.bit_count() for p in ix.partners))
     rhs = h.n * h.n - 2 * len(ix.ts)
     holds = lhs <= rhs
     return CertificateReport(
@@ -435,57 +457,86 @@ def theorem13_certificate(h: Hypergraph) -> CertificateReport:
     )
 
 
+def _diagonal_holds(ix: _Incidence) -> bool:
+    """Every diagonal triple (T, u, u) passes the pair-link tests.
+
+    For T in L(u) the three tests on (T, u, u) read: adj[u], the vertex
+    set of L(u), misses N(T); L(u), with adjacency rows pair_nbr[u], is
+    triangle-free; and 4|L(u)| <= (n - d(T))^2.  The first, over all T in
+    L(u), is adj[u] & partners[u] == 0; the third is checked per T against
+    the largest |L(u)| over u in N(T).
+    """
+    n = ix.n
+    link_size = [c.bit_count() for c in ix.col]
+    if any(4 * max(map(link_size.__getitem__, iter_bits(m))) > (n - m.bit_count()) ** 2 for m in ix.nbr):
+        return False
+    return not any(a & p for a, p in zip(ix.adj, ix.partners)) and all(
+        map(_triangle_free_rows, ix.pair_nbr)
+    )
+
+
+def _ordered_scan(ix: _Incidence) -> tuple[int, int, Optional[dict]]:
+    """(triples checked, largest pair link seen, first failure or None) over
+    T in sorted order, then u and v in N(T) order."""
+    n = ix.n
+    sizes = ix.size
+    checked = 0
+    max_link = 0
+    for t, nmask in zip(ix.ts, ix.nbr):
+        vs = list(iter_bits(nmask))
+        cap = (n - len(vs)) ** 2
+        for u in vs:
+            row = sizes[u]
+            for v in vs:
+                checked += 1
+                size = row[v]
+                if size > max_link:
+                    max_link = size
+                support, triangle_free = ix.detail(u, v)
+                if support & nmask:
+                    return checked, max_link, {
+                        "kind": "link_meets_neighborhood",
+                        "T": vertices_of(t),
+                        "pair": [u + 1, v + 1],
+                    }
+                if not triangle_free:
+                    return checked, max_link, {
+                        "kind": "link_not_triangle_free",
+                        "T": vertices_of(t),
+                        "pair": [u + 1, v + 1],
+                    }
+                if 4 * size > cap:
+                    return checked, max_link, {
+                        "kind": "mantel_cap",
+                        "T": vertices_of(t),
+                        "pair": [u + 1, v + 1],
+                        "link_size": size,
+                        "cap": cap / 4,
+                    }
+    return checked, max_link, None
+
+
 def mantel_link_bound(h: Hypergraph) -> CertificateReport:
     """Pair links avoid N(T), stay triangle-free, and obey the Mantel cap.
 
     For every T in the shadow and ordered (u, v) in N(T)^2:
     the vertex set of L(u, v) misses N(T), L(u, v) is triangle-free, and
-    4|L(u, v)| <= (n - d(T))^2.  The three tests read the incidence index.
-    The witness is the first failure with T in sorted order, then u and v
-    in N(T) order.
+    4|L(u, v)| <= (n - d(T))^2.  All triples pass iff the diagonal ones do
+    (module docstring), so a pass is decided in one pass over the vertex
+    links; it reports the sum of d(T)^2 triples as checked and the largest
+    |L(u)| as the largest pair link, since |L(u, v)| <= |L(u)| and every
+    (T, u, u) with u in N(T) is a triple.  Only a failure runs the ordered
+    scan, whose witness is the first failure with T in sorted order, then u
+    and v in N(T) order.
     """
     ix = _cancellative_index(h, "mantel_link_bound")
     if not ix.ts:
         return _vacuous("mantel-link", h.n)
-    sizes = ix.size
-
-    def check() -> tuple[int, int, Optional[dict]]:
-        checked = 0
-        max_link = 0
-        for t, nmask in zip(ix.ts, ix.nbr):
-            vs = list(iter_bits(nmask))
-            cap = (h.n - len(vs)) ** 2
-            for u in vs:
-                row = sizes[u]
-                for v in vs:
-                    checked += 1
-                    size = row[v]
-                    if size > max_link:
-                        max_link = size
-                    support, triangle_free = ix.detail(u, v)
-                    if support & nmask:
-                        return checked, max_link, {
-                            "kind": "link_meets_neighborhood",
-                            "T": vertices_of(t),
-                            "pair": [u + 1, v + 1],
-                        }
-                    if not triangle_free:
-                        return checked, max_link, {
-                            "kind": "link_not_triangle_free",
-                            "T": vertices_of(t),
-                            "pair": [u + 1, v + 1],
-                        }
-                    if 4 * size > cap:
-                        return checked, max_link, {
-                            "kind": "mantel_cap",
-                            "T": vertices_of(t),
-                            "pair": [u + 1, v + 1],
-                            "link_size": size,
-                            "cap": cap / 4,
-                        }
-        return checked, max_link, None
-
-    checked, max_link, witness = check()
+    if _diagonal_holds(ix):
+        checked = sum(m.bit_count() ** 2 for m in ix.nbr)
+        max_link, witness = max(c.bit_count() for c in ix.col), None
+    else:
+        checked, max_link, witness = _ordered_scan(ix)
     return CertificateReport(
         name="mantel-link",
         quantities={

@@ -30,14 +30,12 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 def vertices_of(mask: int) -> tuple[int, ...]:
-    """Sorted 1-based labels of a bitmask."""
+    """Sorted 1-based labels of a bitmask, one step per set bit."""
     out = []
-    v = 1
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 

@@ -20,12 +20,11 @@ integers.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .checkers import _cancellative_index, is_k_free
+from .checkers import _cancellative_index, _Incidence, is_k_free
 from .constructions import perturb, random_triangle_free_near_bipartite, turan_count, turan_hypergraph
 from .hypergraph import (
     Hypergraph,
@@ -155,14 +154,13 @@ def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
     # (i) T maximizing  4 * mass / (d^2 (n-d)^2), where mass is the sum of
     # |L(u, v)| over (u, v) in N(T)^2; ties by larger d then lex T, so the
     # shadow pairs go in lexicographic vertex order and earlier wins final ties
+    masses = _colink_masses(ix)
     order = sorted(range(len(ix.ts)), key=lambda i: vertices_of(ix.ts[i]))
     best_i = None
     best_num = best_den = best_d = 0
     for i in order:
-        vs = list(iter_bits(ix.nbr[i]))
-        d = len(vs)
-        mass = sum(sum(map(sizes[u].__getitem__, vs)) for u in vs)
-        num, den = 4 * mass, d * d * (n - d) * (n - d)
+        d = ix.nbr[i].bit_count()
+        num, den = 4 * masses[i], d * d * (n - d) * (n - d)
         if best_i is None or num * best_den > best_num * den or (
             num * best_den == best_num * den and d > best_d
         ):
@@ -208,6 +206,25 @@ def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
     return _measure(h, part, bad, h.size, turan_count(n, 3, 3), chain)
 
 
+def _colink_masses(ix: _Incidence) -> list[int]:
+    """mass[i] = the sum of |L(u, v)| over (u, v) in N(ts[i])^2.
+
+    Row u of the size table is packed into R[u] = sum of |L(u, v)| 2^(w v).
+    A field holds at most len(ts), and w leaves room for a sum of n rows, so
+    summing R[u] over u in N(T) adds the rows field by field; the mass is
+    then the sum of the fields v in N(T).
+    """
+    w = (ix.n * len(ix.ts)).bit_length()
+    ones = (1 << w) - 1
+    packed = [sum(s << (w * v) for v, s in enumerate(row)) for row in ix.size]
+    masses = []
+    for m in ix.nbr:
+        vs = list(iter_bits(m))
+        total = sum(map(packed.__getitem__, vs))
+        masses.append(sum(total >> (w * v) & ones for v in vs))
+    return masses
+
+
 def lemma25_pair(g: Hypergraph) -> tuple[int, int, frozenset[int], frozenset[int]]:
     """Max-degree-sum edge of a triangle-free graph, with disjoint neighborhoods.
 
@@ -243,21 +260,32 @@ def greedy_clique_removal(g: Hypergraph, ell: int) -> tuple[Hypergraph, list[tup
     Each round deletes the pair lying in the most remaining K_{ell+1}, the
     lowest pair on ties.  The cliques are listed once: deleting an edge never
     creates a clique, so the cliques left after a round are exactly the
-    listed ones through no deleted pair.  A round drops the cliques through
-    its victim and subtracts their pairs from the load table, so the table
-    always holds the positive loads of the remaining cliques.
+    listed ones through no deleted pair.  A round drops the live cliques
+    through its victim, found from a pair -> clique index, and lowers the
+    loads of their pairs, so the load table always holds the positive loads
+    of the remaining cliques.
     """
     if g.r != 2:
         raise ValueError("greedy_clique_removal expects a graph (r = 2)")
     if ell < 1:
         raise ValueError("ell must be >= 1")
     cliques = [vertices_of(c) for c in iter_cliques(g.adjacency, (1 << g.n) - 1, ell + 1)]
-    load = Counter(p for cl in cliques for p in itertools.combinations(cl, 2))
+    through: dict[tuple[int, int], list[int]] = {}
+    for k, cl in enumerate(cliques):
+        for p in itertools.combinations(cl, 2):
+            through.setdefault(p, []).append(k)
+    load = {p: len(ks) for p, ks in through.items()}
+    alive = [True] * len(cliques)
     removed: list[tuple[int, int]] = []
     while load:
-        a, b = victim = min(load, key=lambda p: (-load[p], p))
-        load -= Counter(p for cl in cliques if a in cl and b in cl for p in itertools.combinations(cl, 2))
-        cliques = [cl for cl in cliques if a not in cl or b not in cl]
+        victim = min(load, key=lambda p: (-load[p], p))
+        for k in through[victim]:
+            if alive[k]:
+                alive[k] = False
+                for p in itertools.combinations(cliques[k], 2):
+                    load[p] -= 1
+                    if not load[p]:
+                        del load[p]
         removed.append(victim)
     return Hypergraph(g.n, 2, tuple(set(g.edges) - {mask_of(p) for p in removed})), removed
 

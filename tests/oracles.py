@@ -186,3 +186,13 @@ def _embed_on_own_support(edges, r):
     relabel = {old: new for new, old in enumerate(iter_bits(used))}
     out = [sum(1 << relabel[b] for b in iter_bits(e)) for e in edges]
     return Hypergraph(used.bit_count(), r, tuple(sorted(out)))
+
+
+def colink_masses(ix):
+    """mass[i] = sum of |L(u, v)| over (u, v) in N(ts[i])^2, one size-table lookup per pair."""
+    sizes = ix.size
+    masses = []
+    for m in ix.nbr:
+        vs = list(iter_bits(m))
+        masses.append(sum(sum(map(sizes[u].__getitem__, vs)) for u in vs))
+    return masses

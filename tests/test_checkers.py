@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from turanlab import checkers, stability
 from turanlab.checkers import (
+    _diagonal_holds,
     _Incidence,
-    _triangle_free,
+    _ordered_scan,
+    _triangle_free_rows,
     cancellative_witness,
     fisher_ryan_certificate,
     inequality2_certificate,
@@ -439,6 +441,52 @@ def test_inequality2_and_mantel_link_match_oracles():
         assert mantel_link_bound(h).to_json_dict() == oracle_mantel_link(h)
 
 
+def test_mantel_link_diagonal_pass_matches_ordered_scan(monkeypatch):
+    # all triples pass iff the diagonal ones do; checked on inputs that are
+    # not cancellative, where both verdicts occur
+    monkeypatch.setattr(checkers, "_first_witness", lambda ix: None)
+    rng = random.Random(89)
+    verdicts = Counter()
+    while sum(verdicts.values()) < 1000:
+        h = random_hypergraph(rng.randint(3, 9), 3, rng.uniform(0.03, 0.5), rng)
+        if not h.edges:
+            continue
+        ix = _Incidence(h)
+        holds = _diagonal_holds(ix)
+        assert holds == (_ordered_scan(ix)[2] is None)
+        assert mantel_link_bound(h).holds == holds
+        verdicts[holds] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
+
+
+def test_mantel_link_pass_never_runs_the_ordered_scan(monkeypatch):
+    scans = []
+
+    def counting_scan(ix):
+        scans.append(ix)
+        return _ordered_scan(ix)
+
+    monkeypatch.setattr(checkers, "_ordered_scan", counting_scan)
+    for h in cancellative_samples():
+        assert mantel_link_bound(h).holds
+    assert scans == []
+    monkeypatch.setattr(checkers, "_first_witness", lambda ix: None)
+    k4 = Hypergraph.from_edges(4, 3, itertools.combinations(range(1, 5), 3))
+    assert not mantel_link_bound(k4).holds and len(scans) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 9).flatmap(lambda n: st.tuples(
+    st.integers(0, 2**16), st.permutations(range(1, n + 1)))))
+def test_mantel_link_quantities_relabeling_invariant(case):
+    seed, perm = case
+    h = random_maximal_cancellative(len(perm), seed)
+    relabeled = Hypergraph.from_edges(h.n, 3, ([perm[v - 1] for v in vertices_of(e)] for e in h.edges))
+    keys = ("pairs_checked", "max_pair_link")
+    got, want = mantel_link_bound(relabeled).quantities, mantel_link_bound(h).quantities
+    assert [got[k] for k in keys] == [want[k] for k in keys]
+
+
 def test_cancellative_callers_build_the_index_once(monkeypatch):
     # the cancellativity precondition and the caller's own reads share one index
     builds = []
@@ -589,7 +637,7 @@ def test_triangle_free_bit_test_matches_contains_clique():
     rng = random.Random(73)
     for _ in range(400):
         g = random_hypergraph(rng.randint(0, 10), 2, rng.uniform(0.05, 0.6), rng)
-        assert _triangle_free(set(g.edges)) == (not contains_clique(g, 3))
+        assert _triangle_free_rows(g.adjacency) == (not contains_clique(g, 3))
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import turanlab.stability as stability_mod
-from turanlab.checkers import is_k_free
+from turanlab.checkers import _Incidence, is_k_free
 from turanlab.cli import run
 from turanlab.constructions import (
     balanced_partition,
@@ -31,6 +31,7 @@ from turanlab.hypergraph import (
 )
 from turanlab.partitions import Partition, bad_edges
 from turanlab.stability import (
+    _colink_masses,
     bipartite_distance_analysis,
     epsilon_delta_scan,
     extract_partition_cancellative,
@@ -39,6 +40,8 @@ from turanlab.stability import (
     greedy_clique_removal,
     lemma25_pair,
 )
+
+from oracles import colink_masses
 
 
 def canonical_tripartition(n):
@@ -103,6 +106,17 @@ def test_cancellative_extractor_perturbed_recount():
         assert recount == rep.bad_edge_count
         assert rep.delta == recount / 12**3
         assert rep.epsilon == 1.0 - h.size / turan_count(12, 3, 3)
+
+
+def test_colink_masses_match_size_table_oracle():
+    rng = random.Random(97)
+    inputs = [perturb(turan_hypergraph(30, 3, 3), 0.05, 0, 3), turan_hypergraph(12, 3, 3)]
+    for _ in range(80):
+        n, p = rng.randint(3, 11), rng.uniform(0.05, 1)
+        inputs.append(Hypergraph(n, 3, tuple(m for m in all_r_subsets(n, 3) if rng.random() < p)))
+    for h in inputs:
+        ix = _Incidence(h)
+        assert _colink_masses(ix) == colink_masses(ix)
 
 
 def test_kfree_extractor():
@@ -225,6 +239,19 @@ def test_greedy_clique_removal_matches_rebuild_oracle(n, density, ell, seed):
     assert removed == want_removed
     assert cleaned == want
     assert cleaned.adjacency == want.adjacency and not contains_clique(cleaned, ell + 1)
+
+
+def test_greedy_clique_removal_index_matches_rebuild_oracle_on_turan_plus_edges():
+    # many cliques share each added edge, so loads tie and fall over many rounds
+    base = turan_hypergraph(24, 2, 3)
+    rng = random.Random(5)
+    absent = sorted(set(all_r_subsets(24, 2)) - set(base.edges))
+    g = Hypergraph(24, 2, base.edges + tuple(rng.sample(absent, 30)))
+    for ell in (2, 3):
+        cleaned, removed = greedy_clique_removal(g, ell)
+        want, want_removed = greedy_clique_removal_oracle(g, ell)
+        assert removed == want_removed and cleaned == want
+    assert len(removed) > 10
 
 
 def test_greedy_clique_removal_rejects_ell_below_one(monkeypatch):
