@@ -11,8 +11,8 @@ Every 3-graph check reads one incidence index (`_Incidence`), built from
 the edges: which vertices lie in N(T) for each shadow pair T, and from it
 the vertex links, the pair-cover adjacency and the pair-link sizes.  A
 certificate that needs a cancellative input shares one index with its
-precondition (`_cancellative_index`): the index is built once, scanned for
-a cancellativity witness, then read by the certificate.  The incremental
+precondition (`_cancellative_index`): the index is built once, tested for
+cancellativity, then read by the certificate.  The incremental
 search state extends `hypergraph.PairCover` with N(T) and co-link counts.
 
 The pair-link certificate (`mantel_link_bound`) is decided on the diagonal.
@@ -272,12 +272,18 @@ def _cancellative_index(
     h: Hypergraph, name: str, failure: str = "precondition failed: input is not cancellative"
 ) -> _Incidence:
     """The incidence index of h, after the r = 3 and cancellativity
-    preconditions of `name`; the witness scan reads the same index the
-    caller goes on to read, so it is built once."""
+    preconditions of `name`; the check reads the same index the caller
+    goes on to read, so it is built once.
+
+    h is cancellative iff adj[x] & partners[x] == 0 for every x: a y in
+    both is covered with x and lies in some N(T) with x, the violation
+    `_first_witness` finds.  The pair-link certificates read `partners`
+    anyway; the witness scan runs only when the test fails.
+    """
     if h.r != 3:
         raise ValueError(f"{name} expects r = 3")
     ix = _Incidence(h)
-    if _first_witness(ix) is not None:
+    if any(a & p for a, p in zip(ix.adj, ix.partners)) and _first_witness(ix) is not None:
         raise ValueError(failure)
     return ix
 

@@ -11,11 +11,16 @@ the auxiliary-graph reductions keep crossing between the two worlds.  The
 pair-cover (auxiliary) graph comes in two forms, both vertex masks: the
 static `Hypergraph.adjacency`, derived once per instance and read by every
 graph helper here, and the incremental `PairCover` of the search states.
+
+The constructor checks all edges from one sort, and `parse_hypergraph`
+reads the text in one pass that keeps no list of lines or rows; both walk
+their inputs one item at a time only to phrase an error.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -65,19 +70,17 @@ class Hypergraph:
             raise ValueError(f"vertex count must be >= 0, got {self.n}")
         if self.r < 2:
             raise ValueError(f"uniformity must be >= 2, got {self.r}")
-        full = (1 << self.n) - 1
-        seen = set()
-        for e in self.edges:
-            if e & ~full:
-                raise ValueError(f"edge {vertices_of(e)} uses labels above n={self.n}")
-            if e.bit_count() != self.r:
-                raise ValueError(
-                    f"edge {vertices_of(e)} has {e.bit_count()} vertices, expected r={self.r}"
-                )
-            if e in seen:
-                raise ValueError(f"duplicate edge {vertices_of(e)}")
-            seen.add(e)
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        # one sort decides every edge at once: in range iff the ends are,
+        # distinct iff strictly ascending
+        edges = sorted(self.edges)
+        if edges and not (
+            edges[0] >= 0
+            and not edges[-1] >> self.n
+            and set(map(int.bit_count, edges)) == {self.r}
+            and all(map(operator.lt, edges, itertools.islice(edges, 1, None)))
+        ):
+            raise ValueError(_edge_fault(self.n, self.r, self.edges))
+        object.__setattr__(self, "edges", tuple(edges))
 
     @classmethod
     def from_edges(cls, n: int, r: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
@@ -100,6 +103,23 @@ class Hypergraph:
             for b in iter_bits(e):
                 adj[b] |= e
         return tuple(m & ~(1 << b) for b, m in enumerate(adj))
+
+
+def _edge_fault(n: int, r: int, edges: Iterable[int]) -> str:
+    """Why the first faulty edge, in the given order, is rejected: a
+    negative mask, a label above n, a size other than r, or a repeat."""
+    seen = set()
+    for e in edges:
+        if e < 0:
+            return f"edge mask {e} is negative"
+        if e >> n:
+            return f"edge {vertices_of(e)} uses labels above n={n}"
+        if e.bit_count() != r:
+            return f"edge {vertices_of(e)} has {e.bit_count()} vertices, expected r={r}"
+        if e in seen:
+            return f"duplicate edge {vertices_of(e)}"
+        seen.add(e)
+    raise AssertionError("no faulty edge")
 
 
 class PairCover:
@@ -192,44 +212,110 @@ def contains_clique(g: Hypergraph, q: int) -> bool:
 # Shared text format:  '#' comment lines, a header line "n r", then one
 # edge per line as r space-separated 1-based labels.
 
+_WINDOW = 1 << 16
+
+
+def _lines(text: str) -> Iterator[str]:
+    """text.splitlines(), split one window of about _WINDOW characters at
+    a time.  Each window ends just after a newline, which ends a line
+    whatever precedes it, so the windows split into the same lines."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _WINDOW) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
+def _content(raw: str) -> list[str]:
+    """The fields of a line once its '#' comment is cut off."""
+    return raw.split("#", 1)[0].split()
+
+
+def _edge_line(parts: list[str], lineno: int, n: int, r: int, bits: dict[str, int]) -> int:
+    """The mask of one edge line's fields, checked label by label; records
+    each label's text in bits."""
+    try:
+        labels = [int(p) for p in parts]
+    except ValueError:
+        raise ValueError(f"line {lineno}: edge labels must be integers") from None
+    if len(labels) != r:
+        raise ValueError(f"line {lineno}: expected {r} labels, got {len(labels)}")
+    if len(set(labels)) != r:
+        raise ValueError(f"line {lineno}: repeated vertex in edge")
+    if any(v < 1 or v > n for v in labels):
+        raise ValueError(f"line {lineno}: label out of range 1..{n}")
+    for p, v in zip(parts, labels):
+        bits[p] = 1 << (v - 1)
+    return mask_of(labels)
+
+
+def _raise_first_duplicate(text: str, edges: list[int]) -> None:
+    """Raise the parse error for the first edge line that repeats an earlier
+    one, if any; edges holds the masks of the edge lines read so far."""
+    seen: set[int] = set()
+    for index, e in enumerate(edges):
+        if e in seen:
+            break
+        seen.add(e)
+    else:
+        return
+    # the header is the first line with content, edge line i the (i + 2)-th
+    content = (k for k, raw in enumerate(_lines(text), start=1) if _content(raw))
+    lineno = next(itertools.islice(content, index + 1, None))
+    raise ValueError(f"line {lineno}: duplicate edge {list(vertices_of(e))}")
+
 
 def parse_hypergraph(text: str) -> Hypergraph:
-    """Parse the shared text format.  Duplicate edges are a parse error."""
-    header: Optional[tuple[int, int]] = None
-    edges: list[int] = []
-    seen: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if header is None:
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: header must be 'n r'")
-            try:
-                header = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise ValueError(f"line {lineno}: header must be two integers") from None
-            continue
-        n, r = header
-        try:
-            labels = [int(p) for p in parts]
-        except ValueError:
-            raise ValueError(f"line {lineno}: edge labels must be integers") from None
-        if len(labels) != r:
-            raise ValueError(f"line {lineno}: expected {r} labels, got {len(labels)}")
-        if len(set(labels)) != r:
-            raise ValueError(f"line {lineno}: repeated vertex in edge")
-        if any(v < 1 or v > n for v in labels):
-            raise ValueError(f"line {lineno}: label out of range 1..{n}")
-        m = mask_of(labels)
-        if m in seen:
-            raise ValueError(f"line {lineno}: duplicate edge {sorted(labels)}")
-        seen.add(m)
-        edges.append(m)
-    if header is None:
+    """Parse the shared text format.  Duplicate edges are a parse error.
+
+    One pass over the lines.  A line whose fields are r label texts met
+    before, naming r distinct vertices, costs a split, a length test and r
+    table lookups; any other line (the first use of a label, a comment, a
+    blank line, a fault) is checked label by label.  Duplicates are found
+    by the constructor's sort.  Errors name the first faulty line.
+    """
+    lines = enumerate(_lines(text), start=1)
+    for lineno, raw in lines:
+        parts = _content(raw)
+        if parts:
+            break
+    else:
         raise ValueError("missing 'n r' header line")
-    return Hypergraph(header[0], header[1], tuple(edges))
+    if len(parts) != 2:
+        raise ValueError(f"line {lineno}: header must be 'n r'")
+    try:
+        n, r = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError(f"line {lineno}: header must be two integers") from None
+    # bits[label text] = the vertex bit of every label read so far
+    bits: dict[str, int] = {}
+    get = bits.get
+    width = r if r > 0 else -1  # no fast line can be blank
+    edges: list[int] = []
+    for lineno, raw in lines:
+        parts = raw.split()
+        if len(parts) == width:
+            m = 0
+            for p in parts:
+                m += get(p, 0)
+            # an unknown label adds nothing and a repeated bit carries, so
+            # the sum has r bits iff the labels are r known distinct vertices
+            if m.bit_count() == r:
+                edges.append(m)
+                continue
+        parts = _content(raw)
+        if not parts:
+            continue
+        try:
+            edges.append(_edge_line(parts, lineno, n, r, bits))
+        except ValueError:
+            _raise_first_duplicate(text, edges)
+            raise
+    try:
+        return Hypergraph(n, r, tuple(edges))
+    except ValueError:
+        _raise_first_duplicate(text, edges)
+        raise
 
 
 def format_hypergraph(h: Hypergraph, comment: Optional[str] = None) -> str:

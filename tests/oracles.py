@@ -3,9 +3,11 @@
 Each function here computes a quantity straight from its definition: vertex
 links and shadow neighbourhoods from the edge list, subgraph containment by
 backtracking, isomorphism by comparing canonical codes, the minimal pair
-covers by exhaustive cover search.  The program itself never calls them;
+covers by exhaustive cover search, the text format line by line and the
+`Hypergraph` checks edge by edge.  The program itself never calls them;
 the tests use them as the reference that the incidence index, the
-auxiliary-graph shortcut, the search and the cuts must agree with.
+auxiliary-graph shortcut, the search, the cuts, the streaming parser and
+the bulk constructor checks must agree with.
 """
 
 import itertools
@@ -196,3 +198,67 @@ def colink_masses(ix):
         vs = list(iter_bits(m))
         masses.append(sum(sum(map(sizes[u].__getitem__, vs)) for u in vs))
     return masses
+
+
+def hypergraph_fault(n, r, edges):
+    """The message `Hypergraph(n, r, edges)` raises, or None if it accepts.
+
+    The first failing check wins: n, then r, then each edge in the given
+    order against its sign, the range 1..n, the size r and the edges before it.
+    """
+    if n < 0:
+        return f"vertex count must be >= 0, got {n}"
+    if r < 2:
+        return f"uniformity must be >= 2, got {r}"
+    full = (1 << n) - 1
+    seen = set()
+    for e in edges:
+        if e < 0:
+            return f"edge mask {e} is negative"
+        if e & ~full:
+            return f"edge {vertices_of(e)} uses labels above n={n}"
+        if e.bit_count() != r:
+            return f"edge {vertices_of(e)} has {e.bit_count()} vertices, expected r={r}"
+        if e in seen:
+            return f"duplicate edge {vertices_of(e)}"
+        seen.add(e)
+    return None
+
+
+def parse_hypergraph_by_line(text):
+    """The text format read one line at a time, every check on every line."""
+    header = None
+    edges = []
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if header is None:
+            if len(parts) != 2:
+                raise ValueError(f"line {lineno}: header must be 'n r'")
+            try:
+                header = (int(parts[0]), int(parts[1]))
+            except ValueError:
+                raise ValueError(f"line {lineno}: header must be two integers") from None
+            continue
+        n, r = header
+        try:
+            labels = [int(p) for p in parts]
+        except ValueError:
+            raise ValueError(f"line {lineno}: edge labels must be integers") from None
+        if len(labels) != r:
+            raise ValueError(f"line {lineno}: expected {r} labels, got {len(labels)}")
+        if len(set(labels)) != r:
+            raise ValueError(f"line {lineno}: repeated vertex in edge")
+        if any(v < 1 or v > n for v in labels):
+            raise ValueError(f"line {lineno}: label out of range 1..{n}")
+        m = mask_of(labels)
+        if m in seen:
+            raise ValueError(f"line {lineno}: duplicate edge {sorted(labels)}")
+        seen.add(m)
+        edges.append(m)
+    if header is None:
+        raise ValueError("missing 'n r' header line")
+    return Hypergraph(header[0], header[1], tuple(edges))

@@ -111,6 +111,24 @@ def test_cli_verify_violation_and_precondition(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_verify_reports_each_parse_error_with_its_line(tmp_path, capsys):
+    cases = [
+        ("# only a comment\n\n", "missing 'n r' header line"),
+        ("# c\n4\n", "line 2: header must be 'n r'"),
+        ("4 three\n", "line 1: header must be two integers"),
+        ("4 3\n1 2 x\n", "line 2: edge labels must be integers"),
+        ("4 3\n1 2 3\n\n1 2\n", "line 4: expected 3 labels, got 2"),
+        ("4 3\n1 2 2\n", "line 2: repeated vertex in edge"),
+        ("4 3\n1 2 3\n1 2 5\n", "line 3: label out of range 1..4"),
+        ("4 3\n1 2 3\n# c\n3 2 1\n1 2 x\n", "line 4: duplicate edge [1, 2, 3]"),
+        ("4 1\n1\n", "uniformity must be >= 2, got 1"),
+    ]
+    path = tmp_path / "bad.txt"
+    for text, message in cases:
+        path.write_text(text)
+        assert run_cli(["verify", "cancellative", str(path)], capsys) == (2, "", f"error: {message}\n"), text
+
+
 def test_cli_usage_errors(tmp_path, capsys):
     code, _, _ = run_cli(["no-such-command"], capsys)
     assert code == 2

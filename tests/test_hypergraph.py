@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from turanlab import hypergraph
 from turanlab.hypergraph import (
     Hypergraph,
     PairCover,
@@ -21,9 +23,9 @@ from turanlab.hypergraph import (
     parse_hypergraph,
     vertices_of,
 )
-from turanlab.constructions import turan_hypergraph
+from turanlab.constructions import perturb, turan_hypergraph
 
-from oracles import is_subgraph, link_sets, shadow_neighborhoods
+from oracles import hypergraph_fault, is_subgraph, link_sets, parse_hypergraph_by_line, shadow_neighborhoods
 
 
 def edge_sets(masks):
@@ -325,3 +327,130 @@ def test_text_format_tolerance_and_errors():
         parse_hypergraph("")
     with pytest.raises(ValueError):
         parse_hypergraph("3 3\n1 2 5\n")
+
+
+# line breaks splitlines() knows, headers that are bad or absent, fields
+# int() rejects, and label spellings int() accepts
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+BAD_HEADERS = ["", "# 3 3", "3", "3 3 3", "a 3", "3 b", "-1 3", "4 1", "4 0", "2 3", "007 +3"]
+NOT_INTEGERS = ["x", "1.5", "1e3", "--2", "0x3", "#"]
+SPELLINGS = [
+    lambda v: "00" + v,
+    lambda v: "+" + v,
+    lambda v: v.translate(str.maketrans("0123456789", "０１２３４５６７８９")),
+    lambda v: v.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+]
+
+
+def _mutate(lines, n, kind, i, j):
+    """Apply one edit to a list of lines: i picks the line, j the variant."""
+    if not lines:
+        return
+    k = i % len(lines)
+    tokens = lines[k].split()
+    if kind == "comment":
+        lines.insert(k, "# a comment 1 2 3")
+    elif kind == "trailing":
+        lines[k] += " # 1 2"
+    elif kind == "blank":
+        lines.insert(k, ["", "  ", "\t"][j % 3])
+    elif kind == "header":
+        lines[0] = BAD_HEADERS[j % len(BAD_HEADERS)]
+    elif kind == "duplicate":
+        lines.insert(k, lines[j % len(lines)])
+    elif kind == "tabs":
+        lines[k] = "\t" + " \t ".join(tokens) + "  "
+    elif tokens:
+        t = j % len(tokens)
+        if kind == "drop_label":
+            del tokens[t]
+        elif kind == "add_label":
+            tokens.insert(t, str(j % (n + 2)))
+        elif kind == "not_integer":
+            tokens[t] = NOT_INTEGERS[j % len(NOT_INTEGERS)]
+        elif kind == "out_of_range":
+            tokens[t] = ["0", str(n + 1), "-1"][j % 3]
+        elif kind == "repeat":
+            tokens[t] = tokens[(t + 1) % len(tokens)]
+        elif kind == "respell":
+            tokens[t] = SPELLINGS[j % len(SPELLINGS)](tokens[t])
+        lines[k] = " ".join(tokens)
+
+
+MUTATIONS = [
+    "comment", "trailing", "blank", "header", "duplicate", "tabs",
+    "drop_label", "add_label", "not_integer", "out_of_range", "repeat", "respell",
+]
+
+
+@st.composite
+def edge_list_texts(draw):
+    h = draw(hypergraphs())
+    lines = format_hypergraph(h).splitlines()
+    edits = draw(st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 999), st.integers(0, 999)), max_size=5))
+    for kind, i, j in edits:
+        _mutate(lines, h.n, kind, i, j)
+    breaks = draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(lines), max_size=len(lines)))
+    return "".join(map(str.__add__, lines, breaks))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_list_texts())
+def test_parse_matches_line_by_line_oracle(text):
+    assert _outcome(parse_hypergraph, text) == _outcome(parse_hypergraph_by_line, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text("ab \n\r\x0b\x85\u2028", max_size=40), st.integers(1, 8))
+def test_lines_are_splitlines_across_windows(text, window):
+    saved = hypergraph._WINDOW
+    hypergraph._WINDOW = window
+    try:
+        assert list(hypergraph._lines(text)) == text.splitlines()
+    finally:
+        hypergraph._WINDOW = saved
+
+
+@st.composite
+def edge_tuples(draw):
+    n, r = draw(st.integers(-1, 7)), draw(st.integers(1, 4))
+    mask = st.integers(-3, (1 << (max(n, 0) + 2)) - 1)
+    good = all_r_subsets(n, r) if n > 0 else []
+    if good:
+        mask = st.one_of(st.sampled_from(good), mask)
+    return n, r, tuple(draw(st.lists(mask, max_size=10)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_tuples())
+def test_constructor_matches_per_edge_oracle(case):
+    n, r, edges = case
+    want = hypergraph_fault(n, r, edges)
+    if want is None:
+        assert Hypergraph(n, r, edges).edges == tuple(sorted(edges))
+    else:
+        with pytest.raises(ValueError) as exc:
+            Hypergraph(n, r, edges)
+        assert str(exc.value) == want
+
+
+def test_parse_peak_memory_not_above_line_by_line_oracle():
+    # holding every line, or a row of labels per line, would peak above the oracle
+    text = format_hypergraph(perturb(turan_hypergraph(120, 3, 3), 0.03, 0, 11))
+    parsed, peaks = [], []
+    for parse in (parse_hypergraph, parse_hypergraph_by_line):
+        tracemalloc.start()
+        try:
+            parsed.append(parse(text))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert parsed[0] == parsed[1] and parsed[0].size > 60_000
+    assert peaks[0] <= peaks[1], peaks
