@@ -26,16 +26,25 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    """Bitmask of a set of 1-based vertex labels."""
+def mask_of(vertices: Iterable[int], n: Optional[int] = None) -> int:
+    """Bitmask of a set of 1-based vertex labels; a label below 1 is a
+    ValueError naming it and the range 1..n (n as given, else "n")."""
     m = 0
-    for v in vertices:
-        m |= 1 << (v - 1)
+    v = 1
+    try:
+        for v in vertices:
+            m |= 1 << (v - 1)
+    except ValueError:
+        if v >= 1:
+            raise
+        raise ValueError(f"label {v} out of range 1..{'n' if n is None else n}") from None
     return m
 
 
 def vertices_of(mask: int) -> tuple[int, ...]:
-    """Sorted 1-based labels of a bitmask, one step per set bit."""
+    """Sorted 1-based labels of a nonnegative bitmask, one step per set bit."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
     out = []
     while mask:
         low = mask & -mask
@@ -45,7 +54,9 @@ def vertices_of(mask: int) -> tuple[int, ...]:
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit *indices* (0-based) of a mask, ascending."""
+    """Yield the set bit *indices* (0-based) of a nonnegative mask, ascending."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -84,7 +95,7 @@ class Hypergraph:
 
     @classmethod
     def from_edges(cls, n: int, r: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
-        return cls(n, r, tuple(mask_of(e) for e in edges))
+        return cls(n, r, tuple(mask_of(e, n) for e in edges))
 
     @property
     def size(self) -> int:

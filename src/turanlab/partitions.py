@@ -17,7 +17,7 @@ class Partition:
     def __post_init__(self) -> None:
         seen = 0
         for blk in self.blocks:
-            m = mask_of(blk)
+            m = mask_of(blk, self.n)
             if m & seen:
                 raise ValueError("partition blocks must be disjoint")
             seen |= m
@@ -40,10 +40,8 @@ class Partition:
 
 
 def bad_edges(h: Hypergraph, part: Partition) -> list[int]:
-    """Edges with at least two vertices in one block, as masks."""
-    masks = part.block_masks()
-    out = []
-    for e in h.edges:
-        if any((e & bm).bit_count() >= 2 for bm in masks):
-            out.append(e)
-    return out
+    """Edges with at least two vertices in one block, as sorted masks: one
+    comprehension per block, merged."""
+    edges = h.edges
+    per_block = [[e for e in edges if (e & bm).bit_count() > 1] for bm in part.block_masks()]
+    return sorted(set().union(*per_block))

@@ -8,14 +8,24 @@ under further additions).  Ties at the optimum survive the strict prune, so
 the extremal class count comes out exact.
 
 Near the root the search works one isomorphism class at a time.  It
-branches on one addable edge per twin orbit, keeps a child G+e only if e
-has the largest `edge_invariants` value among the edges of G+e, and
-canonicalizes and memoizes the survivors.  The filter loses no class: H is
-reached from H-e for an edge e of H with the largest invariant, and H-e
-satisfies the predicate with a bound at least that of H.  Once a node has
-at most LABELED_TAIL addable edges, its subtree goes to plain labeled
-subset branch and bound, which costs far less per node than a canonical
-labelling.
+branches on one addable edge per twin orbit and keeps a child G+e only if e
+has the largest `edge_invariants` value among the edges of G+e.  The filter
+loses no class: H is reached from H-e for an edge e of H with the largest
+invariant, and H-e satisfies the predicate with a bound at least that of H.
+Once a node has at most LABELED_TAIL addable edges, its subtree goes to
+plain labeled subset branch and bound, which costs far less per node than a
+canonical labelling.
+
+A canonical code is computed only where the identity of a class is in
+question (McKay's invariant-first isomorph rejection).  The visited set is
+keyed by the sorted invariant list the filter already built: the first
+survivor under a key is kept as its labeled edge tuple and expanded without
+a code, and only a second one under the same key canonicalizes itself and,
+once, the stored tuple.  Isomorphic graphs share a key, so the key only
+decides when to compare codes, never what a class is.  A graph with the
+best edge count so far needs its code for the class tally; a memo from its
+sorted edge list to the code, emptied whenever the best count rises, serves
+a labeled graph that the tail reaches again.
 
 The predicates are a fixed set, `PREDICATES`: "cancellative" (3-graphs in
 which no edge contains the symmetric difference of two others), "k-free"
@@ -75,6 +85,12 @@ def edge_invariants(n: int, edges: Sequence[int]) -> list[tuple[tuple[int, int],
         for b in mem:
             nd[b] += w
     return [tuple(sorted([(deg[b], nd[b]) for b in mem])) for mem in members]
+
+
+def _class_key(inv: list[tuple[tuple[int, int], ...]]) -> int:
+    """Visited-set key of a graph from its `edge_invariants` list: equal for
+    isomorphic graphs, and a plain int so the visited set holds no key tuples."""
+    return hash(tuple(sorted(inv)))
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +183,14 @@ def extremal_number(
     else:
         state = KFreeState(n, r, ell if predicate == "k-free" else 2)
     cur: list[int] = []
-    visited: set[tuple[int, ...]] = set()
+    # _class_key -> the classes seen under it: the labeled edge tuple of the
+    # first graph while it is alone, a list of canonical codes once a second
+    # graph shares the key
+    visited: dict[int, tuple[int, ...] | list[tuple[int, ...]]] = {}
     best = 0
     best_codes: set[tuple[int, ...]] = {()}
+    # sorted labeled edges -> canonical code, for graphs with best edges
+    best_labeled: dict[tuple[int, ...], tuple[int, ...]] = {}
     nodes = 0
     exhausted = False
     cap_hit = False
@@ -182,9 +203,13 @@ def extremal_number(
         if m > best:
             best = m
             best_codes.clear()
+            best_labeled.clear()
             cap_hit = False
         if code is None:
-            code = canonical_code(n, cur)
+            labeled = tuple(sorted(cur))
+            code = best_labeled.get(labeled)
+            if code is None:
+                code = best_labeled[labeled] = canonical_code(n, cur)
         if len(best_codes) < WITNESS_CAP:
             best_codes.add(code)
         elif code not in best_codes:
@@ -198,8 +223,9 @@ def extremal_number(
         state.remove(e)
         cur.pop()
 
-    def dfs(code: tuple[int, ...], addable: list[int]) -> None:
-        """Expand a node whose bound len(cur) + len(addable) its caller checked."""
+    def dfs(code: Optional[tuple[int, ...]], addable: list[int]) -> None:
+        """Expand a node whose bound len(cur) + len(addable) its caller checked;
+        code is its canonical code, or None if none was needed yet."""
         nonlocal nodes, exhausted
         nodes += 1
         if nodes > node_budget:
@@ -227,10 +253,18 @@ def extremal_number(
             push(e)
             child_addable = [f for f in addable if f != e and state.addable(f)]
             if m + 1 + len(child_addable) >= best:
-                child = canonical_code(n, cur)
-                if child not in visited:
-                    visited.add(child)
-                    dfs(child, child_addable)
+                bucket = _class_key(inv)
+                seen = visited.get(bucket)
+                if seen is None:
+                    visited[bucket] = tuple(cur)
+                    dfs(None, child_addable)
+                else:
+                    child = canonical_code(n, cur)
+                    if isinstance(seen, tuple):
+                        seen = visited[bucket] = [canonical_code(n, seen)]
+                    if child not in seen:
+                        seen.append(child)
+                        dfs(child, child_addable)
             pop(e)
             if exhausted:
                 return
@@ -255,8 +289,10 @@ def extremal_number(
             if exhausted:
                 return
 
-    visited.add(())
     dfs((), [e for e in all_r_subsets(n, r) if state.addable(e)])
+    # the recursive closures hold themselves, and with them every table of this
+    # call, until the next cycle collection; break the cycles now
+    del dfs, extend_labeled
     runtime = time.perf_counter() - t0
     witnesses = [Hypergraph(n, r, code) for code in sorted(best_codes)]
     return ExtremalRecord(

@@ -6,8 +6,8 @@ backtracking, isomorphism by comparing canonical codes, the minimal pair
 covers by exhaustive cover search, the text format line by line and the
 `Hypergraph` checks edge by edge.  The program itself never calls them;
 the tests use them as the reference that the incidence index, the
-auxiliary-graph shortcut, the search, the cuts, the streaming parser and
-the bulk constructor checks must agree with.
+auxiliary-graph shortcut, the search, the cuts, the streaming parser, the
+bulk constructor checks and the per-block bad-edge pass must agree with.
 """
 
 import itertools
@@ -262,3 +262,13 @@ def parse_hypergraph_by_line(text):
     if header is None:
         raise ValueError("missing 'n r' header line")
     return Hypergraph(header[0], header[1], tuple(edges))
+
+
+def bad_edges_by_edge(h, part):
+    """Edges with at least two vertices in one block, tested edge by edge."""
+    masks = part.block_masks()
+    out = []
+    for e in h.edges:
+        if any((e & bm).bit_count() >= 2 for bm in masks):
+            out.append(e)
+    return out

@@ -48,6 +48,25 @@ def test_hypergraph_validation():
         Hypergraph(4, 1, ())  # uniformity too small
 
 
+def test_negative_masks_raise():
+    # a negative mask has infinitely many set bits: the walk would never end
+    with pytest.raises(ValueError, match="mask -1 is negative"):
+        list(itertools.islice(iter_bits(-1), 5))
+    with pytest.raises(ValueError, match="mask -6 is negative"):
+        vertices_of(-6)
+    assert list(iter_bits(0)) == [] and vertices_of(0) == ()
+
+
+def test_labels_below_one_raise():
+    with pytest.raises(ValueError, match=r"^label 0 out of range 1\.\.3$"):
+        Hypergraph.from_edges(3, 3, [(0, 1, 2)])
+    with pytest.raises(ValueError, match=r"^label -2 out of range 1\.\.5$"):
+        Hypergraph.from_edges(5, 2, [(1, 2), (4, -2)])
+    with pytest.raises(ValueError, match=r"^label 0 out of range 1\.\.n$"):
+        mask_of((3, 0))
+    assert mask_of((1, 3)) == 0b101
+
+
 def test_shadow_examples():
     h = Hypergraph.from_edges(3, 3, [(1, 2, 3)])
     assert edge_sets(shadow_neighborhoods(h)) == [(1, 2), (1, 3), (2, 3)]

@@ -1,5 +1,6 @@
 """Extremal search against brute-force oracles, and the multiway cuts."""
 
+import gc
 import itertools
 import random
 import time
@@ -270,6 +271,68 @@ def test_search_matches_labeled_oracle_on_many_classes(monkeypatch):
         slow = _with_tail(monkeypatch, comb(n, r), search)
         assert slow[:2] == (n * d // r, classes)
         assert _fast_paths(monkeypatch, search) == [slow, slow], (n, r, d)
+
+
+def _full_report(rec):
+    return (
+        rec.value,
+        rec.extremal_classes,
+        [w.edges for w in rec.witnesses],
+        rec.nodes_explored,
+        rec.complete,
+        rec.cap_hit,
+    )
+
+
+def test_class_key_collisions_change_nothing(monkeypatch):
+    # with one key for every graph each child is canonicalized and compared
+    # against every class seen so far, so the key decides nothing
+    cases = ((7, 2, "triangle-free", None), (6, 3, "cancellative", None), (6, 2, "k-free", 3), (6, 3, "k-free", 3))
+    for tail in (search_mod.LABELED_TAIL, 0):
+        for n, r, predicate, ell in cases:
+            with monkeypatch.context() as m:
+                m.setattr(search_mod, "LABELED_TAIL", tail)
+                want = _full_report(extremal_number(n, r, predicate, ell=ell))
+                m.setattr(search_mod, "_class_key", lambda inv: 0)
+                got = _full_report(extremal_number(n, r, predicate, ell=ell))
+            assert got == want, (tail, n, r, predicate, ell)
+
+
+def test_search_leaves_no_cycle_of_its_own():
+    # the recursive closures would otherwise keep the visited set, the memo and
+    # the predicate state alive until the next cycle collection
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        extremal_number(6, 3, "cancellative")
+        gc.collect()
+        leftovers = [f.__qualname__ for f in gc.garbage if type(f).__name__ == "function"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert not [q for q in leftovers if q.startswith("extremal_number.")]
+
+
+def test_canonical_call_counts(monkeypatch):
+    # before the invariant-keyed visited set and the labeled memo every kept
+    # child and every labeled graph at the best size was canonicalized:
+    # triangle-free n=8 took 230 calls (now 140), cancellative n=7 113 (now 67)
+    calls = Counter()
+
+    def spy(n, edges):
+        calls[n] += 1
+        return canonical_code(n, edges)
+
+    monkeypatch.setattr(search_mod, "canonical_code", spy)
+    for n, r, predicate, want in ((8, 2, "triangle-free", 140), (7, 3, "cancellative", 67)):
+        calls.clear()
+        rec = extremal_number(n, r, predicate)
+        assert rec.complete
+        assert calls[n] == want, (predicate, n, calls[n])
 
 
 # ---------------------------------------------------------------------------

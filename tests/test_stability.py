@@ -41,7 +41,7 @@ from turanlab.stability import (
     lemma25_pair,
 )
 
-from oracles import colink_masses
+from oracles import bad_edges_by_edge, colink_masses
 
 
 def canonical_tripartition(n):
@@ -368,6 +368,30 @@ def min_bad_3partition(h):
 
     rec(0, 0, 0)
     return best
+
+
+@st.composite
+def graphs_and_partitions(draw):
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(r, 9))
+    edges = draw(st.sets(st.sampled_from(all_r_subsets(n, r))))
+    k = draw(st.integers(2, min(4, n)))
+    order = draw(st.permutations(range(1, n + 1)))
+    cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1, unique=True)))
+    blocks = tuple(tuple(order[a:b]) for a, b in zip([0, *cuts], [*cuts, n]))
+    return Hypergraph(n, r, tuple(edges)), Partition(n, blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_and_partitions())
+def test_bad_edges_matches_per_edge_oracle(case):
+    h, part = case
+    assert bad_edges(h, part) == bad_edges_by_edge(h, part)
+
+
+def test_partition_label_below_one_raises():
+    with pytest.raises(ValueError, match=r"^label 0 out of range 1\.\.3$"):
+        Partition(3, ((0, 1), (2, 3)))
 
 
 @settings(max_examples=60, deadline=None)
