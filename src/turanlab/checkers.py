@@ -9,18 +9,24 @@ report.
 
 Every 3-graph check reads one incidence index (`_Incidence`), built from
 the edges: which vertices lie in N(T) for each shadow pair T, and from it
-the vertex links, the pair-cover adjacency and the pair-link sizes.  A
-certificate that needs a cancellative input shares one index with its
-precondition (`_cancellative_index`): the index is built once, tested for
-cancellativity, then read by the certificate.  The incremental
-search state extends `hypergraph.PairCover` with N(T) and co-link counts.
+the vertex links, the pair-cover adjacency and the pair-link sizes.  After
+one pass over the edges the index is built in bulk: the vertex links are
+the bit-matrix transpose of the N(T) masks, done with bytes operations,
+and each vertex's partners (the v sharing some N(T) with it) come from the
+pair-link size table, so nothing walks the incidences u in N(T) one at a
+time.  Cancellativity and independent neighborhoods are then one test per
+vertex (`_partner_covered`).  A certificate that needs a cancellative
+input shares one index with its precondition (`_cancellative_index`): the
+index is built once, tested for cancellativity, then read by the
+certificate.  The incremental search state extends `hypergraph.PairCover`
+with N(T) and co-link counts.
 
 The pair-link certificate (`mantel_link_bound`) is decided on the diagonal.
 Its three tests on a triple (T, u, v) only get easier when L(u, v) shrinks
 with T fixed, L(u, v) is a subgraph of L(u), and (T, u, u) is itself a
 checked triple whenever u is in N(T).  So every triple passes iff every
-diagonal triple does, which is one pass over the vertex links: O(|E|) mask
-operations instead of one pair link per (T, u, v).
+diagonal triple does, which takes a few mask operations per vertex and per
+shadow pair instead of one pair link per (T, u, v).
 """
 
 from __future__ import annotations
@@ -135,11 +141,27 @@ def _first_witness(ix: _Incidence) -> Optional[tuple]:
     return None
 
 
+def _partner_covered(ix: _Incidence) -> bool:
+    """Some x has a pair-cover neighbor among its partners.
+
+    A y in adj[x] & partners[x] is covered with x and lies in some N(T)
+    with x: an edge meets N(T) in {x, y}, the violation `_first_witness`
+    finds.  So the 3-graph is cancellative iff this is False, decided per
+    vertex instead of per incidence.
+    """
+    return any(a & p for a, p in zip(ix.adj, ix.partners))
+
+
+def _witness(ix: _Incidence) -> Optional[tuple]:
+    """`_first_witness`, scanned only when the per-vertex test fails."""
+    return _first_witness(ix) if _partner_covered(ix) else None
+
+
 def cancellative_witness(h: Hypergraph) -> Optional[tuple]:
     """A violating (A, B, C) with A (+) B inside C, or None if cancellative."""
     if h.r != 3:
         raise ValueError("cancellativity checks expect r = 3")
-    return _first_witness(_Incidence(h))
+    return _witness(_Incidence(h))
 
 
 def is_cancellative(h: Hypergraph) -> bool:
@@ -155,10 +177,16 @@ def is_k_free(h: Hypergraph, ell: int) -> bool:
 
 
 def links_triangle_free(h: Hypergraph) -> bool:
-    """Every vertex link of a 3-graph is triangle-free (a cancellativity consequence)."""
+    """Every vertex link of a 3-graph is triangle-free (a cancellativity consequence).
+
+    A triangle {a, b, c} in L(u) puts a and c in N({u, b}) with {a, c}
+    covered, so only an input that fails `_partner_covered` can have one;
+    only those walk the links.
+    """
     if h.r != 3:
         raise ValueError("links_triangle_free expects r = 3")
-    return all(map(_triangle_free_rows, _Incidence(h).pair_nbr))
+    ix = _Incidence(h)
+    return not _partner_covered(ix) or all(map(_triangle_free_rows, ix.pair_nbr))
 
 
 def neighborhoods_independent(h: Hypergraph) -> bool:
@@ -166,16 +194,21 @@ def neighborhoods_independent(h: Hypergraph) -> bool:
 
     An edge meets N(T) twice exactly when it covers a pair {x, y} inside
     N(T), that is when adj[x] & N(T) != 0 for some x in N(T), with adj the
-    adjacency masks of the pair-cover (auxiliary) graph.
+    adjacency masks of the pair-cover (auxiliary) graph.  The union of
+    those N(T) over T with x in N(T) is partners[x], so the test is
+    adj[x] & partners[x] != 0 for some vertex x.
     """
     if h.r != 3:
         raise ValueError("neighborhoods_independent expects r = 3")
-    ix = _Incidence(h)
-    return not any(ix.adj[x] & m for m in ix.nbr for x in iter_bits(m))
+    return not _partner_covered(_Incidence(h))
 
 
 # ---------------------------------------------------------------------------
 # The incidence index every 3-graph reader works from
+
+
+# _BIT_DIGITS[k] translates a byte to ASCII '1' or '0' by its bit k
+_BIT_DIGITS = [bytes(48 + (b >> k & 1) for b in range(256)) for k in range(8)]
 
 
 def _triangle_free_rows(rows: Sequence[int]) -> bool:
@@ -200,9 +233,18 @@ class _Incidence:
       pair_nbr -- pair_nbr[u][a] = N({u, a}), 0 off the shadow; the row
                   pair_nbr[u] is the adjacency of the graph L(u), and
                   pair_nbr[u][a] & pair_nbr[v][a] that of L(u, v)
-      partners -- partners[u] = the union of N(T) over T in L(u)
+      partners -- partners[u] = the union of N(T) over T in L(u), that is
+                  the v with size[u][v] > 0 (u itself iff L(u) is nonempty)
     Since L(u, v) is a subgraph of L(u), a test that is monotone in the
     pair link needs only the diagonal: see `mantel_link_bound`.
+
+    Past the one pass over the edges that groups them into N(T), nothing
+    visits the incidences u in N(T) one at a time.  The columns are the
+    transpose of the bit matrix whose rows are nbr: the rows go into one
+    byte array, last row first, nb = ceil(n / 8) bytes each, so byte
+    u >> 3 of every row is the slice rows[u >> 3 :: nb], highest shadow
+    index first.  Translating that slice to ASCII '0'/'1' by bit u & 7
+    spells col[u] in base 2, which `int(., 2)` reads in linear time.
     """
 
     def __init__(self, h: Hypergraph) -> None:
@@ -218,11 +260,13 @@ class _Incidence:
         self.n = h.n
         self.ts = sorted(nbr_of)
         self.nbr = [nbr_of[t] for t in self.ts]
-        self.col = [0] * h.n
+        nb = (h.n + 7) >> 3
+        rows = bytearray()
+        for m in reversed(self.nbr):
+            rows += m.to_bytes(nb, "little")
+        self.col = [int(rows[u >> 3 :: nb].translate(_BIT_DIGITS[u & 7]) or b"0", 2) for u in range(h.n)]
         self.adj = [0] * h.n
-        for i, t in enumerate(self.ts):
-            for b in iter_bits(self.nbr[i]):
-                self.col[b] |= 1 << i
+        for t in self.ts:
             low = t & -t
             self.adj[low.bit_length() - 1] |= t ^ low
             self.adj[(t ^ low).bit_length() - 1] |= low
@@ -249,11 +293,7 @@ class _Incidence:
 
     @cached_property
     def partners(self) -> list[int]:
-        partners = [0] * self.n
-        for m in self.nbr:
-            for u in iter_bits(m):
-                partners[u] |= m
-        return partners
+        return [sum(1 << v for v, s in enumerate(row) if s) for row in self.size]
 
     def link(self, u: int, v: int) -> list[int]:
         """L(u, v) as ascending pair masks."""
@@ -275,15 +315,13 @@ def _cancellative_index(
     preconditions of `name`; the check reads the same index the caller
     goes on to read, so it is built once.
 
-    h is cancellative iff adj[x] & partners[x] == 0 for every x: a y in
-    both is covered with x and lies in some N(T) with x, the violation
-    `_first_witness` finds.  The pair-link certificates read `partners`
-    anyway; the witness scan runs only when the test fails.
+    The test is `_partner_covered`; the pair-link certificates read
+    `partners` anyway, and the witness scan runs only when the test fails.
     """
     if h.r != 3:
         raise ValueError(f"{name} expects r = 3")
     ix = _Incidence(h)
-    if any(a & p for a, p in zip(ix.adj, ix.partners)) and _first_witness(ix) is not None:
+    if _witness(ix) is not None:
         raise ValueError(failure)
     return ix
 
@@ -469,15 +507,28 @@ def _diagonal_holds(ix: _Incidence) -> bool:
     For T in L(u) the three tests on (T, u, u) read: adj[u], the vertex
     set of L(u), misses N(T); L(u), with adjacency rows pair_nbr[u], is
     triangle-free; and 4|L(u)| <= (n - d(T))^2.  The first, over all T in
-    L(u), is adj[u] & partners[u] == 0; the third is checked per T against
-    the largest |L(u)| over u in N(T).
+    L(u), is adj[u] & partners[u] == 0.  It implies the second: a triangle
+    {a, b, c} in L(u) puts c in adj[a] & partners[a] (see
+    `links_triangle_free`).  The third is `_mantel_caps_hold`; Mantel's
+    theorem implies it from the first two, but the certificate checks it.
+    """
+    return not _partner_covered(ix) and _mantel_caps_hold(ix)
+
+
+def _mantel_caps_hold(ix: _Incidence) -> bool:
+    """4|L(u)| <= (n - d(T))^2 for every vertex u and every T in L(u).
+
+    The cap is smallest for the largest d(T) over T in L(u): that is the
+    largest d whose mask of shadow indices with d(T) = d meets col[u].
     """
     n = ix.n
-    link_size = [c.bit_count() for c in ix.col]
-    if any(4 * max(map(link_size.__getitem__, iter_bits(m))) > (n - m.bit_count()) ** 2 for m in ix.nbr):
-        return False
-    return not any(a & p for a, p in zip(ix.adj, ix.partners)) and all(
-        map(_triangle_free_rows, ix.pair_nbr)
+    by_degree: dict[int, int] = {}
+    for i, m in enumerate(ix.nbr):
+        d = m.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << i
+    degrees = sorted(by_degree.items(), reverse=True)
+    return all(
+        not c or 4 * c.bit_count() <= (n - next(d for d, m in degrees if m & c)) ** 2 for c in ix.col
     )
 
 
@@ -528,8 +579,8 @@ def mantel_link_bound(h: Hypergraph) -> CertificateReport:
     For every T in the shadow and ordered (u, v) in N(T)^2:
     the vertex set of L(u, v) misses N(T), L(u, v) is triangle-free, and
     4|L(u, v)| <= (n - d(T))^2.  All triples pass iff the diagonal ones do
-    (module docstring), so a pass is decided in one pass over the vertex
-    links; it reports the sum of d(T)^2 triples as checked and the largest
+    (module docstring), so a pass is decided per vertex (`_diagonal_holds`);
+    it reports the sum of d(T)^2 triples as checked and the largest
     |L(u)| as the largest pair link, since |L(u, v)| <= |L(u)| and every
     (T, u, u) with u in N(T) is a triple.  Only a failure runs the ordered
     scan, whose witness is the first failure with T in sorted order, then u

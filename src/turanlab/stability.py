@@ -153,9 +153,10 @@ def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
 
     # (i) T maximizing  4 * mass / (d^2 (n-d)^2), where mass is the sum of
     # |L(u, v)| over (u, v) in N(T)^2; ties by larger d then lex T, so the
-    # shadow pairs go in lexicographic vertex order and earlier wins final ties
+    # shadow pairs go in lexicographic vertex order and earlier wins final ties;
+    # ts ascends by the larger vertex, so a stable sort by the smaller one is lex
     masses = _colink_masses(ix)
-    order = sorted(range(len(ix.ts)), key=lambda i: vertices_of(ix.ts[i]))
+    order = sorted(range(len(ix.ts)), key=lambda i: ix.ts[i] & -ix.ts[i])
     best_i = None
     best_num = best_den = best_d = 0
     for i in order:
@@ -209,19 +210,43 @@ def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
 def _colink_masses(ix: _Incidence) -> list[int]:
     """mass[i] = the sum of |L(u, v)| over (u, v) in N(ts[i])^2.
 
-    Row u of the size table is packed into R[u] = sum of |L(u, v)| 2^(w v).
-    A field holds at most len(ts), and w leaves room for a sum of n rows, so
-    summing R[u] over u in N(T) adds the rows field by field; the mass is
-    then the sum of the fields v in N(T).
+    Row u of the size table is packed into R[u] = sum of |L(u, v)| 2^(w v)
+    with w = (n^2 |shadow|).bit_length() + 1.  Summing R[u] over u in N(T)
+    adds the rows field by field, and masking with the all-ones fields of
+    the v in N(T) keeps the terms of the mass.  Every field, and the mass
+    itself, is at most n^2 |shadow| < 2^w - 1, so no field carries and,
+    since 2^w = 1 modulo 2^w - 1, the masked sum taken mod 2^w - 1 is
+    exactly the sum of its fields: the mass.
+
+    The sums over N(T) are read from tables, four vertices at a time (the
+    lookup-table method of Arlazarov, Dinic, Kronrod and Faradzev): hex
+    digit j of N(T).to_bytes(nb, "little").hex() picks one of 16
+    precomputed sums of R over its four vertices, and a matching entry of
+    their field masks.
     """
-    w = (ix.n * len(ix.ts)).bit_length()
+    n = ix.n
+    w = (n * n * len(ix.ts)).bit_length() + 1
     ones = (1 << w) - 1
+    nb = (n + 7) >> 3
     packed = [sum(s << (w * v) for v, s in enumerate(row)) for row in ix.size]
+    packed += [0] * (8 * nb - n)
+    hex_digits = "0123456789abcdef"
+    row_tables, mask_tables = [], []
+    for j in range(2 * nb):
+        # digit j of the hex string: the high nibble of byte j >> 1 first
+        base = 4 * (j ^ 1)
+        rows, masks = [0] * 16, [0] * 16
+        for d in range(1, 16):
+            low = (d & -d).bit_length() - 1
+            rows[d] = rows[d & (d - 1)] + packed[base + low]
+            masks[d] = masks[d & (d - 1)] | ones << (w * (base + low))
+        row_tables.append(dict(zip(hex_digits, rows)))
+        mask_tables.append(dict(zip(hex_digits, masks)))
     masses = []
     for m in ix.nbr:
-        vs = list(iter_bits(m))
-        total = sum(map(packed.__getitem__, vs))
-        masses.append(sum(total >> (w * v) & ones for v in vs))
+        digits = m.to_bytes(nb, "little").hex()
+        total = sum(map(dict.__getitem__, row_tables, digits))
+        masses.append((total & sum(map(dict.__getitem__, mask_tables, digits))) % ones)
     return masses
 
 

@@ -8,6 +8,8 @@ covers by exhaustive cover search, the text format line by line and the
 the tests use them as the reference that the incidence index, the
 auxiliary-graph shortcut, the search, the cuts, the streaming parser, the
 bulk constructor checks and the per-block bad-edge pass must agree with.
+The index's bulk build is checked against per-incidence builders that
+visit each u in N(T) one bit at a time.
 """
 
 import itertools
@@ -188,6 +190,34 @@ def _embed_on_own_support(edges, r):
     relabel = {old: new for new, old in enumerate(iter_bits(used))}
     out = [sum(1 << relabel[b] for b in iter_bits(e)) for e in edges]
     return Hypergraph(used.bit_count(), r, tuple(sorted(out)))
+
+
+def columns_by_bit(ix):
+    """col[u] = the mask of shadow indices i with u in N(ts[i]), one incidence at a time."""
+    col = [0] * ix.n
+    for i, m in enumerate(ix.nbr):
+        for u in iter_bits(m):
+            col[u] |= 1 << i
+    return col
+
+
+def partners_by_bit(ix):
+    """partners[u] = the union of N(T) over the T with u in N(T), one incidence at a time."""
+    partners = [0] * ix.n
+    for m in ix.nbr:
+        for u in iter_bits(m):
+            partners[u] |= m
+    return partners
+
+
+def neighborhoods_independent_by_pair(ix):
+    """No x in any N(T) has a pair-cover neighbor in N(T), tested per (T, x)."""
+    return not any(ix.adj[x] & m for m in ix.nbr for x in iter_bits(m))
+
+
+def mantel_caps_by_incidence(ix):
+    """4|L(u)| <= (n - d(T))^2 for every T and u in N(T), tested per (T, u)."""
+    return all(4 * ix.col[u].bit_count() <= (ix.n - m.bit_count()) ** 2 for m in ix.nbr for u in iter_bits(m))
 
 
 def colink_masses(ix):

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from turanlab import checkers, stability
 from turanlab.checkers import (
     _diagonal_holds,
+    _first_witness,
+    _mantel_caps_hold,
     _Incidence,
     _ordered_scan,
     _triangle_free_rows,
@@ -39,10 +41,12 @@ from turanlab.hypergraph import (
     all_r_subsets,
     auxiliary_graph,
     contains_clique,
+    iter_bits,
     mask_of,
     vertices_of,
 )
 from turanlab.stability import (
+    _colink_masses,
     bipartite_distance_analysis,
     extract_partition_cancellative,
     extract_partition_kfree,
@@ -50,7 +54,18 @@ from turanlab.stability import (
     lemma25_pair,
 )
 
-from oracles import is_subgraph, k_family, link_sets, shadow_neighborhoods
+from oracles import (
+    colink_masses,
+    columns_by_bit,
+    is_subgraph,
+    k_family,
+    link_sets,
+    mantel_caps_by_incidence,
+    neighborhoods_independent_by_pair,
+    partners_by_bit,
+    permute_hypergraph,
+    shadow_neighborhoods,
+)
 
 
 def random_hypergraph(n, r, p, rng):
@@ -631,6 +646,92 @@ def test_cancellative_witness_matches_by_pair_oracle():
     for h in cancellative_samples():
         assert cancellative_witness(h) is None and oracle_cancellative_witness(h) is None
     assert 100 < violated < 400
+
+
+@st.composite
+def small_three_graphs(draw):
+    """A 3-graph on 1..20 vertices (n = 8, 9, 16 and 17 straddle the byte
+    boundaries of the bulk build) and a relabeling of it: random edge sets
+    of any density, mostly not cancellative when dense, or maximal
+    cancellative ones, kept whole or thinned."""
+    n = draw(st.integers(1, 20))
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(("random", "cancellative", "thinned")))
+    if kind == "random":
+        p = draw(st.sampled_from((0.0, 0.01, 0.05, 0.2, 0.6, 1.0)))
+        h = random_hypergraph(n, 3, p, random.Random(seed))
+    else:
+        h = random_maximal_cancellative(n, seed)
+        if kind == "thinned":
+            h = perturb(h, 0.2, 0, seed)
+    return h, draw(st.permutations(range(1, n + 1)))
+
+
+def _check_bulk_index(h):
+    ix = _Incidence(h)
+    assert ix.col == columns_by_bit(ix)
+    assert ix.partners == partners_by_bit(ix)
+    assert _colink_masses(ix) == colink_masses(ix)
+    assert _mantel_caps_hold(ix) == mantel_caps_by_incidence(ix)
+    independent = neighborhoods_independent(h)
+    assert independent == neighborhoods_independent_by_pair(ix) == oracle_neighborhoods_independent(h)
+    witness = cancellative_witness(h)
+    # the per-vertex test gates the scan without changing its witness
+    assert witness == _first_witness(ix) == oracle_cancellative_witness(h)
+    assert is_cancellative(h) == (witness is None) == independent
+    assert links_triangle_free(h) == all(
+        not contains_clique(Hypergraph(h.n, 2, tuple(lk)), 3) for lk in link_sets(h)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_three_graphs())
+def test_bulk_index_matches_per_incidence_oracles(case):
+    h, perm = case
+    _check_bulk_index(h)
+    _check_bulk_index(permute_hypergraph(h, perm))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 20])
+def test_bulk_index_on_empty_and_single_edge_inputs(n):
+    _check_bulk_index(Hypergraph(n, 3, ()))
+    if n >= 3:
+        for edge in ((1, 2, 3), (n - 2, n - 1, n)):
+            _check_bulk_index(Hypergraph.from_edges(n, 3, [edge]))
+
+
+def test_mantel_caps_per_vertex_match_per_incidence_oracle():
+    # on a cancellative input the caps follow from Mantel's theorem, so the
+    # per-vertex degree masks are compared where caps fail as well
+    rng = random.Random(101)
+    verdicts = Counter()
+    for _ in range(300):
+        h = random_hypergraph(rng.randint(3, 20), 3, rng.uniform(0.01, 0.9), rng)
+        ix = _Incidence(h)
+        holds = _mantel_caps_hold(ix)
+        assert holds == mantel_caps_by_incidence(ix)
+        verdicts[holds] += 1
+    assert verdicts[True] > 30 and verdicts[False] > 30, verdicts
+
+
+def test_bulk_index_never_walks_the_incidences(monkeypatch):
+    # building the index, partners and co-link masses, and the per-vertex
+    # predicates on a passing input, take no per-incidence iter_bits loop
+    calls = []
+
+    def counting_iter_bits(mask):
+        calls.append(mask)
+        return iter_bits(mask)
+
+    monkeypatch.setattr(checkers, "iter_bits", counting_iter_bits)
+    monkeypatch.setattr(stability, "iter_bits", counting_iter_bits)
+    h = turan_hypergraph(60, 3, 3)
+    ix = _Incidence(h)
+    ix.partners
+    _colink_masses(ix)
+    assert is_cancellative(h) and neighborhoods_independent(h) and links_triangle_free(h)
+    assert mantel_link_bound(h).holds
+    assert len(calls) < h.n, len(calls)
 
 
 def test_triangle_free_bit_test_matches_contains_clique():

@@ -119,6 +119,16 @@ def test_colink_masses_match_size_table_oracle():
         assert _colink_masses(ix) == colink_masses(ix)
 
 
+def test_colink_masses_exceed_a_single_field():
+    # in K_12^(3) every mass is 10 * 55 + 90 * 45 = 4600, while a field of
+    # one packed column sum needs only w = (n |shadow|).bit_length() = 10
+    # bits; the reduction mod 2^w - 1 must use a w that holds the whole mass
+    h = Hypergraph.from_edges(12, 3, itertools.combinations(range(1, 13), 3))
+    ix = _Incidence(h)
+    assert (h.n * len(ix.ts)).bit_length() == 10
+    assert _colink_masses(ix) == colink_masses(ix) == [4600] * 66
+
+
 def test_kfree_extractor():
     for n in (9, 12, 21):
         h = turan_hypergraph(n, 3, 3)
