@@ -10,6 +10,7 @@ explicit --seed; there is no time-derived default anywhere.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -356,11 +357,18 @@ def _cache_payload(args) -> tuple[str, int]:
     return _json({"path": path, "found": True, "entry": hit.to_json_dict()}), OK
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `run` in this process.  Parsing leaves it as it
+    was, and a new one per call would leave its reference cycles behind for
+    the cyclic collector, which frees them late once the calls allocate little."""
+    return build_parser()
+
+
 def run(argv: list[str]) -> int:
     """Dispatch a command line; returns the exit code and prints artifacts."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed a usage message
         code = exc.code
         return code if isinstance(code, int) else USAGE

@@ -146,19 +146,36 @@ class PairCover:
         self.cov: dict[int, int] = {}
 
     def add(self, e: int) -> None:
-        for i, j in itertools.combinations(iter_bits(e), 2):
-            p = (1 << i) | (1 << j)
-            self.cov[p] = self.cov.get(p, 0) + 1
-            self.adj[i] |= 1 << j
-            self.adj[j] |= 1 << i
+        adj, cov = self.adj, self.cov
+        # each pair once, as its low bit lo and a higher bit hi of e
+        while e:
+            lo = e & -e
+            e ^= lo
+            i = lo.bit_length() - 1
+            rest = e
+            while rest:
+                hi = rest & -rest
+                rest ^= hi
+                p = lo | hi
+                cov[p] = cov.get(p, 0) + 1
+                adj[i] |= hi
+                adj[hi.bit_length() - 1] |= lo
 
     def remove(self, e: int) -> None:
-        for i, j in itertools.combinations(iter_bits(e), 2):
-            p = (1 << i) | (1 << j)
-            self.cov[p] -= 1
-            if not self.cov[p]:
-                self.adj[i] ^= 1 << j
-                self.adj[j] ^= 1 << i
+        adj, cov = self.adj, self.cov
+        while e:
+            lo = e & -e
+            e ^= lo
+            i = lo.bit_length() - 1
+            rest = e
+            while rest:
+                hi = rest & -rest
+                rest ^= hi
+                p = lo | hi
+                cov[p] -= 1
+                if not cov[p]:
+                    adj[i] ^= hi
+                    adj[hi.bit_length() - 1] ^= lo
 
 
 def all_r_subsets(n: int, r: int) -> list[int]:

@@ -9,23 +9,27 @@ the extremal class count comes out exact.
 
 Near the root the search works one isomorphism class at a time.  It
 branches on one addable edge per twin orbit and keeps a child G+e only if e
-has the largest `edge_invariants` value among the edges of G+e.  The filter
-loses no class: H is reached from H-e for an edge e of H with the largest
-invariant, and H-e satisfies the predicate with a bound at least that of H.
-Once a node has at most LABELED_TAIL addable edges, its subtree goes to
-plain labeled subset branch and bound, which costs far less per node than a
-canonical labelling.
+has the largest invariant among the edges of G+e, where the invariant of an
+edge is the sorted list of its vertices' colours (degree, and the degree
+sums of the edges through the vertex); `_child_invariants` stops at the
+first edge that beats e.  The filter loses no class: H is reached from H-e
+for an edge e of H with the largest invariant, and H-e satisfies the
+predicate with a bound at least that of H.  Once a node has at most
+LABELED_TAIL addable edges, its subtree goes to plain labeled subset branch
+and bound, which costs far less per node than a canonical labelling.
 
-A canonical code is computed only where the identity of a class is in
-question (McKay's invariant-first isomorph rejection).  The visited set is
-keyed by the sorted invariant list the filter already built: the first
-survivor under a key is kept as its labeled edge tuple and expanded without
-a code, and only a second one under the same key canonicalizes itself and,
-once, the stored tuple.  Isomorphic graphs share a key, so the key only
-decides when to compare codes, never what a class is.  A graph with the
-best edge count so far needs its code for the class tally; a memo from its
-sorted edge list to the code, emptied whenever the best count rises, serves
-a labeled graph that the tail reaches again.
+A repeated class is rejected by a direct isomorphism test, not by a
+canonical code (McKay's invariant-first isomorph rejection).  The visited
+set is keyed by the sorted invariant list the filter already built and
+keeps, per key, the labeled edge tuple of the first graph of each class
+seen under it; a child is expanded iff `_isomorphic` maps it onto none of
+them.  That test compares the sorted vertex colours, then backtracks over
+colour-preserving vertex maps with the adjacency rule of VF2 (Cordella et
+al., 2004).  Isomorphic graphs share a key, so the key only decides which
+graphs are compared, never what a class is.  A canonical code is computed
+only for a graph with the best edge count so far, for the class tally; a
+memo from its sorted edge list to the code, emptied whenever the best
+count rises, serves a labeled graph that the tail reaches again.
 
 The predicates are a fixed set, `PREDICATES`: "cancellative" (3-graphs in
 which no edge contains the symmetric difference of two others), "k-free"
@@ -49,6 +53,10 @@ from .hypergraph import Hypergraph, PairCover, all_r_subsets, iter_bits, iter_cl
 from .partitions import Partition
 
 DEFAULT_GUARDS = {2: 10, 3: 8}
+# the tighter guard of k-free with ell >= 4, whose addable-count bound prunes
+# far less: at ell = 4, r = 2 takes seconds at n = 8 and minutes at n = 9,
+# r = 3 seconds at n = 7 and over half an hour at n = 8
+LARGE_ELL_GUARDS = {2: 8, 3: 7}
 
 PREDICATES = ("cancellative", "k-free", "triangle-free")
 _UNIFORMITY = {"cancellative": 3, "triangle-free": 2}  # "k-free" takes any r
@@ -66,31 +74,138 @@ NODE_BUDGET = 50_000_000
 WITNESS_CAP = 1000
 
 
-def edge_invariants(n: int, edges: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
-    """Per edge f, sorted (deg(b), nd(b)) over the vertices b of f.
+def _colours(n: int, mems: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """Per vertex b, (deg(b), nd(b)) for the edges with vertex lists mems.
 
     deg is the vertex degree and nd(b) sums, over the edges through b, the
-    degree sums of those edges.  A relabeling permutes the list with the edges.
+    degree sums of those edges.  A relabeling permutes the list with the vertices.
     """
-    members = [tuple(iter_bits(e)) for e in edges]
     deg = [0] * n
-    for mem in members:
+    for mem in mems:
         for b in mem:
             deg[b] += 1
     nd = [0] * n
-    for mem in members:
+    for mem in mems:
         w = 0
         for b in mem:
             w += deg[b]
         for b in mem:
             nd[b] += w
-    return [tuple(sorted([(deg[b], nd[b]) for b in mem])) for mem in members]
+    return list(zip(deg, nd))
+
+
+def _child_invariants(
+    n: int, cur: Sequence[int], e: int, members: dict[int, tuple[int, ...]]
+) -> Optional[tuple[list[tuple[tuple[int, int], ...]], list[tuple[int, int]]]]:
+    """The edge invariants of cur + [e] and its vertex colours, or None if
+    some edge of cur has a larger invariant than e.
+
+    The invariant of an edge f is the sorted list of the colours of its
+    vertices; a relabeling permutes the list with the edges.  Edges are
+    compared in order and the first one that beats e ends the call.
+    members[f] is the tuple of vertex bits of f.
+    """
+    mems = [members[f] for f in cur]
+    mems.append(members[e])
+    colour = _colours(n, mems)
+    top = tuple(sorted([colour[b] for b in mems[-1]]))
+    inv = []
+    for mem in mems:
+        x = tuple(sorted([colour[b] for b in mem]))
+        if x > top:
+            return None
+        inv.append(x)
+    return inv, colour
 
 
 def _class_key(inv: list[tuple[tuple[int, int], ...]]) -> int:
-    """Visited-set key of a graph from its `edge_invariants` list: equal for
+    """Visited-set key of a graph from its edge invariants: equal for
     isomorphic graphs, and a plain int so the visited set holds no key tuples."""
     return hash(tuple(sorted(inv)))
+
+
+def _pair_cover(n: int, mems: Sequence[Sequence[int]], edges: Sequence[int]) -> list[int]:
+    """adj[b] = the vertices sharing an edge with b (see `Hypergraph.adjacency`)."""
+    adj = [0] * n
+    for mem, e in zip(mems, edges):
+        for b in mem:
+            adj[b] |= e
+    return [m & ~(1 << b) for b, m in enumerate(adj)]
+
+
+def _isomorphic(
+    n: int,
+    a: Sequence[int],
+    colour_a: list[tuple[int, int]],
+    b: Sequence[int],
+    members: dict[int, tuple[int, ...]],
+) -> bool:
+    """Whether the r-graphs a and b on [n] are isomorphic; colour_a is
+    `_colours` of a, which the search already has for a child.
+
+    A vertex of a may only map to a vertex of b with the same colour.  The
+    vertices of a with an edge are placed in one fixed order: most placed
+    pair-cover neighbours first, then the smallest colour cell, then the
+    lowest label.  A candidate image must be unused and see the used images
+    exactly as the vertex sees the placed vertices (the adjacency rule of
+    VF2), and each edge of a whose vertices are all placed must map onto an
+    edge of b.  Isolated vertices pair up in any order, so they are never
+    placed.
+    """
+    if len(a) != len(b):
+        return False
+    mems_a = [members[e] for e in a]
+    mems_b = [members[e] for e in b]
+    colour_b = _colours(n, mems_b)
+    if sorted(colour_a) != sorted(colour_b):
+        return False
+    adj_a = _pair_cover(n, mems_a, a)
+    adj_b = _pair_cover(n, mems_b, b)
+    cell: dict[tuple[int, int], int] = {}
+    for w, c in enumerate(colour_b):
+        cell[c] = cell.get(c, 0) | 1 << w
+
+    # level k places order[k]; nbrs[k] are its placed neighbours, cands[k]
+    # its colour cell in b, done[k] the edges of a it completes
+    order: list[int] = []
+    left = [v for v in range(n) if adj_a[v]]
+    placed = 0
+    while left:
+        v = max(left, key=lambda v: ((adj_a[v] & placed).bit_count(), -cell[colour_a[v]].bit_count(), -v))
+        left.remove(v)
+        order.append(v)
+        placed |= 1 << v
+    at = {v: k for k, v in enumerate(order)}
+    nbrs = [[u for u in iter_bits(adj_a[v]) if at[u] < k] for k, v in enumerate(order)]
+    cands = [cell[colour_a[v]] for v in order]
+    done: list[list[tuple[int, ...]]] = [[] for _ in order]
+    if mems_a and len(mems_a[0]) > 2:  # for graphs the adjacency rule checks every edge
+        for mem in mems_a:
+            done[max(at[u] for u in mem)].append(mem)
+    b_edges = set(b)
+    img = [0] * n
+
+    def place(k: int, used: int) -> bool:
+        if k == len(order):
+            return True
+        want = 0
+        for u in nbrs[k]:
+            want |= img[u]
+        v = order[k]
+        free = cands[k] & ~used
+        while free:
+            low = free & -free
+            free ^= low
+            if adj_b[low.bit_length() - 1] & used != want:
+                continue
+            img[v] = low
+            if all(sum([img[u] for u in mem]) in b_edges for mem in done[k]) and place(k + 1, used | low):
+                return True
+        return False
+
+    found = place(0, 0)
+    del place  # the recursive closure holds itself: break the cycle now
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +287,13 @@ def extremal_number(
         raise ValueError("node budget must be positive")
     check_request(r, predicate, ell)
     guard = DEFAULT_GUARDS.get(r, 8)
+    shape = f"r = {r}"
+    if ell is not None:
+        shape += f", ell = {ell}"
+        if ell >= 4:
+            guard = LARGE_ELL_GUARDS.get(r, guard)
     if n > guard and not allow_large:
-        raise ValueError(
-            f"n = {n} exceeds the feasibility guard {guard} for r = {r} (pass allow_large to override)"
-        )
+        raise ValueError(f"n = {n} exceeds the feasibility guard {guard} for {shape} (pass allow_large to override)")
 
     t0 = time.perf_counter()
     if predicate == "cancellative":
@@ -183,19 +301,20 @@ def extremal_number(
     else:
         state = KFreeState(n, r, ell if predicate == "k-free" else 2)
     cur: list[int] = []
-    # _class_key -> the classes seen under it: the labeled edge tuple of the
-    # first graph while it is alone, a list of canonical codes once a second
-    # graph shares the key
+    members = {e: tuple(iter_bits(e)) for e in all_r_subsets(n, r)}
+    # _class_key -> the classes seen under it, each as the labeled edge tuple
+    # of its first graph: that tuple while it is alone, a list of them once a
+    # second class shares the key
     visited: dict[int, tuple[int, ...] | list[tuple[int, ...]]] = {}
     best = 0
     best_codes: set[tuple[int, ...]] = {()}
     # sorted labeled edges -> canonical code, for graphs with best edges
-    best_labeled: dict[tuple[int, ...], tuple[int, ...]] = {}
+    best_labeled: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
     nodes = 0
     exhausted = False
     cap_hit = False
 
-    def note_state(code: Optional[tuple[int, ...]]) -> None:
+    def note_state() -> None:
         nonlocal best, cap_hit
         m = len(cur)
         if m < best:
@@ -205,11 +324,10 @@ def extremal_number(
             best_codes.clear()
             best_labeled.clear()
             cap_hit = False
+        labeled = tuple(sorted(cur))
+        code = best_labeled.get(labeled)
         if code is None:
-            labeled = tuple(sorted(cur))
-            code = best_labeled.get(labeled)
-            if code is None:
-                code = best_labeled[labeled] = canonical_code(n, cur)
+            code = best_labeled[labeled] = canonical_code(n, cur)
         if len(best_codes) < WITNESS_CAP:
             best_codes.add(code)
         elif code not in best_codes:
@@ -223,15 +341,14 @@ def extremal_number(
         state.remove(e)
         cur.pop()
 
-    def dfs(code: Optional[tuple[int, ...]], addable: list[int]) -> None:
-        """Expand a node whose bound len(cur) + len(addable) its caller checked;
-        code is its canonical code, or None if none was needed yet."""
+    def dfs(addable: list[int]) -> None:
+        """Expand a node whose bound len(cur) + len(addable) its caller checked."""
         nonlocal nodes, exhausted
         nodes += 1
         if nodes > node_budget:
             exhausted = True
             return
-        note_state(code)
+        note_state()
         if len(addable) <= LABELED_TAIL:
             extend_labeled(addable)
             return
@@ -241,30 +358,32 @@ def extremal_number(
         twin = _twin_classes(n, cur)
         reps: dict[tuple[int, ...], int] = {}
         for e in addable:
-            key = tuple(sorted(twin[b] for b in iter_bits(e)))
+            key = tuple(sorted([twin[b] for b in members[e]]))
             reps.setdefault(key, e)
         m = len(cur)
         for e in reps.values():
             # canonical-parent filter: keep G+e only if e has the largest
             # invariant in it; G+e is still reached by dropping such an edge
-            inv = edge_invariants(n, cur + [e])
-            if inv[-1] < max(inv):
+            found = _child_invariants(n, cur, e, members)
+            if found is None:
                 continue
+            inv, colour = found
             push(e)
             child_addable = [f for f in addable if f != e and state.addable(f)]
             if m + 1 + len(child_addable) >= best:
+                # a child is new iff it is isomorphic to no class under its key
                 bucket = _class_key(inv)
                 seen = visited.get(bucket)
                 if seen is None:
                     visited[bucket] = tuple(cur)
-                    dfs(None, child_addable)
-                else:
-                    child = canonical_code(n, cur)
-                    if isinstance(seen, tuple):
-                        seen = visited[bucket] = [canonical_code(n, seen)]
-                    if child not in seen:
-                        seen.append(child)
-                        dfs(child, child_addable)
+                    dfs(child_addable)
+                elif isinstance(seen, tuple):
+                    if not _isomorphic(n, cur, colour, seen, members):
+                        visited[bucket] = [seen, tuple(cur)]
+                        dfs(child_addable)
+                elif not any(_isomorphic(n, cur, colour, rep, members) for rep in seen):
+                    seen.append(tuple(cur))
+                    dfs(child_addable)
             pop(e)
             if exhausted:
                 return
@@ -283,13 +402,13 @@ def extremal_number(
                 if nodes > node_budget:
                     exhausted = True
                 else:
-                    note_state(None)
+                    note_state()
                     extend_labeled(new_rem)
             pop(e)
             if exhausted:
                 return
 
-    dfs((), [e for e in all_r_subsets(n, r) if state.addable(e)])
+    dfs([e for e in members if state.addable(e)])
     # the recursive closures hold themselves, and with them every table of this
     # call, until the next cycle collection; break the cycles now
     del dfs, extend_labeled

@@ -2,12 +2,13 @@
 
 Each function here computes a quantity straight from its definition: vertex
 links and shadow neighbourhoods from the edge list, subgraph containment by
-backtracking, isomorphism by comparing canonical codes, the minimal pair
-covers by exhaustive cover search, the text format line by line and the
-`Hypergraph` checks edge by edge.  The program itself never calls them;
-the tests use them as the reference that the incidence index, the
-auxiliary-graph shortcut, the search, the cuts, the streaming parser, the
-bulk constructor checks and the per-block bad-edge pass must agree with.
+backtracking, isomorphism by comparing canonical codes, the edge invariants
+of a whole graph, the minimal pair covers by exhaustive cover search, the
+text format line by line and the `Hypergraph` checks edge by edge.  The
+program itself never calls them; the tests use them as the reference that
+the incidence index, the auxiliary-graph shortcut, the search and its
+early-exit invariant filter, the cuts, the streaming parser, the bulk
+constructor checks and the per-block bad-edge pass must agree with.
 The index's bulk build is checked against per-incidence builders that
 visit each u in N(T) one bit at a time.
 """
@@ -87,6 +88,28 @@ def is_subgraph(f, h):
 
 def are_isomorphic(a, b):
     return (a.n, a.r, canonical_code(a.n, a.edges)) == (b.n, b.r, canonical_code(b.n, b.edges))
+
+
+def edge_invariants(n, edges):
+    """Per edge f, sorted (deg(b), nd(b)) over the vertices b of f, for the
+    whole edge list: what the search's canonical-parent filter compares.
+
+    deg is the vertex degree and nd(b) sums, over the edges through b, the
+    degree sums of those edges.  A relabeling permutes the list with the edges.
+    """
+    members = [tuple(iter_bits(e)) for e in edges]
+    deg = [0] * n
+    for mem in members:
+        for b in mem:
+            deg[b] += 1
+    nd = [0] * n
+    for mem in members:
+        w = 0
+        for b in mem:
+            w += deg[b]
+        for b in mem:
+            nd[b] += w
+    return [tuple(sorted([(deg[b], nd[b]) for b in mem])) for mem in members]
 
 
 def permute_hypergraph(h, perm):

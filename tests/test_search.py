@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import sys
 import time
 from collections import Counter
 from functools import partial
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import turanlab.search as search_mod
 from turanlab.canonical import canonical_code
+from turanlab.cli import run
 from turanlab.checkers import is_cancellative, is_k_free
 from turanlab.constructions import turan_count, turan_hypergraph
 from turanlab.hypergraph import (
@@ -21,11 +23,12 @@ from turanlab.hypergraph import (
     all_r_subsets,
     contains_clique,
     iter_bits,
+    mask_of,
 )
 from turanlab.partitions import Partition
 from turanlab.search import check_request, extremal_number, max_ell_cut, vertex_move_optimal
 
-from oracles import crossing_count, permute_hypergraph, uniqueness_check
+from oracles import crossing_count, edge_invariants, permute_hypergraph, uniqueness_check
 
 
 def brute_force(n, r, keep):
@@ -111,11 +114,23 @@ def test_budget_exhaustion_is_incomplete():
         extremal_number(5, 3, "cancellative", node_budget=0)
 
 
-def test_feasibility_guard():
+def test_feasibility_guard(capsys):
     with pytest.raises(ValueError):
         extremal_number(11, 2, "triangle-free")
     with pytest.raises(ValueError):
         extremal_number(9, 3, "cancellative")
+    # k-free with ell >= 4 has the tighter guard: n <= 8 for r = 2, n <= 7 for r = 3
+    for n, r, ell in ((9, 2, 4), (9, 2, 5), (8, 3, 4), (8, 3, 5)):
+        with pytest.raises(ValueError, match=f"n = {n} exceeds the feasibility guard {n - 1} for r = {r}, ell = {ell}"):
+            extremal_number(n, r, "k-free", ell=ell)
+        assert not extremal_number(n, r, "k-free", ell=ell, allow_large=True, node_budget=1).complete
+    # a budget of one node admits a request without running it
+    for n, r, ell in ((8, 2, 4), (7, 3, 4), (10, 2, 3), (8, 3, 3), (8, 4, 4)):
+        assert not extremal_number(n, r, "k-free", ell=ell, node_budget=1).complete
+    argv = ["search", "--n", "9", "--r", "2", "--predicate", "k-free", "--ell", "4", "--no-cache"]
+    assert run(argv) == 2
+    assert "feasibility guard 8 for r = 2, ell = 4" in capsys.readouterr().err
+    assert run(argv + ["--allow-large", "--budget", "1"]) == 3
 
 
 def test_uniqueness_check():
@@ -318,21 +333,153 @@ def test_search_leaves_no_cycle_of_its_own():
 
 
 def test_canonical_call_counts(monkeypatch):
-    # before the invariant-keyed visited set and the labeled memo every kept
-    # child and every labeled graph at the best size was canonicalized:
-    # triangle-free n=8 took 230 calls (now 140), cancellative n=7 113 (now 67)
+    # only a graph with the best edge count so far is canonicalized, once per
+    # labeled graph; a repeated class is rejected by an isomorphism test against
+    # the graph stored under its key.  Before that test the search also coded
+    # repeats: triangle-free n=8 took 140 calls, cancellative n=7 67; before the
+    # invariant-keyed visited set and the labeled memo, 230 and 113.
     calls = Counter()
 
     def spy(n, edges):
-        calls[n] += 1
+        calls[sys._getframe(1).f_code.co_name] += 1
         return canonical_code(n, edges)
 
     monkeypatch.setattr(search_mod, "canonical_code", spy)
-    for n, r, predicate, want in ((8, 2, "triangle-free", 140), (7, 3, "cancellative", 67)):
+    for n, r, predicate, want in ((8, 2, "triangle-free", 28), (7, 3, "cancellative", 26)):
         calls.clear()
         rec = extremal_number(n, r, predicate)
         assert rec.complete
-        assert calls[n] == want, (predicate, n, calls[n])
+        assert calls == {"note_state": want}, (predicate, n, calls)
+
+
+# ---------------------------------------------------------------------------
+# The repeat test of the search: `_isomorphic` against canonical-code equality,
+# and the early-exit filter `_child_invariants` against `edge_invariants`
+
+
+def _members(n, r):
+    return {e: tuple(iter_bits(e)) for e in all_r_subsets(n, r)}
+
+
+def _isomorphic(n, a, b, members):
+    return search_mod._isomorphic(n, a, search_mod._colours(n, [members[e] for e in a]), b, members)
+
+
+@st.composite
+def graph_pairs(draw):
+    """(n, r, a, b): an r-graph a on [n] whose edges span only its first k
+    vertices, and b a relabeling of a, that relabeling with one edge moved, or
+    another graph with as many edges on the same k vertices."""
+    r = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(r, 10))
+    k = draw(st.integers(r, n))
+    cands = all_r_subsets(k, r)
+    a = [e for e in cands if draw(st.integers(0, 3))]
+    how = draw(st.sampled_from(["relabel", "move", "other"]))
+    if how == "other":
+        b = draw(st.permutations(cands))[: len(a)]
+    else:
+        b = list(a)
+        if how == "move" and 0 < len(a) < len(cands):
+            b.remove(draw(st.sampled_from(a)))
+            b.append(draw(st.sampled_from([e for e in cands if e not in a])))
+    perm = draw(st.permutations(range(1, n + 1)))
+    b = permute_hypergraph(Hypergraph(n, r, tuple(b)), perm).edges
+    return n, r, tuple(a), b
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_pairs())
+def test_isomorphic_agrees_with_canonical_codes(case):
+    n, r, a, b = case
+    members = _members(n, r)
+    want = canonical_code(n, a) == canonical_code(n, b)
+    assert _isomorphic(n, a, b, members) == want
+    assert _isomorphic(n, b, a, members) == want
+
+
+def test_isomorphic_checks_edges_beyond_the_pair_cover():
+    # non-isomorphic 3-graphs on [6] with equal edge counts, equal colour multisets
+    # and isomorphic pair-cover graphs: only mapping edges onto edges tells them apart
+    members = _members(6, 3)
+    for a, b in (
+        ([(1, 3, 5), (2, 4, 5), (1, 2, 6), (2, 3, 6), (3, 5, 6)], [(1, 2, 4), (2, 3, 4), (1, 5, 6), (2, 5, 6), (4, 5, 6)]),
+        (
+            [(1, 2, 4), (1, 3, 4), (1, 2, 5), (1, 3, 6), (2, 3, 6), (2, 4, 6), (3, 4, 6)],
+            [(1, 2, 4), (1, 3, 4), (1, 2, 5), (1, 3, 5), (2, 4, 5), (3, 4, 5), (2, 3, 6)],
+        ),
+    ):
+        a, b = [tuple(map(mask_of, x)) for x in (a, b)]
+        assert canonical_code(6, a) != canonical_code(6, b)
+        assert not _isomorphic(6, a, b, members)
+        assert _isomorphic(6, a, permute_hypergraph(Hypergraph(6, 3, a), [4, 6, 1, 5, 2, 3]).edges, members)
+
+
+def _random_regular(n, d, rng):
+    """A d-regular graph on [n] from random stub pairings, retried until simple."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        edges = {(1 << u) | (1 << v) for u, v in zip(stubs[::2], stubs[1::2]) if u != v}
+        if len(edges) == n * d // 2:
+            return tuple(sorted(edges))
+
+
+def test_isomorphic_on_regular_graphs():
+    # every vertex of a regular graph has the same colour and every edge the same
+    # invariant, so these pairs share a visited-set key and only the backtracking
+    # decides them; the time bound is a loose guard against losing its pruning
+    rng = random.Random(18)
+    petersen = tuple(
+        mask_of(p)
+        for p in [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 6), (2, 7), (3, 8), (4, 9), (5, 10)]
+        + [(6, 8), (8, 10), (10, 7), (7, 9), (9, 6)]
+    )
+    graphs = [petersen] + [_random_regular(10, d, rng) for d in (3, 4) for _ in range(24)]
+    # relabeled copies put isomorphic pairs with different labels among them
+    graphs += [permute_hypergraph(Hypergraph(10, 2, g), rng.sample(range(1, 11), 10)).edges for g in graphs[::4]]
+    codes = [canonical_code(10, g) for g in graphs]
+    assert len(set(codes)) > 20
+    members = _members(10, 2)
+    pairs = [
+        (i, j)
+        for i, j in itertools.combinations_with_replacement(range(len(graphs)), 2)
+        if len(graphs[i]) == len(graphs[j])
+    ]
+    t0 = time.perf_counter()
+    got = [_isomorphic(10, graphs[i], graphs[j], members) for i, j in pairs]
+    elapsed = time.perf_counter() - t0
+    assert got == [codes[i] == codes[j] for i, j in pairs]
+    assert sum(got) > len(graphs) and len(got) - sum(got) > 500
+    assert elapsed < 20, elapsed
+
+
+@st.composite
+def child_cases(draw):
+    """(n, r, cur, e): edges cur of an r-graph on [n] in random order, and an edge e not in cur."""
+    r = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(r, 9))
+    cands = draw(st.permutations(all_r_subsets(n, r)))
+    m = draw(st.integers(0, len(cands) - 1))
+    return n, r, cands[:m], cands[m]
+
+
+@settings(max_examples=200, deadline=None)
+@given(child_cases())
+def test_child_invariants_match_edge_invariants(case):
+    n, r, cur, e = case
+    edges = cur + [e]
+    want = edge_invariants(n, edges)
+    got = search_mod._child_invariants(n, cur, e, _members(n, r))
+    if want[-1] < max(want):
+        assert got is None
+        return
+    inv, colour = got
+    assert inv == want
+    deg = [sum(f >> x & 1 for f in edges) for x in range(n)]
+    for b in range(n):
+        through = [f for f in edges if f >> b & 1]
+        assert colour[b] == (len(through), sum(deg[x] for f in through for x in iter_bits(f)))
 
 
 # ---------------------------------------------------------------------------
