@@ -128,6 +128,5 @@ def canonical_code(n: int, edges: Sequence[int]) -> tuple[int, ...]:
             perm[v] = -1
 
     rec(0)
-    del rec  # the recursive closure holds itself: break the cycle now
     assert best is not None
     return tuple(best)

@@ -54,8 +54,10 @@ from .partitions import Partition
 
 DEFAULT_GUARDS = {2: 10, 3: 8}
 # the tighter guard of k-free with ell >= 4, whose addable-count bound prunes
-# far less: at ell = 4, r = 2 takes seconds at n = 8 and minutes at n = 9,
-# r = 3 seconds at n = 7 and over half an hour at n = 8
+# far less: at ell = 4, r = 2 takes seconds at n = 8 and r = 3 at n = 7, but
+# one vertex more takes over a minute for every ell >= 4 tried (4 to 9 for
+# r = 2, 4, 5, 7 and 8 for r = 3), even ell >= n, where the ties at the
+# optimum are all the search walks
 LARGE_ELL_GUARDS = {2: 8, 3: 7}
 
 PREDICATES = ("cancellative", "k-free", "triangle-free")
@@ -124,24 +126,17 @@ def _class_key(inv: list[tuple[tuple[int, int], ...]]) -> int:
     return hash(tuple(sorted(inv)))
 
 
-def _pair_cover(n: int, mems: Sequence[Sequence[int]], edges: Sequence[int]) -> list[int]:
-    """adj[b] = the vertices sharing an edge with b (see `Hypergraph.adjacency`)."""
-    adj = [0] * n
-    for mem, e in zip(mems, edges):
-        for b in mem:
-            adj[b] |= e
-    return [m & ~(1 << b) for b, m in enumerate(adj)]
-
-
 def _isomorphic(
     n: int,
     a: Sequence[int],
     colour_a: list[tuple[int, int]],
+    adj_a: Sequence[int],
     b: Sequence[int],
     members: dict[int, tuple[int, ...]],
 ) -> bool:
     """Whether the r-graphs a and b on [n] are isomorphic; colour_a is
-    `_colours` of a, which the search already has for a child.
+    `_colours` of a and adj_a its pair-cover adjacency, which the search
+    already has for a child (the filter's colours and the predicate state).
 
     A vertex of a may only map to a vertex of b with the same colour.  The
     vertices of a with an edge are placed in one fixed order: most placed
@@ -159,8 +154,12 @@ def _isomorphic(
     colour_b = _colours(n, mems_b)
     if sorted(colour_a) != sorted(colour_b):
         return False
-    adj_a = _pair_cover(n, mems_a, a)
-    adj_b = _pair_cover(n, mems_b, b)
+    # adj_b[w] also holds w itself when w has an edge, but a candidate w is
+    # never in used, the one mask it meets
+    adj_b = [0] * n
+    for mem, e in zip(mems_b, b):
+        for w in mem:
+            adj_b[w] |= e
     cell: dict[tuple[int, int], int] = {}
     for w, c in enumerate(colour_b):
         cell[c] = cell.get(c, 0) | 1 << w
@@ -209,7 +208,8 @@ def _isomorphic(
 
 
 # ---------------------------------------------------------------------------
-# Hereditary predicates with incremental add/remove/addable
+# Hereditary predicates with incremental add/remove/addable; each state is a
+# PairCover, whose adjacency the repeat test reads for the child
 
 
 class KFreeState(PairCover):
@@ -303,9 +303,8 @@ def extremal_number(
     cur: list[int] = []
     members = {e: tuple(iter_bits(e)) for e in all_r_subsets(n, r)}
     # _class_key -> the classes seen under it, each as the labeled edge tuple
-    # of its first graph: that tuple while it is alone, a list of them once a
-    # second class shares the key
-    visited: dict[int, tuple[int, ...] | list[tuple[int, ...]]] = {}
+    # of its first graph
+    visited: dict[int, list[tuple[int, ...]]] = {}
     best = 0
     best_codes: set[tuple[int, ...]] = {()}
     # sorted labeled edges -> canonical code, for graphs with best edges
@@ -372,16 +371,8 @@ def extremal_number(
             child_addable = [f for f in addable if f != e and state.addable(f)]
             if m + 1 + len(child_addable) >= best:
                 # a child is new iff it is isomorphic to no class under its key
-                bucket = _class_key(inv)
-                seen = visited.get(bucket)
-                if seen is None:
-                    visited[bucket] = tuple(cur)
-                    dfs(child_addable)
-                elif isinstance(seen, tuple):
-                    if not _isomorphic(n, cur, colour, seen, members):
-                        visited[bucket] = [seen, tuple(cur)]
-                        dfs(child_addable)
-                elif not any(_isomorphic(n, cur, colour, rep, members) for rep in seen):
+                seen = visited.setdefault(_class_key(inv), [])
+                if not any(_isomorphic(n, cur, colour, state.adj, rep, members) for rep in seen):
                     seen.append(tuple(cur))
                     dfs(child_addable)
             pop(e)

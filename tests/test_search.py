@@ -20,6 +20,7 @@ from turanlab.checkers import is_cancellative, is_k_free
 from turanlab.constructions import turan_count, turan_hypergraph
 from turanlab.hypergraph import (
     Hypergraph,
+    PairCover,
     all_r_subsets,
     contains_clique,
     iter_bits,
@@ -119,8 +120,9 @@ def test_feasibility_guard(capsys):
         extremal_number(11, 2, "triangle-free")
     with pytest.raises(ValueError):
         extremal_number(9, 3, "cancellative")
-    # k-free with ell >= 4 has the tighter guard: n <= 8 for r = 2, n <= 7 for r = 3
-    for n, r, ell in ((9, 2, 4), (9, 2, 5), (8, 3, 4), (8, 3, 5)):
+    # k-free with ell >= 4 has the tighter guard: n <= 8 for r = 2, n <= 7 for r = 3;
+    # one vertex above it, every ell >= 4 timed took minutes, ell >= n among them
+    for n, r, ell in ((9, 2, 4), (9, 2, 5), (9, 2, 9), (8, 3, 4), (8, 3, 5), (8, 3, 8)):
         with pytest.raises(ValueError, match=f"n = {n} exceeds the feasibility guard {n - 1} for r = {r}, ell = {ell}"):
             extremal_number(n, r, "k-free", ell=ell)
         assert not extremal_number(n, r, "k-free", ell=ell, allow_large=True, node_budget=1).complete
@@ -256,10 +258,14 @@ def test_default_search_matches_labeled_oracle(monkeypatch):
         assert _fast_paths(monkeypatch, search) == [slow, slow], (n, r, predicate, ell)
 
 
-class _BoundedDegree:
-    """A hereditary stand-in with several extremal classes: every vertex degree at most d."""
+class _BoundedDegree(PairCover):
+    """A hereditary stand-in with several extremal classes: every vertex degree at most d.
 
-    def __init__(self, d):
+    Like the real predicate states it is a `PairCover`, whose adjacency the
+    search's repeat test reads."""
+
+    def __init__(self, n, d):
+        super().__init__(n)
         self.d = d
         self.deg = Counter()
 
@@ -267,10 +273,12 @@ class _BoundedDegree:
         return all(self.deg[b] < self.d for b in iter_bits(e))
 
     def add(self, e):
+        super().add(e)
         for b in iter_bits(e):
             self.deg[b] += 1
 
     def remove(self, e):
+        super().remove(e)
         for b in iter_bits(e):
             self.deg[b] -= 1
 
@@ -279,8 +287,8 @@ def test_search_matches_labeled_oracle_on_many_classes(monkeypatch):
     # the three predicates have one extremal class each on the n above, so a lost
     # class shows only where there are several: cycles, cubic graphs, linear 3-graphs
     for n, r, d, classes in ((7, 2, 2, 2), (6, 2, 3, 2), (7, 2, 3, 4), (6, 3, 2, 2), (7, 3, 2, 6), (6, 3, 3, 4)):
-        monkeypatch.setattr(search_mod, "_CancellativeState", lambda n, d=d: _BoundedDegree(d))
-        monkeypatch.setattr(search_mod, "KFreeState", lambda n, r, ell, d=d: _BoundedDegree(d))
+        monkeypatch.setattr(search_mod, "_CancellativeState", lambda n, d=d: _BoundedDegree(n, d))
+        monkeypatch.setattr(search_mod, "KFreeState", lambda n, r, ell, d=d: _BoundedDegree(n, d))
         predicate = "cancellative" if r == 3 else "triangle-free"
         search = partial(extremal_number, n, r, predicate)
         slow = _with_tail(monkeypatch, comb(n, r), search)
@@ -362,7 +370,11 @@ def _members(n, r):
 
 
 def _isomorphic(n, a, b, members):
-    return search_mod._isomorphic(n, a, search_mod._colours(n, [members[e] for e in a]), b, members)
+    # the child's colours and pair-cover adjacency, as the search passes them
+    cover = PairCover(n)
+    for e in a:
+        cover.add(e)
+    return search_mod._isomorphic(n, a, search_mod._colours(n, [members[e] for e in a]), cover.adj, b, members)
 
 
 @st.composite
