@@ -21,12 +21,13 @@ index is built once, tested for cancellativity, then read by the
 certificate.  The incremental search state extends `hypergraph.PairCover`
 with N(T) and co-link counts.
 
-The pair-link certificate (`mantel_link_bound`) is decided on the diagonal.
-Its three tests on a triple (T, u, v) only get easier when L(u, v) shrinks
-with T fixed, L(u, v) is a subgraph of L(u), and (T, u, u) is itself a
-checked triple whenever u is in N(T).  So every triple passes iff every
-diagonal triple does, which takes a few mask operations per vertex and per
-shadow pair instead of one pair link per (T, u, v).
+The pair-link certificate (`mantel_link_bound`) is decided by its
+precondition and one cap test.  On a cancellative input the vertex set of
+each link L(u) misses N(T) for every T in L(u), and L(u) is triangle-free
+(`links_triangle_free`); L(u, v) is a subgraph of L(u), so every triple
+(T, u, v) passes the first two tests.  The Mantel cap 4|L(u)| <= (n - d(T))^2
+then follows from Mantel's theorem and is checked per vertex.  Nothing
+scans the triples (T, u, v).
 """
 
 from __future__ import annotations
@@ -79,19 +80,20 @@ class _CancellativeState(PairCover):
     """Incrementally maintained cancellativity of a growing/shrinking 3-graph.
 
     Beside the pair-cover graph of `PairCover`, tracks for the current edge set:
-      nbrs[T]      -- N(T) as a set of 0-based bits, for T in the shadow
+      nbrs[T]      -- N(T) as a vertex mask, for T in the shadow (0 once T
+                      has left it)
       colink[P]    -- number of shadow pairs T with both ends of P in N(T)
 
     A triple E is addable iff no pair of E is co-neighbored (would become
     A (+) B inside E) and, for every pair T of E with new vertex w, no
     existing x in N(T) has the pair {w, x} covered (would give
-    E (+) (T+{x}) inside a covering edge).
+    E (+) (T+{x}) inside a covering edge), that is adj[w] & N(T) == 0.
     """
 
     def __init__(self, n: int) -> None:
         super().__init__(n)
         self.colink: Counter = Counter()
-        self.nbrs: dict[int, set[int]] = {}
+        self.nbrs: dict[int, int] = {}
 
     def addable(self, e: int) -> bool:
         x = e & -e
@@ -99,27 +101,29 @@ class _CancellativeState(PairCover):
         z = e ^ x ^ y
         if self.colink.get(y | z) or self.colink.get(x | z) or self.colink.get(x | y):
             return False
-        for pm, w in ((y | z, x), (x | z, y), (x | y, z)):
-            aw = self.adj[w.bit_length() - 1]
-            for b in self.nbrs.get(pm, ()):
-                if aw >> b & 1:
-                    return False
-        return True
+        adj, nbrs = self.adj, self.nbrs
+        return not (
+            adj[x.bit_length() - 1] & nbrs.get(y | z, 0)
+            or adj[y.bit_length() - 1] & nbrs.get(x | z, 0)
+            or adj[z.bit_length() - 1] & nbrs.get(x | y, 0)
+        )
 
     def add(self, e: int) -> None:
         super().add(e)
         for w in iter_bits(e):
-            cur = self.nbrs.setdefault(e ^ (1 << w), set())
-            for b in cur:
+            t = e ^ (1 << w)
+            cur = self.nbrs.get(t, 0)
+            for b in iter_bits(cur):
                 self.colink[(1 << w) | (1 << b)] += 1
-            cur.add(w)
+            self.nbrs[t] = cur | 1 << w
 
     def remove(self, e: int) -> None:
         super().remove(e)
         for w in iter_bits(e):
-            cur = self.nbrs[e ^ (1 << w)]
-            cur.discard(w)
-            for b in cur:
+            t = e ^ (1 << w)
+            cur = self.nbrs[t] ^ 1 << w
+            self.nbrs[t] = cur
+            for b in iter_bits(cur):
                 self.colink[(1 << w) | (1 << b)] -= 1
 
 
@@ -235,8 +239,8 @@ class _Incidence:
                   pair_nbr[u][a] & pair_nbr[v][a] that of L(u, v)
       partners -- partners[u] = the union of N(T) over T in L(u), that is
                   the v with size[u][v] > 0 (u itself iff L(u) is nonempty)
-    Since L(u, v) is a subgraph of L(u), a test that is monotone in the
-    pair link needs only the diagonal: see `mantel_link_bound`.
+    Since L(u, v) is a subgraph of L(u), a property that passes to
+    subgraphs holds for every pair link once it holds for the vertex links.
 
     Past the one pass over the edges that groups them into N(T), nothing
     visits the incidences u in N(T) one at a time.  The columns are the
@@ -299,14 +303,6 @@ class _Incidence:
         """L(u, v) as ascending pair masks."""
         return [self.ts[i] for i in iter_bits(self.col[u] & self.col[v])]
 
-    def detail(self, u: int, v: int) -> tuple[int, bool]:
-        """(support mask, triangle-free) of L(u, v), from its adjacency rows."""
-        rows = [x & y for x, y in zip(self.pair_nbr[u], self.pair_nbr[v])]
-        support = 0
-        for row in rows:
-            support |= row
-        return support, _triangle_free_rows(rows)
-
 
 def _cancellative_index(
     h: Hypergraph, name: str, failure: str = "precondition failed: input is not cancellative"
@@ -315,8 +311,8 @@ def _cancellative_index(
     preconditions of `name`; the check reads the same index the caller
     goes on to read, so it is built once.
 
-    The test is `_partner_covered`; the pair-link certificates read
-    `partners` anyway, and the witness scan runs only when the test fails.
+    The test is `_partner_covered`; `inequality2` reads `partners` anyway,
+    and the witness scan runs only when the test fails.
     """
     if h.r != 3:
         raise ValueError(f"{name} expects r = 3")
@@ -501,20 +497,6 @@ def theorem13_certificate(h: Hypergraph) -> CertificateReport:
     )
 
 
-def _diagonal_holds(ix: _Incidence) -> bool:
-    """Every diagonal triple (T, u, u) passes the pair-link tests.
-
-    For T in L(u) the three tests on (T, u, u) read: adj[u], the vertex
-    set of L(u), misses N(T); L(u), with adjacency rows pair_nbr[u], is
-    triangle-free; and 4|L(u)| <= (n - d(T))^2.  The first, over all T in
-    L(u), is adj[u] & partners[u] == 0.  It implies the second: a triangle
-    {a, b, c} in L(u) puts c in adj[a] & partners[a] (see
-    `links_triangle_free`).  The third is `_mantel_caps_hold`; Mantel's
-    theorem implies it from the first two, but the certificate checks it.
-    """
-    return not _partner_covered(ix) and _mantel_caps_hold(ix)
-
-
 def _mantel_caps_hold(ix: _Incidence) -> bool:
     """4|L(u)| <= (n - d(T))^2 for every vertex u and every T in L(u).
 
@@ -532,77 +514,32 @@ def _mantel_caps_hold(ix: _Incidence) -> bool:
     )
 
 
-def _ordered_scan(ix: _Incidence) -> tuple[int, int, Optional[dict]]:
-    """(triples checked, largest pair link seen, first failure or None) over
-    T in sorted order, then u and v in N(T) order."""
-    n = ix.n
-    sizes = ix.size
-    checked = 0
-    max_link = 0
-    for t, nmask in zip(ix.ts, ix.nbr):
-        vs = list(iter_bits(nmask))
-        cap = (n - len(vs)) ** 2
-        for u in vs:
-            row = sizes[u]
-            for v in vs:
-                checked += 1
-                size = row[v]
-                if size > max_link:
-                    max_link = size
-                support, triangle_free = ix.detail(u, v)
-                if support & nmask:
-                    return checked, max_link, {
-                        "kind": "link_meets_neighborhood",
-                        "T": vertices_of(t),
-                        "pair": [u + 1, v + 1],
-                    }
-                if not triangle_free:
-                    return checked, max_link, {
-                        "kind": "link_not_triangle_free",
-                        "T": vertices_of(t),
-                        "pair": [u + 1, v + 1],
-                    }
-                if 4 * size > cap:
-                    return checked, max_link, {
-                        "kind": "mantel_cap",
-                        "T": vertices_of(t),
-                        "pair": [u + 1, v + 1],
-                        "link_size": size,
-                        "cap": cap / 4,
-                    }
-    return checked, max_link, None
-
-
 def mantel_link_bound(h: Hypergraph) -> CertificateReport:
     """Pair links avoid N(T), stay triangle-free, and obey the Mantel cap.
 
-    For every T in the shadow and ordered (u, v) in N(T)^2:
-    the vertex set of L(u, v) misses N(T), L(u, v) is triangle-free, and
-    4|L(u, v)| <= (n - d(T))^2.  All triples pass iff the diagonal ones do
-    (module docstring), so a pass is decided per vertex (`_diagonal_holds`);
-    it reports the sum of d(T)^2 triples as checked and the largest
-    |L(u)| as the largest pair link, since |L(u, v)| <= |L(u)| and every
-    (T, u, u) with u in N(T) is a triple.  Only a failure runs the ordered
-    scan, whose witness is the first failure with T in sorted order, then u
-    and v in N(T) order.
+    For every T in the shadow and ordered (u, v) in N(T)^2: the vertex set
+    of L(u, v) misses N(T), L(u, v) is triangle-free, and
+    4|L(u, v)| <= (n - d(T))^2.  The input must be cancellative, and on
+    such an input the first two hold for L(u) and so for its subgraph
+    L(u, v) (module docstring); Mantel's theorem then gives the third,
+    which is still checked per vertex (`_mantel_caps_hold`) and raises
+    AssertionError if it ever fails.  The report counts the sum of d(T)^2
+    triples as checked and the largest |L(u)| as the largest pair link,
+    since |L(u, v)| <= |L(u)| and every (T, u, u) with u in N(T) is a
+    triple.
     """
     ix = _cancellative_index(h, "mantel_link_bound")
     if not ix.ts:
         return _vacuous("mantel-link", h.n)
-    if _diagonal_holds(ix):
-        checked = sum(m.bit_count() ** 2 for m in ix.nbr)
-        max_link, witness = max(c.bit_count() for c in ix.col), None
-    else:
-        checked, max_link, witness = _ordered_scan(ix)
+    if not _mantel_caps_hold(ix):
+        raise AssertionError("mantel-link: a link of a cancellative input exceeds its Mantel cap")
     return CertificateReport(
         name="mantel-link",
         quantities={
             "n": h.n,
             "edges": h.size,
             "shadow": len(ix.ts),
-            "pairs_checked": checked,
-            "max_pair_link": max_link,
+            "pairs_checked": sum(m.bit_count() ** 2 for m in ix.nbr),
+            "max_pair_link": max(c.bit_count() for c in ix.col),
         },
-        holds=witness is None,
-        witness=witness,
     )

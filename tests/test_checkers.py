@@ -13,11 +13,9 @@ from hypothesis import strategies as st
 
 from turanlab import checkers, stability
 from turanlab.checkers import (
-    _diagonal_holds,
     _first_witness,
     _mantel_caps_hold,
     _Incidence,
-    _ordered_scan,
     _triangle_free_rows,
     cancellative_witness,
     fisher_ryan_certificate,
@@ -260,7 +258,7 @@ def test_theorem13_certificate():
     assert rep.holds and rep.vacuous
 
 
-def test_mantel_link_bound():
+def test_mantel_link_bound(monkeypatch):
     t9 = turan_hypergraph(9, 3, 3)
     rep = mantel_link_bound(t9)
     assert rep.holds
@@ -271,6 +269,10 @@ def test_mantel_link_bound():
     assert mantel_link_bound(Hypergraph(4, 3, ())).vacuous
     for seed in range(4):
         assert mantel_link_bound(random_maximal_cancellative(8, seed)).holds
+    # the cap test is an explicit raise, kept under python -O
+    monkeypatch.setattr(checkers, "_mantel_caps_hold", lambda ix: False)
+    with pytest.raises(AssertionError, match="Mantel cap"):
+        mantel_link_bound(t9)
 
 
 def test_certificates_on_all_cancellative_5_vertex():
@@ -297,6 +299,13 @@ def test_witness_present_iff_fails():
 def test_incremental_state_matches_direct_checker(n, steps):
     from turanlab.checkers import _CancellativeState
 
+    def assert_tables_match(state, current):
+        # N(T) masks and positive co-link counts, recomputed from the edges
+        sh = shadow_neighborhoods(Hypergraph(n, 3, tuple(current)))
+        colink = Counter(mask_of(p) for vs in sh.values() for p in itertools.combinations(vs, 2))
+        assert {t: m for t, m in state.nbrs.items() if m} == {t: mask_of(vs) for t, vs in sh.items()}
+        assert {p: c for p, c in state.colink.items() if c} == colink
+
     state = _CancellativeState(n)
     current = []
     cands = all_r_subsets(n, 3)
@@ -306,6 +315,7 @@ def test_incremental_state_matches_direct_checker(n, steps):
                 victim = current[i % len(current)]
                 state.remove(victim)
                 current.remove(victim)
+                assert_tables_match(state, current)
             continue
         e = cands[i % len(cands)]
         if e in current:
@@ -316,6 +326,7 @@ def test_incremental_state_matches_direct_checker(n, steps):
         if ok:
             state.add(e)
             current.append(e)
+            assert_tables_match(state, current)
 
 
 # ---------------------------------------------------------------------------
@@ -456,38 +467,29 @@ def test_inequality2_and_mantel_link_match_oracles():
         assert mantel_link_bound(h).to_json_dict() == oracle_mantel_link(h)
 
 
-def test_mantel_link_diagonal_pass_matches_ordered_scan(monkeypatch):
-    # all triples pass iff the diagonal ones do; checked on inputs that are
-    # not cancellative, where both verdicts occur
-    monkeypatch.setattr(checkers, "_first_witness", lambda ix: None)
+def test_mantel_link_holds_on_every_admitted_input():
+    # every input is either refused by the cancellative precondition or
+    # passes, with the oracle's per-(T, u, v) report; cancellativity is
+    # hereditary, so edge subsets of a maximal cancellative 3-graph are admitted
     rng = random.Random(89)
-    verdicts = Counter()
-    while sum(verdicts.values()) < 1000:
-        h = random_hypergraph(rng.randint(3, 9), 3, rng.uniform(0.03, 0.5), rng)
+    inputs = [random_hypergraph(rng.randint(3, 9), 3, rng.uniform(0.03, 0.5), rng) for _ in range(200)]
+    for seed in range(150):
+        h = random_maximal_cancellative(rng.randint(3, 9), seed)
+        inputs.append(Hypergraph(h.n, 3, tuple(e for e in h.edges if rng.random() < 0.7)))
+    outcomes = Counter()
+    for h in inputs:
         if not h.edges:
             continue
-        ix = _Incidence(h)
-        holds = _diagonal_holds(ix)
-        assert holds == (_ordered_scan(ix)[2] is None)
-        assert mantel_link_bound(h).holds == holds
-        verdicts[holds] += 1
-    assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
-
-
-def test_mantel_link_pass_never_runs_the_ordered_scan(monkeypatch):
-    scans = []
-
-    def counting_scan(ix):
-        scans.append(ix)
-        return _ordered_scan(ix)
-
-    monkeypatch.setattr(checkers, "_ordered_scan", counting_scan)
-    for h in cancellative_samples():
-        assert mantel_link_bound(h).holds
-    assert scans == []
-    monkeypatch.setattr(checkers, "_first_witness", lambda ix: None)
-    k4 = Hypergraph.from_edges(4, 3, itertools.combinations(range(1, 5), 3))
-    assert not mantel_link_bound(k4).holds and len(scans) == 1
+        try:
+            report = mantel_link_bound(h).to_json_dict()
+        except ValueError as exc:
+            assert str(exc) == "precondition failed: input is not cancellative"
+            assert oracle_cancellative_witness(h) is not None
+            outcomes["refused"] += 1
+        else:
+            assert report == oracle_mantel_link(h) and report["holds"]
+            outcomes["holds"] += 1
+    assert outcomes["refused"] >= 50 and outcomes["holds"] >= 50, outcomes
 
 
 @settings(max_examples=40, deadline=None)
@@ -564,25 +566,18 @@ def test_graph_callers_derive_adjacency_once(monkeypatch):
 
 
 def test_failing_certificates_match_oracles(monkeypatch):
-    # without the cancellative precondition both certificates can fail;
-    # the first witness, pairs_checked and max_pair_link must still agree
+    # without the cancellative precondition inequality2 can fail; its
+    # report must still agree with the oracle
     monkeypatch.setattr(checkers, "_first_witness", lambda ix: None)
     rng = random.Random(61)
-    kinds = Counter()
     failed_inequality = 0
     for _ in range(150):
         h = random_hypergraph(rng.randint(4, 9), 3, rng.uniform(0.1, 0.7), rng)
         if not h.edges:
             continue
-        mantel = mantel_link_bound(h).to_json_dict()
-        assert mantel == oracle_mantel_link(h)
         ineq = inequality2_certificate(h).to_json_dict()
         assert ineq == oracle_inequality2(h)
-        kinds[mantel["witness"]["kind"] if mantel["witness"] else None] += 1
         failed_inequality += not ineq["holds"]
-    # a mantel_cap failure cannot come first: a triangle-free link that
-    # misses N(T) lives on n - d(T) vertices, where Mantel caps it
-    assert set(kinds) == {None, "link_meets_neighborhood", "link_not_triangle_free"}, kinds
     assert failed_inequality > 0
 
 
@@ -604,9 +599,11 @@ def test_pair_link_table_matches_per_pair_links():
             lg = links[u - 1] if u == v else links[u - 1] & links[v - 1]
             assert ix.size[u - 1][v - 1] == _pair_link_size(links, u, v) == len(lg)
             assert ix.link(u - 1, v - 1) == sorted(lg)
-            support, triangle_free = ix.detail(u - 1, v - 1)
-            assert support == mask_of(x for a in lg for x in vertices_of(a))
-            assert triangle_free == (not contains_clique(Hypergraph(h.n, 2, tuple(lg)), 3))
+            # pair_nbr[u][a] & pair_nbr[v][a] is the adjacency of L(u, v)
+            link_graph = Hypergraph(h.n, 2, tuple(lg))
+            assert [a & b for a, b in zip(ix.pair_nbr[u - 1], ix.pair_nbr[v - 1])] == list(link_graph.adjacency)
+            if u == v:
+                assert _triangle_free_rows(ix.pair_nbr[u - 1]) == (not contains_clique(link_graph, 3))
 
 
 def test_incidence_index_matches_oracles():
@@ -627,7 +624,7 @@ def test_incidence_index_matches_oracles():
         assert ix.adj == adj
         for u in range(h.n):
             assert [ix.ts[i] for i in range(len(ix.ts)) if ix.col[u] >> i & 1] == sorted(links[u])
-            assert ix.detail(u, u)[1] == (
+            assert _triangle_free_rows(ix.pair_nbr[u]) == (
                 not contains_clique(Hypergraph(h.n, 2, tuple(links[u])), 3)
             )
         assert ix.size == [
