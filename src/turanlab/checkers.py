@@ -19,7 +19,7 @@ vertex (`_partner_covered`).  A certificate that needs a cancellative
 input shares one index with its precondition (`_cancellative_index`): the
 index is built once, tested for cancellativity, then read by the
 certificate.  The incremental search state extends `hypergraph.PairCover`
-with N(T) and co-link counts.
+with N(T) masks and per-vertex link masks.
 
 The pair-link certificate (`mantel_link_bound`) is decided by its
 precondition and one cap test.  On a cancellative input the vertex set of
@@ -41,7 +41,7 @@ from functools import cached_property
 from math import comb
 from typing import Optional, Sequence
 
-from .hypergraph import Hypergraph, PairCover, contains_clique, count_cliques, iter_bits, iter_cliques, vertices_of
+from .hypergraph import Hypergraph, PairCover, contains_clique, count_cliques, has_clique, iter_bits, vertices_of
 
 
 @dataclass
@@ -79,52 +79,58 @@ def _frac_str(x: Fraction) -> str:
 class _CancellativeState(PairCover):
     """Incrementally maintained cancellativity of a growing/shrinking 3-graph.
 
-    Beside the pair-cover graph of `PairCover`, tracks for the current edge set:
-      nbrs[T]      -- N(T) as a vertex mask, for T in the shadow (0 once T
-                      has left it)
-      colink[P]    -- number of shadow pairs T with both ends of P in N(T)
+    Beside the pair-cover graph of `PairCover`, tracks for the current edge
+    set, with the pair {j, k} (j < k) at index j*n + k:
+      link[w]      -- the link of vertex w: bit j*n + k set iff {j, k, w}
+                      is an edge
+      nbrs[j*n+k]  -- N({j, k}) as a vertex mask
 
-    A triple E is addable iff no pair of E is co-neighbored (would become
-    A (+) B inside E) and, for every pair T of E with new vertex w, no
-    existing x in N(T) has the pair {w, x} covered (would give
-    E (+) (T+{x}) inside a covering edge), that is adj[w] & N(T) == 0.
+    A triple E is addable iff no pair {a, b} of E is co-neighbored, that is
+    link[a] & link[b] == 0 (else E contains A (+) B for edges A, B through a
+    common pair T), and, for every pair T of E with new vertex w, no existing
+    x in N(T) has the pair {w, x} covered (would give E (+) (T+{x}) inside a
+    covering edge), that is adj[w] & N(T) == 0.  An edge sets or clears one
+    bit in each of three links and three neighborhoods.  Bit positions are
+    pair indices, not pair masks, so a link has n^2 bits, not 2^n.
     """
 
     def __init__(self, n: int) -> None:
         super().__init__(n)
-        self.colink: Counter = Counter()
-        self.nbrs: dict[int, int] = {}
+        self.n = n
+        self.link = [0] * n
+        self.nbrs = [0] * (n * n)
 
     def addable(self, e: int) -> bool:
         x = e & -e
         y = (e ^ x) & -(e ^ x)
-        z = e ^ x ^ y
-        if self.colink.get(y | z) or self.colink.get(x | z) or self.colink.get(x | y):
+        i, j, k = x.bit_length() - 1, y.bit_length() - 1, (e ^ x ^ y).bit_length() - 1
+        link = self.link
+        li, lj, lk = link[i], link[j], link[k]
+        if li & lj or li & lk or lj & lk:
             return False
-        adj, nbrs = self.adj, self.nbrs
-        return not (
-            adj[x.bit_length() - 1] & nbrs.get(y | z, 0)
-            or adj[y.bit_length() - 1] & nbrs.get(x | z, 0)
-            or adj[z.bit_length() - 1] & nbrs.get(x | y, 0)
-        )
+        adj, nbrs, n = self.adj, self.nbrs, self.n
+        return not (adj[i] & nbrs[j * n + k] or adj[j] & nbrs[i * n + k] or adj[k] & nbrs[i * n + j])
+
+    def _flip(self, e: int) -> None:
+        x = e & -e
+        y = (e ^ x) & -(e ^ x)
+        z = e ^ x ^ y
+        i, j, k = x.bit_length() - 1, y.bit_length() - 1, z.bit_length() - 1
+        link, nbrs, n = self.link, self.nbrs, self.n
+        link[i] ^= 1 << (j * n + k)
+        link[j] ^= 1 << (i * n + k)
+        link[k] ^= 1 << (i * n + j)
+        nbrs[j * n + k] ^= x
+        nbrs[i * n + k] ^= y
+        nbrs[i * n + j] ^= z
 
     def add(self, e: int) -> None:
         super().add(e)
-        for w in iter_bits(e):
-            t = e ^ (1 << w)
-            cur = self.nbrs.get(t, 0)
-            for b in iter_bits(cur):
-                self.colink[(1 << w) | (1 << b)] += 1
-            self.nbrs[t] = cur | 1 << w
+        self._flip(e)
 
     def remove(self, e: int) -> None:
         super().remove(e)
-        for w in iter_bits(e):
-            t = e ^ (1 << w)
-            cur = self.nbrs[t] ^ 1 << w
-            self.nbrs[t] = cur
-            for b in iter_bits(cur):
-                self.colink[(1 << w) | (1 << b)] -= 1
+        self._flip(e)
 
 
 def _first_witness(ix: _Incidence) -> Optional[tuple]:
@@ -177,7 +183,7 @@ def is_k_free(h: Hypergraph, ell: int) -> bool:
     """Freeness of the pair-cover family via the auxiliary-graph clique shortcut."""
     if ell < h.r:
         raise ValueError(f"need ell >= r, got ell = {ell}, r = {h.r}")
-    return next(iter_cliques(h.adjacency, (1 << h.n) - 1, ell + 1), None) is None
+    return not has_clique(h.adjacency, (1 << h.n) - 1, ell + 1)
 
 
 def links_triangle_free(h: Hypergraph) -> bool:

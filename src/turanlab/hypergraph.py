@@ -214,6 +214,22 @@ def iter_cliques(adj: Sequence[int], cand: int, size: int) -> Iterator[int]:
             yield low | rest
 
 
+def has_clique(adj: Sequence[int], cand: int, size: int) -> bool:
+    """Whether some size-clique lies inside the vertex mask cand.
+
+    The recursion of `iter_cliques`, returning at the first clique it finds
+    with no generator frames; the empty clique makes size 0 always true.
+    """
+    if size < 2:
+        return size == 0 or (size == 1 and cand != 0)
+    while cand.bit_count() >= size:
+        low = cand & -cand
+        cand ^= low
+        if has_clique(adj, cand & adj[low.bit_length() - 1], size - 1):
+            return True
+    return False
+
+
 def count_cliques(g: Hypergraph, i: int) -> int:
     """Exact number of i-cliques of a graph.
 
@@ -233,7 +249,7 @@ def contains_clique(g: Hypergraph, q: int) -> bool:
         raise ValueError("clique search expects a graph (r = 2)")
     if q < 1:
         raise ValueError(f"clique size must be >= 1, got {q}")
-    return next(iter_cliques(g.adjacency, (1 << g.n) - 1, q), None) is not None
+    return has_clique(g.adjacency, (1 << g.n) - 1, q)
 
 
 # ---------------------------------------------------------------------------

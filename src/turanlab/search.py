@@ -16,7 +16,10 @@ first edge that beats e.  The filter loses no class: H is reached from H-e
 for an edge e of H with the largest invariant, and H-e satisfies the
 predicate with a bound at least that of H.  Once a node has at most
 LABELED_TAIL addable edges, its subtree goes to plain labeled subset branch
-and bound, which costs far less per node than a canonical labelling.
+and bound, which costs far less per node than a canonical labelling.  The
+tail re-tests the later edges after each push and stops at the child's
+bound: once more of them have failed than current-size + addable-count >=
+best can afford, the child is dropped without testing the rest.
 
 A repeated class is rejected by a direct isomorphism test, not by a
 canonical code (McKay's invariant-first isomorph rejection).  The visited
@@ -49,7 +52,7 @@ from typing import Optional, Sequence
 from .canonical import _twin_classes, canonical_code
 from .checkers import _CancellativeState
 from .constructions import turan_count
-from .hypergraph import Hypergraph, PairCover, all_r_subsets, iter_bits, iter_cliques
+from .hypergraph import Hypergraph, PairCover, all_r_subsets, has_clique, iter_bits
 from .partitions import Partition
 
 DEFAULT_GUARDS = {2: 10, 3: 8}
@@ -230,14 +233,14 @@ class KFreeState(PairCover):
             common = adj[lo.bit_length() - 1] & adj[(e ^ lo).bit_length() - 1]
             if self.ell == 2:
                 return common == 0
-            return next(iter_cliques(adj, common, self.ell - 1), None) is None
+            return not has_clique(adj, common, self.ell - 1)
         new = [(i, j) for i, j in itertools.combinations(iter_bits(e), 2) if not adj[i] >> j & 1]
         if not new:
             return True
         adj2 = list(adj)
         for b in iter_bits(e):
             adj2[b] |= e ^ (1 << b)
-        return all(next(iter_cliques(adj2, adj2[i] & adj2[j], self.ell - 1), None) is None for i, j in new)
+        return not any(has_clique(adj2, adj2[i] & adj2[j], self.ell - 1) for i, j in new)
 
 
 @dataclass
@@ -332,6 +335,8 @@ def extremal_number(
         elif code not in best_codes:
             cap_hit = True
 
+    addable = state.addable
+
     def push(e: int) -> None:
         cur.append(e)
         state.add(e)
@@ -384,17 +389,29 @@ def extremal_number(
         nonlocal nodes, exhausted
         m = len(cur)
         for i, e in enumerate(rem):
-            if m + (len(rem) - i) < best:
+            # the child cur + e meets its bound m + 1 + len(new_rem) >= best iff
+            # at most slack of the later edges fail their test
+            slack = m + len(rem) - i - best
+            if slack < 0:
                 break
             push(e)
-            new_rem = [f for f in rem[i + 1 :] if state.addable(f)]
-            if m + 1 + len(new_rem) >= best:
+            new_rem = []
+            for f in rem[i + 1 :]:
+                if addable(f):
+                    new_rem.append(f)
+                else:
+                    slack -= 1
+                    if slack < 0:
+                        break
+            else:
                 nodes += 1
                 if nodes > node_budget:
                     exhausted = True
                 else:
-                    note_state()
-                    extend_labeled(new_rem)
+                    if m + 1 >= best:
+                        note_state()
+                    if new_rem:
+                        extend_labeled(new_rem)
             pop(e)
             if exhausted:
                 return

@@ -11,12 +11,15 @@ early-exit invariant filter, the cuts, the streaming parser, the bulk
 constructor checks and the per-block bad-edge pass must agree with.
 The index's bulk build is checked against per-incidence builders that
 visit each u in N(T) one bit at a time.
+The search's cancellative state, which flips per-vertex link bits, is
+checked against the co-link counting state it replaced.
 """
 
 import itertools
+from collections import Counter
 
 from turanlab.canonical import canonical_code
-from turanlab.hypergraph import Hypergraph, iter_bits, mask_of, vertices_of
+from turanlab.hypergraph import Hypergraph, PairCover, iter_bits, mask_of, vertices_of
 
 
 def link_sets(h):
@@ -325,3 +328,54 @@ def bad_edges_by_edge(h, part):
         if any((e & bm).bit_count() >= 2 for bm in masks):
             out.append(e)
     return out
+
+
+class CancellativeStateByColink(PairCover):
+    """Incrementally maintained cancellativity of a growing/shrinking 3-graph.
+
+    Beside the pair-cover graph of `PairCover`, tracks for the current edge set:
+      nbrs[T]      -- N(T) as a vertex mask, for T in the shadow (0 once T
+                      has left it)
+      colink[P]    -- number of shadow pairs T with both ends of P in N(T)
+
+    A triple E is addable iff no pair of E is co-neighbored (would become
+    A (+) B inside E) and, for every pair T of E with new vertex w, no
+    existing x in N(T) has the pair {w, x} covered (would give
+    E (+) (T+{x}) inside a covering edge), that is adj[w] & N(T) == 0.
+    """
+
+    def __init__(self, n: int) -> None:
+        super().__init__(n)
+        self.colink: Counter = Counter()
+        self.nbrs: dict[int, int] = {}
+
+    def addable(self, e: int) -> bool:
+        x = e & -e
+        y = (e ^ x) & -(e ^ x)
+        z = e ^ x ^ y
+        if self.colink.get(y | z) or self.colink.get(x | z) or self.colink.get(x | y):
+            return False
+        adj, nbrs = self.adj, self.nbrs
+        return not (
+            adj[x.bit_length() - 1] & nbrs.get(y | z, 0)
+            or adj[y.bit_length() - 1] & nbrs.get(x | z, 0)
+            or adj[z.bit_length() - 1] & nbrs.get(x | y, 0)
+        )
+
+    def add(self, e: int) -> None:
+        super().add(e)
+        for w in iter_bits(e):
+            t = e ^ (1 << w)
+            cur = self.nbrs.get(t, 0)
+            for b in iter_bits(cur):
+                self.colink[(1 << w) | (1 << b)] += 1
+            self.nbrs[t] = cur | 1 << w
+
+    def remove(self, e: int) -> None:
+        super().remove(e)
+        for w in iter_bits(e):
+            t = e ^ (1 << w)
+            cur = self.nbrs[t] ^ 1 << w
+            self.nbrs[t] = cur
+            for b in iter_bits(cur):
+                self.colink[(1 << w) | (1 << b)] -= 1

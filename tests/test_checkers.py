@@ -53,6 +53,7 @@ from turanlab.stability import (
 )
 
 from oracles import (
+    CancellativeStateByColink,
     colink_masses,
     columns_by_bit,
     is_subgraph,
@@ -299,12 +300,23 @@ def test_witness_present_iff_fails():
 def test_incremental_state_matches_direct_checker(n, steps):
     from turanlab.checkers import _CancellativeState
 
+    index = {mask_of(p): (p[0] - 1) * n + p[1] - 1 for p in itertools.combinations(range(1, n + 1), 2)}
+
     def assert_tables_match(state, current):
-        # N(T) masks and positive co-link counts, recomputed from the edges
-        sh = shadow_neighborhoods(Hypergraph(n, 3, tuple(current)))
+        # per-vertex link masks (bit j*n + k for the pair {j, k}, j < k), N(T)
+        # masks by pair index and positive co-link counts, recomputed from the edges
+        h = Hypergraph(n, 3, tuple(current))
+        sh = shadow_neighborhoods(h)
+        nbrs = [0] * (n * n)
+        for t, vs in sh.items():
+            nbrs[index[t]] = mask_of(vs)
+        assert state.nbrs == nbrs
+        assert state.link == [sum(1 << index[t] for t in lk) for lk in link_sets(h)]
         colink = Counter(mask_of(p) for vs in sh.values() for p in itertools.combinations(vs, 2))
-        assert {t: m for t, m in state.nbrs.items() if m} == {t: mask_of(vs) for t, vs in sh.items()}
-        assert {p: c for p, c in state.colink.items() if c} == colink
+        counts = Counter(
+            {(1 << a) | (1 << b): (state.link[a] & state.link[b]).bit_count() for a, b in itertools.combinations(range(n), 2)}
+        )
+        assert +counts == colink
 
     state = _CancellativeState(n)
     current = []
@@ -327,6 +339,43 @@ def test_incremental_state_matches_direct_checker(n, steps):
             state.add(e)
             current.append(e)
             assert_tables_match(state, current)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(4, 9),
+    # each step adds the i-th triple (mod their count) when it is addable, or
+    # removes the i-th current edge
+    st.lists(st.tuples(st.sampled_from(["add", "add", "add", "remove"]), st.integers(0, 1000)), max_size=40),
+)
+def test_link_state_matches_colink_oracle(n, steps):
+    # the link-bit state answers addable as the co-link counting state it
+    # replaced, for every triple after every step
+    from turanlab.checkers import _CancellativeState
+
+    state, oracle = _CancellativeState(n), CancellativeStateByColink(n)
+    cands = all_r_subsets(n, 3)
+    current = []
+
+    def assert_same_answers():
+        assert [state.addable(t) for t in cands] == [oracle.addable(t) for t in cands], (n, current)
+
+    assert_same_answers()
+    for op, i in steps:
+        if op == "remove":
+            if not current:
+                continue
+            victim = current.pop(i % len(current))
+            state.remove(victim)
+            oracle.remove(victim)
+        else:
+            e = cands[i % len(cands)]
+            if e in current or not oracle.addable(e):
+                continue
+            state.add(e)
+            oracle.add(e)
+            current.append(e)
+        assert_same_answers()
 
 
 # ---------------------------------------------------------------------------

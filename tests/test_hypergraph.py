@@ -15,6 +15,7 @@ from turanlab.hypergraph import (
     all_r_subsets,
     auxiliary_graph,
     contains_clique,
+    has_clique,
     count_cliques,
     format_hypergraph,
     iter_bits,
@@ -225,6 +226,19 @@ def test_count_cliques_against_oracle():
             cand = pick.getrandbits(n)
             inside = [vertices_of(c) for c in iter_cliques(g.adjacency, cand, i)]
             assert inside == [c for c in brute if mask_of(c) & cand == mask_of(c)]
+
+
+def test_has_clique_matches_first_clique():
+    # the early-exit test against the first clique iter_cliques lists, on
+    # random graphs and candidate masks, for every size 0..n + 1
+    rng = random.Random(13)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        g = random_hypergraph(n, 2, rng.random(), rng)
+        for cand in [(1 << n) - 1] + [rng.getrandbits(n) for _ in range(4)]:
+            for size in range(n + 2):
+                want = next(iter_cliques(g.adjacency, cand, size), None) is not None
+                assert has_clique(g.adjacency, cand, size) == want, (g, cand, size)
 
 
 def test_contains_clique():

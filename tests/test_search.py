@@ -360,6 +360,28 @@ def test_canonical_call_counts(monkeypatch):
         assert calls == {"note_state": want}, (predicate, n, calls)
 
 
+def test_addable_call_counts(monkeypatch):
+    # the labeled tail stops re-testing the later edges of a child once more of
+    # them have failed than its bound can afford; before that it finished every
+    # list, with 33,156 calls on triangle-free n=8 and 7,410 on cancellative n=7
+    calls = Counter()
+    for cls in (search_mod.KFreeState, search_mod._CancellativeState):
+
+        def spy(self, e, addable=cls.addable, name=cls.__name__):
+            calls[name] += 1
+            return addable(self, e)
+
+        monkeypatch.setattr(cls, "addable", spy)
+    for n, r, predicate, nodes, want in (
+        (8, 2, "triangle-free", 2270, {"KFreeState": 25142}),
+        (7, 3, "cancellative", 383, {"_CancellativeState": 6089}),
+    ):
+        calls.clear()
+        rec = extremal_number(n, r, predicate)
+        assert rec.complete and rec.nodes_explored == nodes
+        assert calls == want, (predicate, n, calls)
+
+
 # ---------------------------------------------------------------------------
 # The repeat test of the search: `_isomorphic` against canonical-code equality,
 # and the early-exit filter `_child_invariants` against `edge_invariants`
