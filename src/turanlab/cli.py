@@ -35,9 +35,10 @@ from .constructions import (
     random_triangle_free_near_bipartite,
     turan_hypergraph,
 )
-from .hypergraph import format_hypergraph, load_hypergraph, vertices_of
+from .hypergraph import Hypergraph, format_hypergraph, load_hypergraph, vertices_of
 from .search import NODE_BUDGET, PREDICATES, check_request, extremal_number
 from .stability import (
+    BipartiteDistanceReport,
     bipartite_distance_analysis,
     epsilon_delta_scan,
     extract_partition_cancellative,
@@ -52,12 +53,63 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p.strip()]
+def _values(text: str, kind: type) -> list:
+    """The comma-separated values of `text`, each read by `kind`."""
+    return [kind(p) for p in text.split(",") if p.strip()]
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p.strip()]
+def _ell(certificate: str, ell: int | None) -> int:
+    """--ell, which `certificate` reads and so requires."""
+    if ell is None:
+        raise ValueError(f"{certificate} requires --ell")
+    return ell
+
+
+def _check(certificate: str, h: Hypergraph, ok: bool, witness: dict | None, **quantities) -> CertificateReport:
+    """The report of a yes/no check, which carries `witness` when it fails."""
+    return CertificateReport(
+        name=certificate,
+        quantities={"n": h.n, "edges": h.size, **quantities},
+        holds=ok,
+        witness=None if ok else witness,
+    )
+
+
+def _cancellative(certificate: str, h: Hypergraph, ell: int | None) -> CertificateReport:
+    w = cancellative_witness(h)
+    return _check(certificate, h, w is None, None if w is None else {"triple": [list(t) for t in w]})
+
+
+# certificate -> its report of (certificate, hypergraph, --ell), in the order
+# `verify --help` lists them.  The checks are named at call time, not bound
+# here, so a wrapper installed on a module attribute (perfbench/spans.py) sees
+# every call.
+CERTIFICATES = {
+    "fisher-ryan": lambda name, h, ell: fisher_ryan_certificate(h, _ell(name, ell)),
+    "link-count": lambda name, h, ell: link_count_identity(h),
+    "inequality2": lambda name, h, ell: inequality2_certificate(h),
+    "theorem13": lambda name, h, ell: theorem13_certificate(h),
+    "mantel-link": lambda name, h, ell: mantel_link_bound(h),
+    "cancellative": _cancellative,
+    "k-free": lambda name, h, ell: _check(
+        name, h, is_k_free(h, _ell(name, ell)), {"reason": "auxiliary graph contains a forbidden clique"}, ell=ell
+    ),
+    "links-triangle-free": lambda name, h, ell: _check(
+        name, h, links_triangle_free(h), {"reason": "some vertex link contains a triangle"}
+    ),
+    "neighborhoods-independent": lambda name, h, ell: _check(
+        name, h, neighborhoods_independent(h), {"reason": "some neighborhood meets an edge twice"}
+    ),
+}
+
+# stability mode -> its analysis of (hypergraph, args), in the order
+# `stability --help` lists them
+STABILITY_MODES = {
+    "cancellative": lambda h, args: extract_partition_cancellative(h),
+    "kfree": lambda h, args: extract_partition_kfree(h, args.ell, seed=args.seed),
+    "generalized": lambda h, args: extract_partition_generalized(h, args.ell, args.r, seed=args.seed),
+    "bipartite": lambda h, args: bipartite_distance_analysis(h, seed=args.seed),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,47 +120,39 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("construct", help="emit a named construction in the shared text format")
     csub = c.add_subparsers(dest="kind", required=True)
 
+    # each construction's parser names its build, which reads the parsed args
     ct = csub.add_parser("turan", help="balanced transversal r-graph")
+    ct.set_defaults(build=lambda a: turan_hypergraph(a.n, a.r, a.ell))
     ct.add_argument("--n", type=int, required=True)
     ct.add_argument("--r", type=int, required=True)
     ct.add_argument("--ell", type=int, required=True)
-    ct.add_argument("--json", action="store_true")
 
     cc = csub.add_parser("random-cancellative", help="greedy maximal cancellative 3-graph")
+    cc.set_defaults(build=lambda a: random_maximal_cancellative(a.n, a.seed))
     cc.add_argument("--n", type=int, required=True)
     cc.add_argument("--seed", type=int, required=True)
-    cc.add_argument("--json", action="store_true")
 
     cf = csub.add_parser("triangle-free", help="near-bipartite triangle-free graph")
+    cf.set_defaults(build=lambda a: random_triangle_free_near_bipartite(a.n, a.epsilon, a.noise, a.seed))
     cf.add_argument("--n", type=int, required=True)
     cf.add_argument("--epsilon", type=float, required=True)
     cf.add_argument("--noise", type=int, default=0)
     cf.add_argument("--seed", type=int, required=True)
-    cf.add_argument("--json", action="store_true")
 
     cp = csub.add_parser("perturb", help="delete a fraction of edges then add absent r-sets")
+    cp.set_defaults(
+        build=lambda a: perturb(load_hypergraph(a.file), a.delete_fraction, a.add_count, a.seed, a.keep_cancellative)
+    )
     cp.add_argument("file")
     cp.add_argument("--delete-fraction", type=float, required=True)
     cp.add_argument("--add-count", type=int, default=0)
     cp.add_argument("--seed", type=int, required=True)
     cp.add_argument("--keep-cancellative", action="store_true")
-    cp.add_argument("--json", action="store_true")
+    for p in csub.choices.values():
+        p.add_argument("--json", action="store_true")
 
     v = sub.add_parser("verify", help="run a certificate or predicate check on a file")
-    v.add_argument(
-        "certificate",
-        choices=[
-            "fisher-ryan",
-            "link-count",
-            "inequality2",
-            "theorem13",
-            "mantel-link",
-            "cancellative",
-            "k-free",
-            "links-triangle-free",
-            "neighborhoods-independent",
-        ],
-    )
+    v.add_argument("certificate", choices=CERTIFICATES)
     v.add_argument("file")
     v.add_argument("--ell", type=int)
 
@@ -124,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--force", action="store_true")
 
     st = sub.add_parser("stability", help="partition extraction / bipartite-distance analysis")
-    st.add_argument("mode", choices=["cancellative", "kfree", "generalized", "bipartite"])
+    st.add_argument("mode", choices=STABILITY_MODES)
     st.add_argument("file")
     st.add_argument("--ell", type=int, default=3)
     st.add_argument("--r", type=int, default=3)
@@ -141,105 +185,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     ca = sub.add_parser("cache", help="inspect the result cache")
     casub = ca.add_subparsers(dest="action", required=True)
-    cl = casub.add_parser("list")
-    cl.add_argument("--cache", default=None)
+    casub.add_parser("list")
     cg = casub.add_parser("get")
     cg.add_argument("--predicate", required=True)
     cg.add_argument("--n", type=int, required=True)
     cg.add_argument("--r", type=int, required=True)
     cg.add_argument("--ell", type=int, default=None)
-    cg.add_argument("--cache", default=None)
+    for p in casub.choices.values():
+        p.add_argument("--cache", default=None)
 
     return parser
 
 
 def _construct_payload(args) -> tuple[str, int]:
-    if args.kind == "turan":
-        h = turan_hypergraph(args.n, args.r, args.ell)
-        meta = {"kind": "turan", "n": args.n, "r": args.r, "ell": args.ell, "seed": None}
-    elif args.kind == "random-cancellative":
-        h = random_maximal_cancellative(args.n, args.seed)
-        meta = {"kind": "random-cancellative", "n": args.n, "r": 3, "ell": None, "seed": args.seed}
-    elif args.kind == "triangle-free":
-        h = random_triangle_free_near_bipartite(args.n, args.epsilon, args.noise, args.seed)
-        meta = {
-            "kind": "triangle-free",
-            "n": args.n,
-            "r": 2,
-            "ell": None,
-            "seed": args.seed,
-            "epsilon": args.epsilon,
-            "noise": args.noise,
-        }
-    else:  # perturb
-        base = load_hypergraph(args.file)
-        h = perturb(base, args.delete_fraction, args.add_count, args.seed, args.keep_cancellative)
-        meta = {
-            "kind": "perturb",
-            "n": h.n,
-            "r": h.r,
-            "ell": None,
-            "seed": args.seed,
-            "delete_fraction": args.delete_fraction,
-            "add_count": args.add_count,
-        }
+    h = args.build(args)
     text = format_hypergraph(h)
-    if args.json:
-        meta["edges"] = h.size
-        meta["hypergraph"] = text
-        return _json(meta), OK
-    return text, OK
+    if not args.json:
+        return text, OK
+    meta = {"kind": args.kind, "n": h.n, "r": h.r}
+    meta.update(ell=getattr(args, "ell", None), seed=getattr(args, "seed", None))
+    # the parameters of triangle-free and of perturb, in that order
+    for extra in ("epsilon", "noise", "delete_fraction", "add_count"):
+        if hasattr(args, extra):
+            meta[extra] = getattr(args, extra)
+    meta["edges"] = h.size
+    meta["hypergraph"] = text
+    return _json(meta), OK
 
 
 def _verify_payload(args) -> tuple[str, int]:
     h = load_hypergraph(args.file)
-    name = args.certificate
-    if name in ("fisher-ryan",):
-        if args.ell is None:
-            raise ValueError("fisher-ryan requires --ell")
-        report = fisher_ryan_certificate(h, args.ell)
-    elif name == "link-count":
-        report = link_count_identity(h)
-    elif name == "inequality2":
-        report = inequality2_certificate(h)
-    elif name == "theorem13":
-        report = theorem13_certificate(h)
-    elif name == "mantel-link":
-        report = mantel_link_bound(h)
-    elif name == "cancellative":
-        w = cancellative_witness(h)
-        report = CertificateReport(
-            name="cancellative",
-            quantities={"n": h.n, "edges": h.size},
-            holds=w is None,
-            witness=None if w is None else {"triple": [list(t) for t in w]},
-        )
-    elif name == "k-free":
-        if args.ell is None:
-            raise ValueError("k-free requires --ell")
-        ok = is_k_free(h, args.ell)
-        report = CertificateReport(
-            name="k-free",
-            quantities={"n": h.n, "edges": h.size, "ell": args.ell},
-            holds=ok,
-            witness=None if ok else {"reason": "auxiliary graph contains a forbidden clique"},
-        )
-    elif name == "links-triangle-free":
-        ok = links_triangle_free(h)
-        report = CertificateReport(
-            name="links-triangle-free",
-            quantities={"n": h.n, "edges": h.size},
-            holds=ok,
-            witness=None if ok else {"reason": "some vertex link contains a triangle"},
-        )
-    else:
-        ok = neighborhoods_independent(h)
-        report = CertificateReport(
-            name="neighborhoods-independent",
-            quantities={"n": h.n, "edges": h.size},
-            holds=ok,
-            witness=None if ok else {"reason": "some neighborhood meets an edge twice"},
-        )
+    report = CERTIFICATES[args.certificate](args.certificate, h, args.ell)
     return _json(report.to_json_dict()), OK if report.holds else VIOLATED
 
 
@@ -304,39 +280,30 @@ def _search_payload(args) -> tuple[str, int]:
 
 def _stability_payload(args) -> tuple[str, int]:
     h = load_hypergraph(args.file)
-    needs_seed = args.mode in ("kfree", "generalized", "bipartite")
-    if needs_seed and args.seed is None:
+    if args.mode != "cancellative" and args.seed is None:
         raise ValueError(f"stability {args.mode} is randomized above the exact-cut ceiling; --seed is required")
-    if args.mode == "cancellative":
-        report = extract_partition_cancellative(h)
-    elif args.mode == "kfree":
-        report = extract_partition_kfree(h, args.ell, seed=args.seed)
-    elif args.mode == "generalized":
-        report = extract_partition_generalized(h, args.ell, args.r, seed=args.seed)
-    else:
-        rep = bipartite_distance_analysis(h, seed=args.seed)
-        if args.json:
-            return _json(rep.to_json_dict()), OK if all(rep.verified.values()) else VIOLATED
+    report = STABILITY_MODES[args.mode](h, args)
+    if isinstance(report, BipartiteDistanceReport):
+        code = OK if all(report.verified.values()) else VIOLATED
         lines = [
-            f"n={rep.n} edges={rep.edges} epsilon={rep.epsilon!r} delta={rep.delta!r}",
-            f"bad_edges={len(rep.bad_edge_list)} missing={rep.missing_count} "
-            f"Delta={rep.max_internal_degree} case={rep.case}",
-            "verified=" + ",".join(f"{k}:{str(v).lower()}" for k, v in sorted(rep.verified.items())),
+            f"n={report.n} edges={report.edges} epsilon={report.epsilon!r} delta={report.delta!r}",
+            f"bad_edges={len(report.bad_edge_list)} missing={report.missing_count} "
+            f"Delta={report.max_internal_degree} case={report.case}",
+            "verified=" + ",".join(f"{k}:{str(v).lower()}" for k, v in sorted(report.verified.items())),
         ]
-        return "\n".join(lines) + "\n", OK if all(rep.verified.values()) else VIOLATED
-    if args.json:
-        return _json(report.to_json_dict()), OK
-    line = (
-        f"n={report.n} edges={report.edges} target={report.target} "
-        f"epsilon={report.epsilon!r} delta={report.delta!r} bad_edges={report.bad_edge_count}"
-    )
-    return line + "\n", OK
+    else:
+        code = OK
+        lines = [
+            f"n={report.n} edges={report.edges} target={report.target} "
+            f"epsilon={report.epsilon!r} delta={report.delta!r} bad_edges={report.bad_edge_count}"
+        ]
+    return (_json(report.to_json_dict()) if args.json else "\n".join(lines) + "\n"), code
 
 
 def _scan_payload(args) -> tuple[str, int]:
-    ns = _int_list(args.n)
-    params = _float_list(args.params)
-    rows = epsilon_delta_scan(args.kind, ns, params, _int_list(args.seeds), ell=args.ell, noise=args.noise)
+    ns = _values(args.n, int)
+    params = _values(args.params, float)
+    rows = epsilon_delta_scan(args.kind, ns, params, _values(args.seeds, int), ell=args.ell, noise=args.noise)
     lines = ["n,seed,epsilon,delta,bad_edges,case"]
     for row in rows:
         lines.append(
@@ -357,6 +324,17 @@ def _cache_payload(args) -> tuple[str, int]:
     return _json({"path": path, "found": True, "entry": hit.to_json_dict()}), OK
 
 
+# subcommand -> its payload of the parsed args: (stdout, exit code)
+COMMANDS = {
+    "construct": _construct_payload,
+    "verify": _verify_payload,
+    "search": _search_payload,
+    "stability": _stability_payload,
+    "scan": _scan_payload,
+    "cache": _cache_payload,
+}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser of every `run` in this process.  Parsing leaves it as it
@@ -374,23 +352,12 @@ def run(argv: list[str]) -> int:
         return code if isinstance(code, int) else USAGE
     manifest = RunManifest(command=["turanlab", *argv]) if args.manifest else None
     try:
-        if args.command == "construct":
-            text, code = _construct_payload(args)
-        elif args.command == "verify":
-            text, code = _verify_payload(args)
-        elif args.command == "search":
-            text, code = _search_payload(args)
-        elif args.command == "stability":
-            text, code = _stability_payload(args)
-        elif args.command == "scan":
-            text, code = _scan_payload(args)
-        else:
-            text, code = _cache_payload(args)
+        text, code = COMMANDS[args.command](args)
         if manifest is not None:
             if getattr(args, "file", None) is not None:
                 manifest.add_input_file(args.file)
-            if args.command == "scan":
-                manifest.seeds.extend(_int_list(args.seeds))
+            if hasattr(args, "seeds"):
+                manifest.seeds.extend(_values(args.seeds, int))
             elif getattr(args, "seed", None) is not None:
                 manifest.seeds.append(args.seed)
     except (ValueError, OSError) as exc:

@@ -55,13 +55,15 @@ from .constructions import turan_count
 from .hypergraph import Hypergraph, PairCover, all_r_subsets, has_clique, iter_bits
 from .partitions import Partition
 
-DEFAULT_GUARDS = {2: 10, 3: 8}
-# the tighter guard of k-free with ell >= 4, whose addable-count bound prunes
-# far less: at ell = 4, r = 2 takes seconds at n = 8 and r = 3 at n = 7, but
-# one vertex more takes over a minute for every ell >= 4 tried (4 to 9 for
-# r = 2, 4, 5, 7 and 8 for r = 3), even ell >= n, where the ties at the
-# optimum are all the search walks
-LARGE_ELL_GUARDS = {2: 8, 3: 7}
+# (r, ell) -> the largest n searched without allow_large, with every ell >= 4
+# keyed as 4; any other request, one without ell included, admits n <= 10 for
+# r = 2 and n <= 8 otherwise.  k-free prunes less as ell grows: r = 2 takes
+# about 30 s at ell = 3, n = 9, but had not finished after 19 minutes at
+# n = 10; at ell = 4, r = 2 takes seconds at n = 8 and r = 3 at n = 7, but one
+# vertex more takes over a minute for every ell >= 4 tried (4 to 9 for r = 2,
+# 4, 5, 7 and 8 for r = 3), even ell >= n, where the ties at the optimum are
+# all the search walks
+GUARDS = {(2, 3): 9, (2, 4): 8, (3, 4): 7}
 
 PREDICATES = ("cancellative", "k-free", "triangle-free")
 _UNIFORMITY = {"cancellative": 3, "triangle-free": 2}  # "k-free" takes any r
@@ -289,12 +291,8 @@ def extremal_number(
     if node_budget <= 0:
         raise ValueError("node budget must be positive")
     check_request(r, predicate, ell)
-    guard = DEFAULT_GUARDS.get(r, 8)
-    shape = f"r = {r}"
-    if ell is not None:
-        shape += f", ell = {ell}"
-        if ell >= 4:
-            guard = LARGE_ELL_GUARDS.get(r, guard)
+    guard = GUARDS.get((r, min(ell or 0, 4)), 10 if r == 2 else 8)
+    shape = f"r = {r}" if ell is None else f"r = {r}, ell = {ell}"
     if n > guard and not allow_large:
         raise ValueError(f"n = {n} exceeds the feasibility guard {guard} for {shape} (pass allow_large to override)")
 

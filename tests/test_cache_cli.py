@@ -404,7 +404,7 @@ def test_cli_cache_subcommand(tmp_path, capsys):
     assert code == 1 and json.loads(out)["found"] is False
 
 
-def test_cli_thread_count_byte_identity(tmp_path, capsys):
+def test_cli_repeated_runs_print_same_stdout(tmp_path, capsys):
     """Representative determinism check: repeated runs print the same stdout."""
     path = str(tmp_path / "t9.txt")
     save_hypergraph(path, turan_hypergraph(9, 3, 3))

@@ -18,6 +18,10 @@ The rows from "stability-cancellative" on were recorded before every
 extractor measured (epsilon, delta) through one helper and the bipartite
 analyzer took its internal counts from one bad-edge list: the cancellative
 extractor, a block swap in the analyzer, and a scan that repeats each n.
+The rows from "verify-link-count" on were recorded before `verify`, `run`
+and the `construct --json` metadata moved onto dispatch tables; so were the
+help-screen digests.  The cache rows name a relative cache path, which
+resolves in the test's own directory, where no cache exists.
 A change that means to alter one of these outputs must say so and re-record.
 """
 
@@ -25,7 +29,7 @@ import contextlib
 import hashlib
 import io
 
-from turanlab.cli import run
+from turanlab.cli import CERTIFICATES, COMMANDS, run
 
 # (name, argv, file the stdout is saved to or None, exit code, SHA-256 of stdout);
 # "{x}" in argv is the path of the file saved as x
@@ -139,7 +143,50 @@ GOLDEN = [
     # each n comes twice, once per delete fraction
     ("scan-cancellative", "scan --kind cancellative --n 15,30 --params 0.01,0.05 --seeds 1,2", None, 0,
      "c73591d128416ddc145f0fe15b018e2f108ba92158a3008547f21ff3da394239"),
+    ("verify-link-count", "verify link-count {h3}", None, 0,
+     "d3b805f18c36ceb1321e910f1ce1affa29b8f9298cc0ff60e278bc4ac98987be"),
+    ("verify-link-count-not-cancellative", "verify link-count {h3bad}", None, 0,
+     "c7552a5f142c79a0cfea62446eb866a266af3e0ccfa605ddb07fb0055631181f"),
+    ("verify-inequality2", "verify inequality2 {h3}", None, 0,
+     "eebdbeec6bfa3adad4bfdd5dfd0164451ffe13de1d8f48c3f51de99964981ae7"),
+    ("verify-theorem13", "verify theorem13 {h3}", None, 0,
+     "1cc1923b395677bb393844417b97f7b86e19f68f4da2bf01a04ff73b339972b4"),
+    ("verify-mantel-link", "verify mantel-link {h3}", None, 0,
+     "91653152f8b32beafacadb2c5a247a795e399751fb2365adf9861884d2bc9d7c"),
+    # the three certificates that require a cancellative input refuse h3bad
+    ("precondition-inequality2", "verify inequality2 {h3bad}", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("precondition-theorem13", "verify theorem13 {h3bad}", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("precondition-mantel-link", "verify mantel-link {h3bad}", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("precondition-fisher-ryan-no-ell", "verify fisher-ryan {g2free}", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("precondition-k-free-no-ell", "verify k-free {h3}", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("turan-3-n12-json", "construct turan --n 12 --r 3 --ell 3 --json", None, 0,
+     "853fabfbb617de99da252fcae4be5287270c77fff78f88249981be07ee19e2e2"),
+    ("perturb-3-json", "construct perturb {t26} --delete-fraction 0.05 --seed 3 --json", None, 0,
+     "39f1e559b7442f6099f09be99556a3ada30c2c5328840a7d58f4299d5d1590a3"),
+    ("triangle-free-n24-json", "construct triangle-free --n 24 --epsilon 0.02 --noise 8 --seed 0 --json", None, 0,
+     "ac748b243771cccbb1a06a2c1a11a52f12a192a7bf33f7438fbfba6a730e49c4"),
+    ("cache-list-empty", "cache list --cache golden-cache.jsonl", None, 0,
+     "2e9dc2590b825798d8e77c34d959e1b61e5c2651652aaab26eac6f94e6a68a23"),
+    ("cache-get-miss", "cache get --predicate cancellative --n 7 --r 3 --cache golden-cache.jsonl", None, 1,
+     "7c87bc2b2f5c7d3a2a5622e227d898545afc3322df411e76e2c3ab6109877f1d"),
 ]
+
+# argv -> SHA-256 of the help screen it prints at COLUMNS=80
+HELP_DIGESTS = {
+    "--help": "a779ee45b9da2b97f23b7ee0e675b9ef1c75f00bde3b52f3dc37d80efcb0965f",
+    "construct --help": "8bf803f1fe3d4b1eba582eb97a336dd13ccf8b42685882c6b252c0858e9578e4",
+    "construct turan --help": "0d3405492c8152c94662fa7b32b80930b3087ea82d96cb530190c3d4441c6569",
+    "verify --help": "5575042351129f9d51601afc3d62cc8e1146b82a6962b3b24adaba7591057d91",
+    "search --help": "9241dedddfa2c7e2b8b7028636ca0d55e85c19f003f8d25370f7b84d18024bc4",
+    "stability --help": "3aae940516d1b35eb6e8849df0bee7a44d08e9763106f73a675767b308accd0a",
+    "scan --help": "32d11c2eedff018c14b3c653ed8d44f8a21e7a4be59b57d48fe557201e57a87e",
+    "cache --help": "54348b916c09f1be518d4f2831d7cff34bd72ee91c1508ed5fdb3c5c59663250",
+}
 
 
 def run_golden(tmp_path):
@@ -147,7 +194,7 @@ def run_golden(tmp_path):
     files, got = {}, {}
     for name, argv, save_as, _, _ in GOLDEN:
         out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), contextlib.chdir(tmp_path):
             code = run(argv.format(**files).split())
         text = out.getvalue()
         if save_as is not None:
@@ -161,3 +208,20 @@ def run_golden(tmp_path):
 def test_cli_golden_digests(tmp_path):
     got = run_golden(tmp_path)
     assert got == {name: (code, digest) for name, _, _, code, digest in GOLDEN}
+
+
+def test_cli_help_digests(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    got = {}
+    for argv in HELP_DIGESTS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(argv.split()) == 0
+        got[argv] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert got == HELP_DIGESTS
+
+
+def test_golden_rows_cover_every_subcommand_and_certificate():
+    argvs = [argv.split() for _, argv, _, _, _ in GOLDEN]
+    assert set(COMMANDS) <= {argv[0] for argv in argvs}
+    assert set(CERTIFICATES) <= {argv[1] for argv in argvs if argv[0] == "verify"}

@@ -120,18 +120,24 @@ def test_feasibility_guard(capsys):
         extremal_number(11, 2, "triangle-free")
     with pytest.raises(ValueError):
         extremal_number(9, 3, "cancellative")
-    # k-free with ell >= 4 has the tighter guard: n <= 8 for r = 2, n <= 7 for r = 3;
-    # one vertex above it, every ell >= 4 timed took minutes, ell >= n among them
-    for n, r, ell in ((9, 2, 4), (9, 2, 5), (9, 2, 9), (8, 3, 4), (8, 3, 5), (8, 3, 8)):
+    # r >= 3 stops at n = 8, and k-free is tighter: n <= 9 for r = 2, ell = 3, and with
+    # ell >= 4, n <= 8 for r = 2 and n <= 7 for r = 3; one vertex above those, every
+    # ell timed took minutes, ell >= n among them
+    refused = ((10, 2, 3), (9, 2, 4), (9, 2, 5), (9, 2, 9), (9, 3, 3), (8, 3, 4), (8, 3, 5), (8, 3, 8), (9, 4, 4))
+    for n, r, ell in refused:
         with pytest.raises(ValueError, match=f"n = {n} exceeds the feasibility guard {n - 1} for r = {r}, ell = {ell}"):
             extremal_number(n, r, "k-free", ell=ell)
         assert not extremal_number(n, r, "k-free", ell=ell, allow_large=True, node_budget=1).complete
     # a budget of one node admits a request without running it
-    for n, r, ell in ((8, 2, 4), (7, 3, 4), (10, 2, 3), (8, 3, 3), (8, 4, 4)):
+    for n, r, ell in ((8, 2, 4), (7, 3, 4), (9, 2, 3), (10, 2, 2), (8, 3, 3), (8, 4, 4)):
         assert not extremal_number(n, r, "k-free", ell=ell, node_budget=1).complete
     argv = ["search", "--n", "9", "--r", "2", "--predicate", "k-free", "--ell", "4", "--no-cache"]
     assert run(argv) == 2
     assert "feasibility guard 8 for r = 2, ell = 4" in capsys.readouterr().err
+    assert run(argv + ["--allow-large", "--budget", "1"]) == 3
+    argv = ["search", "--n", "10", "--r", "2", "--predicate", "k-free", "--ell", "3", "--no-cache"]
+    assert run(argv) == 2
+    assert "feasibility guard 9 for r = 2, ell = 3" in capsys.readouterr().err
     assert run(argv + ["--allow-large", "--budget", "1"]) == 3
 
 
