@@ -9,7 +9,6 @@ upstream.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -115,7 +114,9 @@ def cache_store(path: str, entry: CacheEntry) -> None:
 
 @dataclass
 class RunManifest:
-    """Reproducibility sidecar: command, seeds, and input/output digests."""
+    """Reproducibility sidecar: command, seeds, and input/output digests.
+
+    The digesting methods import hashlib, so a run without a manifest never loads it."""
 
     command: list[str]
     seeds: list[int] = field(default_factory=list)
@@ -124,10 +125,14 @@ class RunManifest:
     started_at: float = field(default_factory=time.time)
 
     def add_input_file(self, path: str) -> None:
+        import hashlib
+
         with open(path, "rb") as fh:
             self.input_digests[path] = hashlib.sha256(fh.read()).hexdigest()
 
     def add_output(self, name: str, data: str) -> None:
+        import hashlib
+
         self.output_digests[name] = hashlib.sha256(data.encode("utf-8")).hexdigest()
 
     def to_json_dict(self) -> dict:

@@ -11,42 +11,29 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import sys
 import time
 
 from . import __version__
-from .cache import CacheEntry, RunManifest, cache_entries, cache_lookup, cache_store, resolve_cache_path
-from .checkers import (
-    CertificateReport,
-    cancellative_witness,
-    fisher_ryan_certificate,
-    inequality2_certificate,
-    is_k_free,
-    link_count_identity,
-    links_triangle_free,
-    mantel_link_bound,
-    neighborhoods_independent,
-    theorem13_certificate,
-)
-from .constructions import (
-    perturb,
-    random_maximal_cancellative,
-    random_triangle_free_near_bipartite,
-    turan_hypergraph,
-)
-from .hypergraph import Hypergraph, format_hypergraph, load_hypergraph, vertices_of
-from .search import NODE_BUDGET, PREDICATES, check_request, extremal_number
-from .stability import (
-    BipartiteDistanceReport,
-    bipartite_distance_analysis,
-    epsilon_delta_scan,
-    extract_partition_cancellative,
-    extract_partition_generalized,
-    extract_partition_kfree,
-)
 
 OK, VIOLATED, USAGE, BUDGET = 0, 1, 2, 3
+
+# `search`'s predicates and default node budget, spelled here so that the
+# parser loads no search code (a test pins them to turanlab.search)
+PREDICATES = ("cancellative", "k-free", "triangle-free")
+NODE_BUDGET = 50_000_000
+
+
+def _lib(module: str):
+    """The package's `module`, imported by the first call that runs it.
+
+    The dispatch tables below look each check up on it at call time, not
+    bound at import, so a subcommand loads only the modules it runs and a
+    wrapper installed on a module attribute (perfbench/spans.py) sees every
+    call."""
+    return importlib.import_module(f"{__package__}.{module}")
 
 
 def _json(payload: dict) -> str:
@@ -65,9 +52,10 @@ def _ell(certificate: str, ell: int | None) -> int:
     return ell
 
 
-def _check(certificate: str, h: Hypergraph, ok: bool, witness: dict | None, **quantities) -> CertificateReport:
-    """The report of a yes/no check, which carries `witness` when it fails."""
-    return CertificateReport(
+def _check(certificate: str, h, ok: bool, witness: dict | None, **quantities):
+    """The CertificateReport of a yes/no check on hypergraph `h`, which
+    carries `witness` when it fails."""
+    return _lib("checkers").CertificateReport(
         name=certificate,
         quantities={"n": h.n, "edges": h.size, **quantities},
         holds=ok,
@@ -75,40 +63,44 @@ def _check(certificate: str, h: Hypergraph, ok: bool, witness: dict | None, **qu
     )
 
 
-def _cancellative(certificate: str, h: Hypergraph, ell: int | None) -> CertificateReport:
-    w = cancellative_witness(h)
+def _cancellative(certificate: str, h, ell: int | None):
+    w = _lib("checkers").cancellative_witness(h)
     return _check(certificate, h, w is None, None if w is None else {"triple": [list(t) for t in w]})
 
 
 # certificate -> its report of (certificate, hypergraph, --ell), in the order
-# `verify --help` lists them.  The checks are named at call time, not bound
-# here, so a wrapper installed on a module attribute (perfbench/spans.py) sees
-# every call.
+# `verify --help` lists them
 CERTIFICATES = {
-    "fisher-ryan": lambda name, h, ell: fisher_ryan_certificate(h, _ell(name, ell)),
-    "link-count": lambda name, h, ell: link_count_identity(h),
-    "inequality2": lambda name, h, ell: inequality2_certificate(h),
-    "theorem13": lambda name, h, ell: theorem13_certificate(h),
-    "mantel-link": lambda name, h, ell: mantel_link_bound(h),
+    "fisher-ryan": lambda name, h, ell: _lib("checkers").fisher_ryan_certificate(h, _ell(name, ell)),
+    "link-count": lambda name, h, ell: _lib("checkers").link_count_identity(h),
+    "inequality2": lambda name, h, ell: _lib("checkers").inequality2_certificate(h),
+    "theorem13": lambda name, h, ell: _lib("checkers").theorem13_certificate(h),
+    "mantel-link": lambda name, h, ell: _lib("checkers").mantel_link_bound(h),
     "cancellative": _cancellative,
     "k-free": lambda name, h, ell: _check(
-        name, h, is_k_free(h, _ell(name, ell)), {"reason": "auxiliary graph contains a forbidden clique"}, ell=ell
+        name,
+        h,
+        _lib("checkers").is_k_free(h, _ell(name, ell)),
+        {"reason": "auxiliary graph contains a forbidden clique"},
+        ell=ell,
     ),
     "links-triangle-free": lambda name, h, ell: _check(
-        name, h, links_triangle_free(h), {"reason": "some vertex link contains a triangle"}
+        name, h, _lib("checkers").links_triangle_free(h), {"reason": "some vertex link contains a triangle"}
     ),
     "neighborhoods-independent": lambda name, h, ell: _check(
-        name, h, neighborhoods_independent(h), {"reason": "some neighborhood meets an edge twice"}
+        name, h, _lib("checkers").neighborhoods_independent(h), {"reason": "some neighborhood meets an edge twice"}
     ),
 }
 
 # stability mode -> its analysis of (hypergraph, args), in the order
 # `stability --help` lists them
 STABILITY_MODES = {
-    "cancellative": lambda h, args: extract_partition_cancellative(h),
-    "kfree": lambda h, args: extract_partition_kfree(h, args.ell, seed=args.seed),
-    "generalized": lambda h, args: extract_partition_generalized(h, args.ell, args.r, seed=args.seed),
-    "bipartite": lambda h, args: bipartite_distance_analysis(h, seed=args.seed),
+    "cancellative": lambda h, args: _lib("stability").extract_partition_cancellative(h),
+    "kfree": lambda h, args: _lib("stability").extract_partition_kfree(h, args.ell, seed=args.seed),
+    "generalized": lambda h, args: _lib("stability").extract_partition_generalized(
+        h, args.ell, args.r, seed=args.seed
+    ),
+    "bipartite": lambda h, args: _lib("stability").bipartite_distance_analysis(h, seed=args.seed),
 }
 
 
@@ -122,18 +114,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     # each construction's parser names its build, which reads the parsed args
     ct = csub.add_parser("turan", help="balanced transversal r-graph")
-    ct.set_defaults(build=lambda a: turan_hypergraph(a.n, a.r, a.ell))
+    ct.set_defaults(build=lambda a: _lib("constructions").turan_hypergraph(a.n, a.r, a.ell))
     ct.add_argument("--n", type=int, required=True)
     ct.add_argument("--r", type=int, required=True)
     ct.add_argument("--ell", type=int, required=True)
 
     cc = csub.add_parser("random-cancellative", help="greedy maximal cancellative 3-graph")
-    cc.set_defaults(build=lambda a: random_maximal_cancellative(a.n, a.seed))
+    cc.set_defaults(build=lambda a: _lib("constructions").random_maximal_cancellative(a.n, a.seed))
     cc.add_argument("--n", type=int, required=True)
     cc.add_argument("--seed", type=int, required=True)
 
     cf = csub.add_parser("triangle-free", help="near-bipartite triangle-free graph")
-    cf.set_defaults(build=lambda a: random_triangle_free_near_bipartite(a.n, a.epsilon, a.noise, a.seed))
+    cf.set_defaults(
+        build=lambda a: _lib("constructions").random_triangle_free_near_bipartite(a.n, a.epsilon, a.noise, a.seed)
+    )
     cf.add_argument("--n", type=int, required=True)
     cf.add_argument("--epsilon", type=float, required=True)
     cf.add_argument("--noise", type=int, default=0)
@@ -141,7 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = csub.add_parser("perturb", help="delete a fraction of edges then add absent r-sets")
     cp.set_defaults(
-        build=lambda a: perturb(load_hypergraph(a.file), a.delete_fraction, a.add_count, a.seed, a.keep_cancellative)
+        build=lambda a: _lib("constructions").perturb(
+            _lib("hypergraph").load_hypergraph(a.file), a.delete_fraction, a.add_count, a.seed, a.keep_cancellative
+        )
     )
     cp.add_argument("file")
     cp.add_argument("--delete-fraction", type=float, required=True)
@@ -198,6 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _construct_payload(args) -> tuple[str, int]:
+    from .hypergraph import format_hypergraph
+
     h = args.build(args)
     text = format_hypergraph(h)
     if not args.json:
@@ -214,13 +212,16 @@ def _construct_payload(args) -> tuple[str, int]:
 
 
 def _verify_payload(args) -> tuple[str, int]:
+    from .hypergraph import load_hypergraph
+
     h = load_hypergraph(args.file)
     report = CERTIFICATES[args.certificate](args.certificate, h, args.ell)
     return _json(report.to_json_dict()), OK if report.holds else VIOLATED
 
 
-def _search_result(entry: CacheEntry) -> str:
-    """A search result as printed, whether just computed or read from the cache."""
+def _search_result(entry) -> str:
+    """A search result as printed, from its CacheEntry, whether just computed
+    or read from the cache."""
     return _json(
         {
             "predicate": entry.predicate,
@@ -238,6 +239,10 @@ def _search_result(entry: CacheEntry) -> str:
 
 
 def _search_payload(args) -> tuple[str, int]:
+    from .cache import CacheEntry, cache_lookup, cache_store, resolve_cache_path
+    from .hypergraph import vertices_of
+    from .search import check_request, extremal_number
+
     # before the lookup: the key holds ell, so an ill-formed request could still hit
     check_request(args.r, args.predicate, args.ell)
     key = (args.predicate, args.n, args.r, args.ell)
@@ -279,6 +284,9 @@ def _search_payload(args) -> tuple[str, int]:
 
 
 def _stability_payload(args) -> tuple[str, int]:
+    from .hypergraph import load_hypergraph
+    from .stability import BipartiteDistanceReport
+
     h = load_hypergraph(args.file)
     if args.mode != "cancellative" and args.seed is None:
         raise ValueError(f"stability {args.mode} is randomized above the exact-cut ceiling; --seed is required")
@@ -301,6 +309,8 @@ def _stability_payload(args) -> tuple[str, int]:
 
 
 def _scan_payload(args) -> tuple[str, int]:
+    from .stability import epsilon_delta_scan
+
     ns = _values(args.n, int)
     params = _values(args.params, float)
     rows = epsilon_delta_scan(args.kind, ns, params, _values(args.seeds, int), ell=args.ell, noise=args.noise)
@@ -313,6 +323,8 @@ def _scan_payload(args) -> tuple[str, int]:
 
 
 def _cache_payload(args) -> tuple[str, int]:
+    from .cache import cache_entries, cache_lookup, resolve_cache_path
+
     path = resolve_cache_path(args.cache)
     if args.action == "list":
         entries = cache_entries(path)
@@ -350,7 +362,11 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse already printed a usage message
         code = exc.code
         return code if isinstance(code, int) else USAGE
-    manifest = RunManifest(command=["turanlab", *argv]) if args.manifest else None
+    manifest = None
+    if args.manifest:
+        from .cache import RunManifest
+
+        manifest = RunManifest(command=["turanlab", *argv])
     try:
         text, code = COMMANDS[args.command](args)
         if manifest is not None:

@@ -426,15 +426,40 @@ def test_cli_repeated_runs_print_same_stdout(tmp_path, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_cli_import_leaves_numpy_out():
+def _modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running `code`."""
     probe = subprocess.run(
-        [sys.executable, "-c", "import sys, turanlab.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules)"],
         capture_output=True,
         text=True,
         env=CHILD_ENV,
     )
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout == "False\n"
+    return set(probe.stdout.split())
+
+
+def test_cli_import_leaves_numpy_out():
+    # the package re-exports lazily, so the CLI module loads no other turanlab module
+    loaded = _modules_after("import turanlab.cli")
+    assert {m for m in loaded if m.startswith("turanlab")} == {"turanlab", "turanlab.cli"}
+    assert not loaded & {"numpy", "dataclasses", "fractions", "hashlib"}
+
+
+def test_cli_subcommand_imports_only_what_it_runs(tmp_path):
+    path = str(tmp_path / "t6.txt")
+    save_hypergraph(path, turan_hypergraph(6, 3, 3))
+    call = "from contextlib import redirect_stdout; from io import StringIO; from turanlab.cli import run\n"
+    call += "with redirect_stdout(StringIO()): assert run({!r}) == 0"
+    loaded = _modules_after(call.format(["verify", "cancellative", path]))
+    assert {"turanlab.checkers", "turanlab.hypergraph"} <= loaded
+    assert not loaded & {"turanlab.search", "turanlab.stability", "turanlab.cache", "turanlab.constructions"}
+    assert "hashlib" not in loaded
+    # only a run manifest digests, so only a run with one loads hashlib
+    search = ["search", "--n", "4", "--r", "2", "--predicate", "triangle-free", "--cache", str(tmp_path / "c.jsonl")]
+    loaded = _modules_after(call.format(search))
+    assert {"turanlab.search", "turanlab.cache"} <= loaded
+    assert "hashlib" not in loaded
+    assert "hashlib" in _modules_after(call.format(["--manifest", "verify", "cancellative", path]))
 
 
 def test_cli_entry_point_subprocess():

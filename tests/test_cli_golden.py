@@ -29,6 +29,7 @@ import contextlib
 import hashlib
 import io
 
+from turanlab import cli, search
 from turanlab.cli import CERTIFICATES, COMMANDS, run
 
 # (name, argv, file the stdout is saved to or None, exit code, SHA-256 of stdout);
@@ -225,3 +226,8 @@ def test_golden_rows_cover_every_subcommand_and_certificate():
     argvs = [argv.split() for _, argv, _, _, _ in GOLDEN]
     assert set(COMMANDS) <= {argv[0] for argv in argvs}
     assert set(CERTIFICATES) <= {argv[1] for argv in argvs if argv[0] == "verify"}
+
+
+def test_search_parser_spells_the_search_constants():
+    # cli.py repeats them so that building the parser imports no search code
+    assert (cli.PREDICATES, cli.NODE_BUDGET) == (search.PREDICATES, search.NODE_BUDGET)
