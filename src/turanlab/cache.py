@@ -16,8 +16,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .search import SEARCH_VERSION
-
 DEFAULT_CACHE_PATH = "./turanlab-cache.jsonl"
 CACHE_ENV_VAR = "TURANLAB_CACHE"
 
@@ -27,6 +25,11 @@ def resolve_cache_path(cli_value: Optional[str]) -> str:
     if cli_value:
         return cli_value
     return os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_PATH)
+
+
+def _search_version() -> int:
+    from .search import SEARCH_VERSION  # at call time: a run manifest loads no search code
+    return SEARCH_VERSION
 
 
 @dataclass
@@ -41,7 +44,7 @@ class CacheEntry:
     tool_version: str
     timestamp: float
     stats: dict = field(default_factory=dict)
-    search_version: Optional[int] = SEARCH_VERSION  # None: written before versioning
+    search_version: Optional[int] = field(default_factory=_search_version)  # None: written before versioning
 
     def key(self) -> tuple:
         return (self.predicate, self.n, self.r, self.ell)
@@ -99,7 +102,7 @@ def cache_lookup(path: str, key: tuple) -> Optional[CacheEntry]:
     """Newest complete entry of the current search version for (predicate, n, r, ell), or None."""
     found = None
     for entry in cache_entries(path):
-        if entry.key() == key and entry.complete and entry.search_version == SEARCH_VERSION:
+        if entry.key() == key and entry.complete and entry.search_version == _search_version():
             found = entry
     return found
 

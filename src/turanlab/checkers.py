@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from typing import Optional, Sequence
+from typing import Optional
 
 from .hypergraph import Hypergraph, PairCover, contains_clique, count_cliques, has_clique, iter_bits, vertices_of
 
@@ -196,7 +196,7 @@ def links_triangle_free(h: Hypergraph) -> bool:
     if h.r != 3:
         raise ValueError("links_triangle_free expects r = 3")
     ix = _Incidence(h)
-    return not _partner_covered(ix) or all(map(_triangle_free_rows, ix.pair_nbr))
+    return not _partner_covered(ix) or not any(has_clique(rows, vs, 3) for rows, vs in zip(ix.pair_nbr, ix.adj))
 
 
 def neighborhoods_independent(h: Hypergraph) -> bool:
@@ -219,12 +219,6 @@ def neighborhoods_independent(h: Hypergraph) -> bool:
 
 # _BIT_DIGITS[k] translates a byte to ASCII '1' or '0' by its bit k
 _BIT_DIGITS = [bytes(48 + (b >> k & 1) for b in range(256)) for k in range(8)]
-
-
-def _triangle_free_rows(rows: Sequence[int]) -> bool:
-    """The graph with adjacency masks rows[a] has no triangle: no edge
-    {a, b}, a < b, whose ends have a common neighbor (rows[a] & rows[b])."""
-    return not any(ra & rows[b] for a, ra in enumerate(rows) for b in iter_bits(ra & -(2 << a)))
 
 
 class _Incidence:

@@ -244,7 +244,7 @@ def _search_payload(args) -> tuple[str, int]:
     from .search import check_request, extremal_number
 
     # before the lookup: the key holds ell, so an ill-formed request could still hit
-    check_request(args.r, args.predicate, args.ell)
+    check_request(args.n, args.r, args.predicate, args.ell)
     key = (args.predicate, args.n, args.r, args.ell)
     path = resolve_cache_path(args.cache)
     use_cache = not args.no_cache

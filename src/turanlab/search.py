@@ -59,10 +59,10 @@ from .partitions import Partition
 # keyed as 4; any other request, one without ell included, admits n <= 10 for
 # r = 2 and n <= 8 otherwise.  k-free prunes less as ell grows: r = 2 takes
 # about 30 s at ell = 3, n = 9, but had not finished after 19 minutes at
-# n = 10; at ell = 4, r = 2 takes seconds at n = 8 and r = 3 at n = 7, but one
-# vertex more takes over a minute for every ell >= 4 tried (4 to 9 for r = 2,
-# 4, 5, 7 and 8 for r = 3), even ell >= n, where the ties at the optimum are
-# all the search walks
+# n = 10; at ell = 4, r = 2 takes 4-6 s at n = 8 and r = 3 about 2 s at n = 7,
+# but one vertex more takes over a minute for every ell >= 4 tried (4 to 9 for
+# r = 2, 4, 5, 7 and 8 for r = 3), even ell >= n, where the ties at the optimum
+# are all it walks; r = 3, ell = 4, n = 8 is unfinished after 1 M nodes (3 min)
 GUARDS = {(2, 3): 9, (2, 4): 8, (3, 4): 7}
 
 PREDICATES = ("cancellative", "k-free", "triangle-free")
@@ -218,31 +218,30 @@ def _isomorphic(
 
 
 class KFreeState(PairCover):
-    """The pair-cover graph stays K_{ell+1}-free: e is addable when no pair it
-    newly covers has ell - 1 common neighbours forming a clique once e is in."""
+    """The pair-cover graph stays K_{ell+1}-free (ell >= r, see `check_request`).
+
+    A K_{ell+1} of cur + e that cur lacks meets e in some S, |S| >= 2, and its other
+    ell + 1 - |S| vertices are a clique of cur among the common neighbours of S off e;
+    conversely such a clique and S span a K_{ell+1}.  plan[e] holds each S (as vertex
+    bits) with that clique size; as cur is K_{ell+1}-free, e is addable iff no S has one.
+    """
 
     def __init__(self, n: int, r: int, ell: int) -> None:
-        if ell < r:
-            raise ValueError(f"need ell >= r, got ell = {ell}, r = {r}")
         super().__init__(n)
-        self.r = r
-        self.ell = ell
+        self.plan = {
+            e: [(s, ell + 1 - len(s)) for k in range(2, r + 1) for s in itertools.combinations(iter_bits(e), k)]
+            for e in all_r_subsets(n, r)
+        }
 
     def addable(self, e: int) -> bool:
         adj = self.adj
-        if self.r == 2:
-            lo = e & -e
-            common = adj[lo.bit_length() - 1] & adj[(e ^ lo).bit_length() - 1]
-            if self.ell == 2:
-                return common == 0
-            return not has_clique(adj, common, self.ell - 1)
-        new = [(i, j) for i, j in itertools.combinations(iter_bits(e), 2) if not adj[i] >> j & 1]
-        if not new:
-            return True
-        adj2 = list(adj)
-        for b in iter_bits(e):
-            adj2[b] |= e ^ (1 << b)
-        return not any(has_clique(adj2, adj2[i] & adj2[j], self.ell - 1) for i, j in new)
+        for s, size in self.plan[e]:
+            cand = ~e
+            for b in s:
+                cand &= adj[b]
+            if has_clique(adj, cand, size):
+                return False
+        return True
 
 
 @dataclass
@@ -260,8 +259,8 @@ class ExtremalRecord:
     cap_hit: bool = False
 
 
-def check_request(r: int, predicate: str, ell: Optional[int]) -> None:
-    """Raise ValueError unless (r, predicate, ell) names a search; ell belongs to k-free alone."""
+def check_request(n: int, r: int, predicate: str, ell: Optional[int]) -> None:
+    """Raise ValueError unless (n, r, predicate, ell) names a search; ell belongs to k-free alone."""
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
     if predicate == "k-free" and ell is None:
@@ -272,6 +271,10 @@ def check_request(r: int, predicate: str, ell: Optional[int]) -> None:
         raise ValueError(f"predicate {predicate!r} does not apply to r = {r}")
     if r < 2:
         raise ValueError(f"uniformity must be >= 2, got {r}")
+    if ell is not None and ell < r:
+        raise ValueError(f"need ell >= r, got ell = {ell}, r = {r}")
+    if n < 0:
+        raise ValueError(f"vertex count must be >= 0, got {n}")
 
 
 def extremal_number(
@@ -290,7 +293,7 @@ def extremal_number(
     """
     if node_budget <= 0:
         raise ValueError("node budget must be positive")
-    check_request(r, predicate, ell)
+    check_request(n, r, predicate, ell)
     guard = GUARDS.get((r, min(ell or 0, 4)), 10 if r == 2 else 8)
     shape = f"r = {r}" if ell is None else f"r = {r}, ell = {ell}"
     if n > guard and not allow_large:

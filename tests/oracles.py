@@ -12,14 +12,16 @@ constructor checks and the per-block bad-edge pass must agree with.
 The index's bulk build is checked against per-incidence builders that
 visit each u in N(T) one bit at a time.
 The search's cancellative state, which flips per-vertex link bits, is
-checked against the co-link counting state it replaced.
+checked against the co-link counting state it replaced, and its k-free
+state, one clique test per subset of the new edge, against the state with
+separate paths for graphs and for r >= 3 that it replaced.
 """
 
 import itertools
 from collections import Counter
 
 from turanlab.canonical import canonical_code
-from turanlab.hypergraph import Hypergraph, PairCover, iter_bits, mask_of, vertices_of
+from turanlab.hypergraph import Hypergraph, PairCover, has_clique, iter_bits, mask_of, vertices_of
 
 
 def link_sets(h):
@@ -379,3 +381,37 @@ class CancellativeStateByColink(PairCover):
             self.nbrs[t] = cur
             for b in iter_bits(cur):
                 self.colink[(1 << w) | (1 << b)] -= 1
+
+
+class KFreeStateByNewPairs(PairCover):
+    """The pair-cover graph of r-edges stays K_{ell+1}-free, ell >= r.
+
+    For a graph, e = {i, j} is addable iff the common neighbours of i and j
+    hold no K_{ell-1} (none at all for ell = 2).  For r >= 3, e is addable
+    iff no pair {i, j} of e that cur leaves uncovered has ell - 1 common
+    neighbours forming a clique in a copy of the adjacency with e's pairs
+    added.
+    """
+
+    def __init__(self, n: int, r: int, ell: int) -> None:
+        if ell < r:
+            raise ValueError(f"need ell >= r, got ell = {ell}, r = {r}")
+        super().__init__(n)
+        self.r = r
+        self.ell = ell
+
+    def addable(self, e: int) -> bool:
+        adj = self.adj
+        if self.r == 2:
+            lo = e & -e
+            common = adj[lo.bit_length() - 1] & adj[(e ^ lo).bit_length() - 1]
+            if self.ell == 2:
+                return common == 0
+            return not has_clique(adj, common, self.ell - 1)
+        new = [(i, j) for i, j in itertools.combinations(iter_bits(e), 2) if not adj[i] >> j & 1]
+        if not new:
+            return True
+        adj2 = list(adj)
+        for b in iter_bits(e):
+            adj2[b] |= e ^ (1 << b)
+        return not any(has_clique(adj2, adj2[i] & adj2[j], self.ell - 1) for i, j in new)

@@ -150,15 +150,21 @@ def test_cli_usage_errors(tmp_path, capsys):
         ["search", "--n", "5", "--r", "3", "--predicate", "cancellative", "--no-cache", "--budget", "0"], capsys
     )
     assert code == 2 and "node budget must be positive" in err
-    # r < 2 fails before the cache lookup, so even a stored entry for the key is not served
+    # r < 2, ell < r and n < 0 fail before the cache lookup, so even a stored
+    # entry for the key is not served
     cache = str(tmp_path / "c.jsonl")
-    stored = entry()
-    stored.predicate, stored.n, stored.r, stored.ell = "k-free", 5, 1, 2
-    cache_store(cache, stored)
-    code, out, err = run_cli(
-        ["search", "--n", "5", "--r", "1", "--predicate", "k-free", "--ell", "2", "--cache", cache], capsys
-    )
-    assert code == 2 and out == "" and "uniformity must be >= 2, got 1" in err
+    for n, r, ell, message in (
+        (5, 1, 2, "uniformity must be >= 2, got 1"),
+        (6, 3, 2, "need ell >= r, got ell = 2, r = 3"),
+        (-1, 2, 2, "vertex count must be >= 0, got -1"),
+    ):
+        stored = entry(value=99)
+        stored.predicate, stored.n, stored.r, stored.ell = "k-free", n, r, ell
+        cache_store(cache, stored)
+        args = ["search", "--n", str(n), "--r", str(r), "--predicate", "k-free", "--ell", str(ell)]
+        for flags in (["--cache", cache], ["--no-cache"]):
+            code, out, err = run_cli(args + flags, capsys)
+            assert code == 2 and out == "" and err == f"error: {message}\n"
     # a path that exists but cannot be read as a file is a usage error, not a violation
     code, out, err = run_cli(["verify", "cancellative", str(tmp_path)], capsys)
     assert code == 2 and out == "" and err.startswith("error: ") and "directory" in err
@@ -459,7 +465,10 @@ def test_cli_subcommand_imports_only_what_it_runs(tmp_path):
     loaded = _modules_after(call.format(search))
     assert {"turanlab.search", "turanlab.cache"} <= loaded
     assert "hashlib" not in loaded
-    assert "hashlib" in _modules_after(call.format(["--manifest", "verify", "cancellative", path]))
+    # the manifest lives in cache.py, which loads the search only for a lookup
+    loaded = _modules_after(call.format(["--manifest", "verify", "cancellative", path]))
+    assert {"hashlib", "turanlab.cache"} <= loaded
+    assert not loaded & {"turanlab.search", "turanlab.stability", "turanlab.constructions"}
 
 
 def test_cli_entry_point_subprocess():

@@ -16,7 +16,6 @@ from turanlab.checkers import (
     _first_witness,
     _mantel_caps_hold,
     _Incidence,
-    _triangle_free_rows,
     cancellative_witness,
     fisher_ryan_certificate,
     inequality2_certificate,
@@ -39,6 +38,7 @@ from turanlab.hypergraph import (
     all_r_subsets,
     auxiliary_graph,
     contains_clique,
+    has_clique,
     iter_bits,
     mask_of,
     vertices_of,
@@ -652,7 +652,7 @@ def test_pair_link_table_matches_per_pair_links():
             link_graph = Hypergraph(h.n, 2, tuple(lg))
             assert [a & b for a, b in zip(ix.pair_nbr[u - 1], ix.pair_nbr[v - 1])] == list(link_graph.adjacency)
             if u == v:
-                assert _triangle_free_rows(ix.pair_nbr[u - 1]) == (not contains_clique(link_graph, 3))
+                assert has_clique(ix.pair_nbr[u - 1], ix.adj[u - 1], 3) == contains_clique(link_graph, 3)
 
 
 def test_incidence_index_matches_oracles():
@@ -673,8 +673,8 @@ def test_incidence_index_matches_oracles():
         assert ix.adj == adj
         for u in range(h.n):
             assert [ix.ts[i] for i in range(len(ix.ts)) if ix.col[u] >> i & 1] == sorted(links[u])
-            assert _triangle_free_rows(ix.pair_nbr[u]) == (
-                not contains_clique(Hypergraph(h.n, 2, tuple(links[u])), 3)
+            assert has_clique(ix.pair_nbr[u], ix.adj[u], 3) == contains_clique(
+                Hypergraph(h.n, 2, tuple(links[u])), 3
             )
         assert ix.size == [
             [_pair_link_size(links, u, v) for v in range(1, h.n + 1)] for u in range(1, h.n + 1)
@@ -780,11 +780,13 @@ def test_bulk_index_never_walks_the_incidences(monkeypatch):
     assert len(calls) < h.n, len(calls)
 
 
-def test_triangle_free_bit_test_matches_contains_clique():
+def test_links_triangle_free_matches_contains_clique():
     rng = random.Random(73)
     for _ in range(400):
-        g = random_hypergraph(rng.randint(0, 10), 2, rng.uniform(0.05, 0.6), rng)
-        assert _triangle_free_rows(g.adjacency) == (not contains_clique(g, 3))
+        h = random_hypergraph(rng.randint(0, 10), 3, rng.uniform(0.05, 0.6), rng)
+        assert links_triangle_free(h) == all(
+            not contains_clique(Hypergraph(h.n, 2, tuple(lk)), 3) for lk in link_sets(h)
+        )
 
 
 @settings(max_examples=40, deadline=None)

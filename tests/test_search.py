@@ -29,7 +29,7 @@ from turanlab.hypergraph import (
 from turanlab.partitions import Partition
 from turanlab.search import check_request, extremal_number, max_ell_cut, vertex_move_optimal
 
-from oracles import crossing_count, edge_invariants, permute_hypergraph, uniqueness_check
+from oracles import KFreeStateByNewPairs, crossing_count, edge_invariants, permute_hypergraph, uniqueness_check
 
 
 def brute_force(n, r, keep):
@@ -187,30 +187,43 @@ STATE_STEPS = st.lists(st.tuples(st.sampled_from(["add", "add", "add", "remove"]
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(4, 7), st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)]), STATE_STEPS)
+@given(
+    st.integers(4, 7),
+    st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4), (3, 5), (4, 4), (4, 5), (4, 6)]),
+    STATE_STEPS,
+)
 def test_kfree_state_matches_direct_checker(n, shape, steps):
+    # the one clique test per subset of e against the state it replaced and
+    # the direct checker, for every absent r-set after every step
     from turanlab.search import KFreeState
 
     r, ell = shape
-    state = KFreeState(n, r, ell)
+    state, oracle = KFreeState(n, r, ell), KFreeStateByNewPairs(n, r, ell)
     current = []
     cands = all_r_subsets(n, r)
+
+    def assert_same_answers():
+        for f in cands:
+            if f not in current:
+                direct = is_k_free(Hypergraph(n, r, tuple(current + [f])), ell)
+                assert state.addable(f) == oracle.addable(f) == direct, (n, r, ell, current, f)
+
+    assert_same_answers()
     for op, i in steps:
         if op == "remove":
-            if current:
-                victim = current[i % len(current)]
-                state.remove(victim)
-                current.remove(victim)
-            continue
-        e = cands[i % len(cands)]
-        if e in current:
-            continue
-        ok = state.addable(e)
-        direct = is_k_free(Hypergraph(n, r, tuple(current + [e])), ell)
-        assert ok == direct, (n, r, ell, current, e)
-        if ok:
+            if not current:
+                continue
+            victim = current.pop(i % len(current))
+            state.remove(victim)
+            oracle.remove(victim)
+        else:
+            e = cands[i % len(cands)]
+            if e in current or not oracle.addable(e):
+                continue
             state.add(e)
+            oracle.add(e)
             current.append(e)
+        assert_same_answers()
 
 
 def test_unknown_predicate_and_missing_ell():
@@ -225,7 +238,7 @@ def test_unknown_predicate_and_missing_ell():
         extremal_number(5, 2, "triangle-free", ell=2)
     # r < 2 is rejected with the request, not when the first witness is built
     with pytest.raises(ValueError, match="uniformity must be >= 2, got 1"):
-        check_request(1, "k-free", 2)
+        check_request(5, 1, "k-free", 2)
 
 
 # ---------------------------------------------------------------------------
