@@ -18,8 +18,8 @@ time.  Cancellativity and independent neighborhoods are then one test per
 vertex (`_partner_covered`).  A certificate that needs a cancellative
 input shares one index with its precondition (`_cancellative_index`): the
 index is built once, tested for cancellativity, then read by the
-certificate.  The incremental search state extends `hypergraph.PairCover`
-with N(T) masks and per-vertex link masks.
+certificate.  The incremental search state keeps N(T) masks, per-vertex link
+masks and the pair-cover adjacency it reads off the N(T) masks.
 
 The pair-link certificate (`mantel_link_bound`) is decided by its
 precondition and one cap test.  On a cancellative input the vertex set of
@@ -41,7 +41,7 @@ from functools import cached_property
 from math import comb
 from typing import Optional
 
-from .hypergraph import Hypergraph, PairCover, contains_clique, count_cliques, has_clique, iter_bits, vertices_of
+from .hypergraph import Hypergraph, contains_clique, count_cliques, has_clique, iter_bits, vertices_of
 
 
 @dataclass
@@ -76,27 +76,31 @@ def _frac_str(x: Fraction) -> str:
 # Cancellativity
 
 
-class _CancellativeState(PairCover):
+class _CancellativeState:
     """Incrementally maintained cancellativity of a growing/shrinking 3-graph.
 
-    Beside the pair-cover graph of `PairCover`, tracks for the current edge
-    set, with the pair {j, k} (j < k) at index j*n + k:
+    Tracks for the current edge set, with the pair {j, k} (j < k) at index
+    j*n + k:
       link[w]      -- the link of vertex w: bit j*n + k set iff {j, k, w}
                       is an edge
       nbrs[j*n+k]  -- N({j, k}) as a vertex mask
+      adj[w]       -- the pair-cover neighbours of w, as `PairCover.adj`: a
+                      pair is covered iff its N mask is nonzero
 
     A triple E is addable iff no pair {a, b} of E is co-neighbored, that is
     link[a] & link[b] == 0 (else E contains A (+) B for edges A, B through a
     common pair T), and, for every pair T of E with new vertex w, no existing
     x in N(T) has the pair {w, x} covered (would give E (+) (T+{x}) inside a
-    covering edge), that is adj[w] & N(T) == 0.  An edge sets or clears one
-    bit in each of three links and three neighborhoods.  Bit positions are
-    pair indices, not pair masks, so a link has n^2 bits, not 2^n.
+    covering edge), that is adj[w] & N(T) == 0.  An edge toggles one bit in
+    each of three links and three neighborhoods, then sets each of its three
+    pairs in adj iff that pair's neighborhood is nonempty, so adding and
+    removing are the same update.  Bit positions are pair indices, not pair
+    masks, so a link has n^2 bits, not 2^n.
     """
 
     def __init__(self, n: int) -> None:
-        super().__init__(n)
         self.n = n
+        self.adj = [0] * n
         self.link = [0] * n
         self.nbrs = [0] * (n * n)
 
@@ -111,26 +115,28 @@ class _CancellativeState(PairCover):
         adj, nbrs, n = self.adj, self.nbrs, self.n
         return not (adj[i] & nbrs[j * n + k] or adj[j] & nbrs[i * n + k] or adj[k] & nbrs[i * n + j])
 
+    def lost(self, addable: list[int], slack: int) -> int:
+        """0: a cancellative completion is bounded by the addable count alone."""
+        return 0
+
     def _flip(self, e: int) -> None:
         x = e & -e
         y = (e ^ x) & -(e ^ x)
         z = e ^ x ^ y
         i, j, k = x.bit_length() - 1, y.bit_length() - 1, z.bit_length() - 1
-        link, nbrs, n = self.link, self.nbrs, self.n
+        link, nbrs, adj, n = self.link, self.nbrs, self.adj, self.n
         link[i] ^= 1 << (j * n + k)
         link[j] ^= 1 << (i * n + k)
         link[k] ^= 1 << (i * n + j)
-        nbrs[j * n + k] ^= x
-        nbrs[i * n + k] ^= y
-        nbrs[i * n + j] ^= z
+        jk = nbrs[j * n + k] = nbrs[j * n + k] ^ x
+        ik = nbrs[i * n + k] = nbrs[i * n + k] ^ y
+        ij = nbrs[i * n + j] = nbrs[i * n + j] ^ z
+        # a pair of e is covered iff its neighborhood is nonempty
+        adj[i] = adj[i] & ~(y | z) | (y if ij else 0) | (z if ik else 0)
+        adj[j] = adj[j] & ~(x | z) | (x if ij else 0) | (z if jk else 0)
+        adj[k] = adj[k] & ~(x | y) | (x if ik else 0) | (y if jk else 0)
 
-    def add(self, e: int) -> None:
-        super().add(e)
-        self._flip(e)
-
-    def remove(self, e: int) -> None:
-        super().remove(e)
-        self._flip(e)
+    add = remove = _flip
 
 
 def _first_witness(ix: _Incidence) -> Optional[tuple]:

@@ -202,9 +202,7 @@ def iter_cliques(adj: Sequence[int], cand: int, size: int) -> Iterator[int]:
     if size == 0:
         yield 0
         return
-    if cand.bit_count() < size:
-        return
-    while cand:
+    while cand.bit_count() >= size:
         low = cand & -cand
         cand ^= low
         if size == 1:

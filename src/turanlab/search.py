@@ -4,8 +4,16 @@ The extremal search grows predicate-satisfying edge sets from the empty
 graph one edge at a time.  A branch dies when current-size +
 addable-candidates cannot reach the best value found so far (addable-count
 is a valid bound because a hereditary predicate's violations are permanent
-under further additions).  Ties at the optimum survive the strict prune, so
-the extremal class count comes out exact.
+under further additions).  The bound also subtracts what the predicate
+state's `lost(addable, slack)` returns: a lower bound on the addable edges
+that every valid completion leaves out.  For graphs, `KFreeState` packs
+copies of K_{ell+1} in cur + addable that share no addable edge, each of
+which costs a completion one edge; this is the MaxSAT-style bound of Li and
+Quan (AAAI 2010) for maximum clique, applied to the forbidden copies.  It is
+built only when the slack, current-size + addable-count - best, is below
+half the addable count, and stops once it exceeds the slack.  The r >= 3
+and cancellative states return 0.  Ties at the optimum survive the strict
+prune, so the extremal class count comes out exact.
 
 Near the root the search works one isomorphism class at a time.  It
 branches on one addable edge per twin orbit and keeps a child G+e only if e
@@ -52,14 +60,14 @@ from typing import Optional, Sequence
 from .canonical import _twin_classes, canonical_code
 from .checkers import _CancellativeState
 from .constructions import turan_count
-from .hypergraph import Hypergraph, PairCover, all_r_subsets, has_clique, iter_bits
+from .hypergraph import Hypergraph, PairCover, all_r_subsets, has_clique, iter_bits, iter_cliques
 from .partitions import Partition
 
 # (r, ell) -> the largest n searched without allow_large, with every ell >= 4
 # keyed as 4; any other request, one without ell included, admits n <= 10 for
 # r = 2 and n <= 8 otherwise.  k-free prunes less as ell grows: r = 2 takes
-# about 30 s at ell = 3, n = 9, but had not finished after 19 minutes at
-# n = 10; at ell = 4, r = 2 takes 4-6 s at n = 8 and r = 3 about 2 s at n = 7,
+# about 26 s at ell = 3, n = 9, but had not finished after 19 minutes at
+# n = 10; at ell = 4, r = 2 takes about 3 s at n = 8 and r = 3 about 2 s at n = 7,
 # but one vertex more takes over a minute for every ell >= 4 tried (4 to 9 for
 # r = 2, 4, 5, 7 and 8 for r = 3), even ell >= n, where the ties at the optimum
 # are all it walks; r = 3, ell = 4, n = 8 is unfinished after 1 M nodes (3 min)
@@ -70,7 +78,7 @@ _UNIFORMITY = {"cancellative": 3, "triangle-free": 2}  # "k-free" takes any r
 
 # Bump whenever a change to the search can change what it reports for some
 # (predicate, n, r, ell): result-cache entries of another version are misses.
-SEARCH_VERSION = 3
+SEARCH_VERSION = 4
 
 # A node with at most this many addable edges hands its subtree to the labeled
 # branch and bound.
@@ -213,8 +221,9 @@ def _isomorphic(
 
 
 # ---------------------------------------------------------------------------
-# Hereditary predicates with incremental add/remove/addable; each state is a
-# PairCover, whose adjacency the repeat test reads for the child
+# Hereditary predicates with incremental add/remove/addable and the bound
+# lost; each state keeps adj, the pair-cover adjacency the repeat test reads
+# for the child
 
 
 class KFreeState(PairCover):
@@ -232,6 +241,16 @@ class KFreeState(PairCover):
             e: [(s, ell + 1 - len(s)) for k in range(2, r + 1) for s in itertools.combinations(iter_bits(e), k)]
             for e in all_r_subsets(n, r)
         }
+        # for graphs, `lost` packs copies of K_{ell+1}: ends[e] holds the two
+        # vertices of e as indices and as bits, and a copy through e is e plus
+        # a clique of ell - 1 vertices
+        self.ends: Optional[dict[int, tuple[int, int, int, int]]] = None
+        if r == 2:
+            self.ends = {}
+            for e in self.plan:
+                a, b = iter_bits(e)
+                self.ends[e] = (a, b, 1 << a, 1 << b)
+        self.ell = ell
 
     def addable(self, e: int) -> bool:
         adj = self.adj
@@ -242,6 +261,51 @@ class KFreeState(PairCover):
             if has_clique(adj, cand, size):
                 return False
         return True
+
+    def lost(self, addable: list[int], slack: int) -> int:
+        """A lower bound on the edges of addable that every K_{ell+1}-free F with
+        cur <= F <= cur + addable leaves out; counting stops once it exceeds slack.
+
+        addable holds edges that are each addable to cur.  For graphs the bound is
+        a greedy packing of copies of K_{ell+1} in G = cur + addable that share no
+        addable edge, since F misses an edge of each copy.  Each edge {a, b} of
+        addable still in G in turn takes the first (ell - 1)-clique of G among the
+        common neighbours of a and b; the copy counts, and its addable edges leave
+        G while the cur edges stay.  A copy holds at least two addable edges, as cur
+        plus any one of them is K_{ell+1}-free, so the packing never exceeds
+        len(addable) // 2 and is not built when slack reaches that.  For r >= 3
+        the bound is 0.
+        """
+        ends = self.ends
+        if ends is None or slack >= len(addable) // 2:
+            return 0
+        cur = self.adj
+        adj = cur[:]
+        for f in addable:
+            a, b, lo, hi = ends[f]
+            adj[a] |= hi
+            adj[b] |= lo
+        size = self.ell - 1
+        count = 0
+        for f in addable:
+            a, b, lo, hi = ends[f]
+            if not adj[a] & hi:
+                continue
+            clique = next(iter_cliques(adj, adj[a] & adj[b], size), None)
+            if clique is None:
+                continue
+            count += 1
+            if count > slack:
+                break
+            # the copy's addable edges leave G: keep only the cur pairs inside it
+            copy = clique | f
+            rest = copy
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                adj[v] &= cur[v] | ~copy
+        return count
 
 
 @dataclass
@@ -336,7 +400,7 @@ def extremal_number(
         elif code not in best_codes:
             cap_hit = True
 
-    addable = state.addable
+    addable, lost = state.addable, state.lost
 
     def push(e: int) -> None:
         cur.append(e)
@@ -347,7 +411,7 @@ def extremal_number(
         cur.pop()
 
     def dfs(addable: list[int]) -> None:
-        """Expand a node whose bound len(cur) + len(addable) its caller checked."""
+        """Expand a node whose bound len(cur) + len(addable) - lost its caller checked."""
         nonlocal nodes, exhausted
         nodes += 1
         if nodes > node_budget:
@@ -375,7 +439,8 @@ def extremal_number(
             inv, colour = found
             push(e)
             child_addable = [f for f in addable if f != e and state.addable(f)]
-            if m + 1 + len(child_addable) >= best:
+            slack = m + 1 + len(child_addable) - best
+            if slack >= 0 and lost(child_addable, slack) <= slack:
                 # a child is new iff it is isomorphic to no class under its key
                 seen = visited.setdefault(_class_key(inv), [])
                 if not any(_isomorphic(n, cur, colour, state.adj, rep, members) for rep in seen):
@@ -405,14 +470,16 @@ def extremal_number(
                     if slack < 0:
                         break
             else:
-                nodes += 1
-                if nodes > node_budget:
-                    exhausted = True
-                else:
-                    if m + 1 >= best:
-                        note_state()
-                    if new_rem:
-                        extend_labeled(new_rem)
+                # slack is now m + 1 + len(new_rem) - best, the child's own
+                if lost(new_rem, slack) <= slack:
+                    nodes += 1
+                    if nodes > node_budget:
+                        exhausted = True
+                    else:
+                        if m + 1 >= best:
+                            note_state()
+                        if new_rem:
+                            extend_labeled(new_rem)
             pop(e)
             if exhausted:
                 return

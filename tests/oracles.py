@@ -14,7 +14,10 @@ visit each u in N(T) one bit at a time.
 The search's cancellative state, which flips per-vertex link bits, is
 checked against the co-link counting state it replaced, and its k-free
 state, one clique test per subset of the new edge, against the state with
-separate paths for graphs and for r >= 3 that it replaced.
+separate paths for graphs and for r >= 3 that it replaced.  The k-free
+state's packing bound (`KFreeState.lost`) is checked against the fewest
+addable edges a K_{ell+1}-free completion must leave out, found by trying
+every completion.
 """
 
 import itertools
@@ -415,3 +418,17 @@ class KFreeStateByNewPairs(PairCover):
         for b in iter_bits(e):
             adj2[b] |= e ^ (1 << b)
         return not any(has_clique(adj2, adj2[i] & adj2[j], self.ell - 1) for i, j in new)
+
+
+def fewest_left_out(n, ell, cur, addable):
+    """The fewest edges of addable that a K_{ell+1}-free graph F with
+    cur <= F <= cur + addable leaves out, trying the drop sets by size."""
+    for k in range(len(addable) + 1):
+        for drop in itertools.combinations(addable, k):
+            adj = [0] * n
+            for e in cur + [f for f in addable if f not in drop]:
+                for b in iter_bits(e):
+                    adj[b] |= e ^ (1 << b)
+            if not has_clique(adj, (1 << n) - 1, ell + 1):
+                return k
+    raise AssertionError("cur itself holds a K_{ell+1}")

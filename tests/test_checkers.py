@@ -304,13 +304,15 @@ def test_incremental_state_matches_direct_checker(n, steps):
 
     def assert_tables_match(state, current):
         # per-vertex link masks (bit j*n + k for the pair {j, k}, j < k), N(T)
-        # masks by pair index and positive co-link counts, recomputed from the edges
+        # masks by pair index, positive co-link counts and the pair-cover
+        # adjacency the state reads off the N(T) masks, recomputed from the edges
         h = Hypergraph(n, 3, tuple(current))
         sh = shadow_neighborhoods(h)
         nbrs = [0] * (n * n)
         for t, vs in sh.items():
             nbrs[index[t]] = mask_of(vs)
         assert state.nbrs == nbrs
+        assert state.adj == list(h.adjacency)
         assert state.link == [sum(1 << index[t] for t in lk) for lk in link_sets(h)]
         colink = Counter(mask_of(p) for vs in sh.values() for p in itertools.combinations(vs, 2))
         counts = Counter(

@@ -29,7 +29,14 @@ from turanlab.hypergraph import (
 from turanlab.partitions import Partition
 from turanlab.search import check_request, extremal_number, max_ell_cut, vertex_move_optimal
 
-from oracles import KFreeStateByNewPairs, crossing_count, edge_invariants, permute_hypergraph, uniqueness_check
+from oracles import (
+    KFreeStateByNewPairs,
+    crossing_count,
+    edge_invariants,
+    fewest_left_out,
+    permute_hypergraph,
+    uniqueness_check,
+)
 
 
 def brute_force(n, r, keep):
@@ -161,6 +168,9 @@ class _AtMostTwoEdges:
     def addable(self, e):
         return self.count < 2
 
+    def lost(self, addable, slack):
+        return 0
+
     def add(self, e):
         self.count += 1
 
@@ -280,8 +290,8 @@ def test_default_search_matches_labeled_oracle(monkeypatch):
 class _BoundedDegree(PairCover):
     """A hereditary stand-in with several extremal classes: every vertex degree at most d.
 
-    Like the real predicate states it is a `PairCover`, whose adjacency the
-    search's repeat test reads."""
+    Like the real predicate states it keeps the pair-cover adjacency `adj`,
+    which the search's repeat test reads, and a bound `lost`, here 0."""
 
     def __init__(self, n, d):
         super().__init__(n)
@@ -290,6 +300,9 @@ class _BoundedDegree(PairCover):
 
     def addable(self, e):
         return all(self.deg[b] < self.d for b in iter_bits(e))
+
+    def lost(self, addable, slack):
+        return 0
 
     def add(self, e):
         super().add(e)
@@ -302,17 +315,114 @@ class _BoundedDegree(PairCover):
             self.deg[b] -= 1
 
 
+class _DegreeExcess(_BoundedDegree):
+    """`_BoundedDegree` with a bound that sees conflicts: a vertex with more addable
+    edges than degree left loses the excess, and an edge left out serves r vertices."""
+
+    def lost(self, addable, slack):
+        if not addable:
+            return 0
+        through = Counter(b for e in addable for b in iter_bits(e))
+        excess = sum(max(0, k - (self.d - self.deg[b])) for b, k in through.items())
+        return -(-excess // addable[0].bit_count())
+
+
+MANY_CLASSES = ((7, 2, 2, 2), (6, 2, 3, 2), (7, 2, 3, 4), (6, 3, 2, 2), (7, 3, 2, 6), (6, 3, 3, 4))
+
+
+def _stand_in(monkeypatch, state):
+    """Run every predicate on state(n, r) instead of its own state."""
+    monkeypatch.setattr(search_mod, "_CancellativeState", lambda n: state(n, 3))
+    monkeypatch.setattr(search_mod, "KFreeState", lambda n, r, ell: state(n, r))
+
+
 def test_search_matches_labeled_oracle_on_many_classes(monkeypatch):
     # the three predicates have one extremal class each on the n above, so a lost
-    # class shows only where there are several: cycles, cubic graphs, linear 3-graphs
-    for n, r, d, classes in ((7, 2, 2, 2), (6, 2, 3, 2), (7, 2, 3, 4), (6, 3, 2, 2), (7, 3, 2, 6), (6, 3, 3, 4)):
-        monkeypatch.setattr(search_mod, "_CancellativeState", lambda n, d=d: _BoundedDegree(n, d))
-        monkeypatch.setattr(search_mod, "KFreeState", lambda n, r, ell, d=d: _BoundedDegree(n, d))
+    # class shows only where there are several: cycles, cubic graphs, linear 3-graphs.
+    # A bound that sees conflicts (`_DegreeExcess`) prunes nodes but no tie
+    pruned = 0
+    for n, r, d, classes in MANY_CLASSES:
+        _stand_in(monkeypatch, lambda n, r, d=d: _BoundedDegree(n, d))
         predicate = "cancellative" if r == 3 else "triangle-free"
         search = partial(extremal_number, n, r, predicate)
         slow = _with_tail(monkeypatch, comb(n, r), search)
         assert slow[:2] == (n * d // r, classes)
         assert _fast_paths(monkeypatch, search) == [slow, slow], (n, r, d)
+        nodes = search().nodes_explored
+        _stand_in(monkeypatch, lambda n, r, d=d: _DegreeExcess(n, d))
+        assert _fast_paths(monkeypatch, search) == [slow, slow], (n, r, d)
+        pruned += nodes - search().nodes_explored
+    assert pruned > 0
+
+
+def _without_packing(monkeypatch, tail, search):
+    """Outcome of search under LABELED_TAIL = tail with `KFreeState.lost` at 0."""
+    with monkeypatch.context() as m:
+        m.setattr(search_mod.KFreeState, "lost", lambda self, addable, slack: 0)
+        return _with_tail(m, tail, search)
+
+
+def test_packing_bound_changes_no_outcome(monkeypatch):
+    # plain labeled branch and bound, without the packing of forbidden cliques,
+    # against the default search and the filter kept on down to the leaves, both
+    # with it: ties at the optimum survive the bound, so no class is lost
+    for n, r, predicate, ell in ORACLE_CASES:
+        search = partial(extremal_number, n, r, predicate, ell=ell)
+        plain = _without_packing(monkeypatch, comb(n, r), search)
+        assert _fast_paths(monkeypatch, search) == [plain, plain], (n, r, predicate, ell)
+
+
+def test_bound_comes_from_the_state_not_the_predicate_name(monkeypatch):
+    # a state that admits every graph, run under the name "triangle-free": a
+    # bound chosen by the name would pack triangles and stop short of C(n, 2)
+    _stand_in(monkeypatch, lambda n, r: _BoundedDegree(n, n - 1))
+    for n in range(2, 8):
+        search = partial(extremal_number, n, 2, "triangle-free")
+        outcomes = _fast_paths(monkeypatch, search) + [_with_tail(monkeypatch, comb(n, 2), search)]
+        assert [o[:2] for o in outcomes] == [(comb(n, 2), 1)] * 3, n
+
+
+def test_packing_bound_examples():
+    from turanlab.search import KFreeState
+
+    # K_4 and K_5 against triangles: the greedy packing finds 1 and 2 of the 2
+    # and 4 edges that must go; slack >= len // 2 returns 0 at once
+    assert [KFreeState(4, 2, 2).lost(all_r_subsets(4, 2), s) for s in range(5)] == [1, 1, 1, 0, 0]
+    assert [KFreeState(5, 2, 2).lost(all_r_subsets(5, 2), s) for s in range(6)] == [1, 2, 2, 2, 2, 0]
+    # ell = n - 1: the one K_n is the one copy
+    assert [KFreeState(5, 2, 4).lost(all_r_subsets(5, 2), s) for s in range(6)] == [1, 1, 1, 1, 1, 0]
+    # r >= 3 has no packing
+    assert KFreeState(5, 3, 3).lost(all_r_subsets(5, 3), 0) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 6), st.sampled_from([2, 3, 4]), st.data())
+def test_packing_bound_never_exceeds_the_fewest_left_out(n, ell, data):
+    # a random K_{ell+1}-free cur and a random set of its addable edges, in a
+    # random order: at every slack the bound is at most what every completion
+    # leaves out, and at most one past the slack, where counting stops
+    from turanlab.search import KFreeState
+
+    pairs = data.draw(st.permutations(all_r_subsets(n, 2)))
+    state = KFreeState(n, 2, ell)
+    cur = []
+    for e, take in zip(pairs, data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))):
+        if take and state.addable(e):
+            state.add(e)
+            cur.append(e)
+    free = [e for e in pairs if e not in cur and state.addable(e)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(free), max_size=len(free)))
+    addable = [e for e, k in zip(free, keep) if k]
+    fewest = fewest_left_out(n, ell, cur, addable)
+    adj = list(state.adj)
+    exceeded = []
+    for slack in range(len(addable) + 1):
+        got = state.lost(addable, slack)
+        assert got <= min(fewest, slack + 1), (n, ell, cur, addable, slack)
+        exceeded.append(got > slack)
+    assert state.adj == adj
+    # one packing, counted in a fixed order: a slack it exceeds, it exceeds below too
+    assert exceeded == sorted(exceeded, reverse=True)
 
 
 def _full_report(rec):
@@ -382,7 +492,10 @@ def test_canonical_call_counts(monkeypatch):
 def test_addable_call_counts(monkeypatch):
     # the labeled tail stops re-testing the later edges of a child once more of
     # them have failed than its bound can afford; before that it finished every
-    # list, with 33,156 calls on triangle-free n=8 and 7,410 on cancellative n=7
+    # list, with 33,156 calls on triangle-free n=8 and 7,410 on cancellative n=7.
+    # Since the graph searches also subtract a packing of forbidden cliques,
+    # triangle-free n=8 takes 479 nodes and 9,851 calls, down from 2,270 and
+    # 25,142; cancellative has no packing and stays at 383 and 6,089
     calls = Counter()
     for cls in (search_mod.KFreeState, search_mod._CancellativeState):
 
@@ -392,7 +505,7 @@ def test_addable_call_counts(monkeypatch):
 
         monkeypatch.setattr(cls, "addable", spy)
     for n, r, predicate, nodes, want in (
-        (8, 2, "triangle-free", 2270, {"KFreeState": 25142}),
+        (8, 2, "triangle-free", 479, {"KFreeState": 9851}),
         (7, 3, "cancellative", 383, {"_CancellativeState": 6089}),
     ):
         calls.clear()
