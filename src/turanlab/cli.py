@@ -243,8 +243,8 @@ def _search_payload(args) -> tuple[str, int]:
     from .hypergraph import vertices_of
     from .search import check_request, extremal_number
 
-    # before the lookup: the key holds ell, so an ill-formed request could still hit
-    check_request(args.n, args.r, args.predicate, args.ell)
+    # before the lookup: the key holds ell and no budget, so an ill-formed request could still hit
+    check_request(args.n, args.r, args.predicate, args.ell, args.budget)
     key = (args.predicate, args.n, args.r, args.ell)
     path = resolve_cache_path(args.cache)
     use_cache = not args.no_cache
@@ -275,9 +275,10 @@ def _search_payload(args) -> tuple[str, int]:
     if use_cache and rec.complete:
         if args.force:
             prior = cache_lookup(path, key)
-            if prior is not None and prior.value != rec.value:
+            if prior is not None and (prior.value, prior.extremal_classes) != (rec.value, rec.extremal_classes):
                 raise AssertionError(
-                    f"self-consistency tripwire: cached value {prior.value} != recomputed {rec.value}"
+                    f"self-consistency tripwire: cached value {prior.value}, {prior.extremal_classes} classes"
+                    f" != recomputed {rec.value}, {rec.extremal_classes} classes"
                 )
         cache_store(path, entry)
     return _search_result(entry), OK if rec.complete else BUDGET

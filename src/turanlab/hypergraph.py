@@ -10,7 +10,9 @@ helpers (clique counting, the auxiliary graph) live here as well because
 the auxiliary-graph reductions keep crossing between the two worlds.  The
 pair-cover (auxiliary) graph comes in two forms, both vertex masks: the
 static `Hypergraph.adjacency`, derived once per instance and read by every
-graph helper here, and the incremental `PairCover` of the search states.
+graph helper here, and the incremental `PairCover`, which counts the current
+edges over each pair.  `KFreeState` builds on it, while the cancellative
+search state reads a pair's coverage off its N(T) masks.
 
 The constructor checks all edges from one sort, and `parse_hypergraph`
 reads the text in one pass that keeps no list of lines or rows; both walk

@@ -31,16 +31,17 @@ best can afford, the child is dropped without testing the rest.
 
 A repeated class is rejected by a direct isomorphism test, not by a
 canonical code (McKay's invariant-first isomorph rejection).  The visited
-set is keyed by the sorted invariant list the filter already built and
-keeps, per key, the labeled edge tuple of the first graph of each class
-seen under it; a child is expanded iff `_isomorphic` maps it onto none of
-them.  That test compares the sorted vertex colours, then backtracks over
-colour-preserving vertex maps with the adjacency rule of VF2 (Cordella et
-al., 2004).  Isomorphic graphs share a key, so the key only decides which
-graphs are compared, never what a class is.  A canonical code is computed
-only for a graph with the best edge count so far, for the class tally; a
-memo from its sorted edge list to the code, emptied whenever the best
-count rises, serves a labeled graph that the tail reaches again.
+set is keyed by a hash of the sorted invariant list the filter already
+built and keeps, per key, the labeled edge tuple of the first graph of
+each class seen under it; a child is expanded iff `_isomorphic` maps it
+onto none of them.  That test compares the sorted vertex colours, then
+backtracks over colour-preserving vertex maps with the adjacency rule of
+VF2 (Cordella et al., 2004).  Isomorphic graphs share a key, so the key
+only decides which graphs are compared, never what a class is.  The class
+tally keeps the sorted edge tuple of each labeled graph with the best edge
+count so far, in a set emptied whenever the best count rises; once the
+walk ends, each graph left in it gets one canonical code, and the sorted
+codes are the classes.
 
 The predicates are a fixed set, `PREDICATES`: "cancellative" (3-graphs in
 which no edge contains the symmetric difference of two others), "k-free"
@@ -78,14 +79,15 @@ _UNIFORMITY = {"cancellative": 3, "triangle-free": 2}  # "k-free" takes any r
 
 # Bump whenever a change to the search can change what it reports for some
 # (predicate, n, r, ell): result-cache entries of another version are misses.
-SEARCH_VERSION = 4
+SEARCH_VERSION = 5
 
 # A node with at most this many addable edges hands its subtree to the labeled
 # branch and bound.
 LABELED_TAIL = 16
 
 NODE_BUDGET = 50_000_000
-# Extremal classes kept as witnesses; past this many, cap_hit is set.
+# Extremal classes kept as witnesses, the smallest codes; past this many,
+# cap_hit is set.
 WITNESS_CAP = 1000
 
 
@@ -323,8 +325,11 @@ class ExtremalRecord:
     cap_hit: bool = False
 
 
-def check_request(n: int, r: int, predicate: str, ell: Optional[int]) -> None:
-    """Raise ValueError unless (n, r, predicate, ell) names a search; ell belongs to k-free alone."""
+def check_request(n: int, r: int, predicate: str, ell: Optional[int], node_budget: int = NODE_BUDGET) -> None:
+    """Raise ValueError unless (n, r, predicate, ell) names a search with a positive
+    node budget; ell belongs to k-free alone."""
+    if node_budget <= 0:
+        raise ValueError("node budget must be positive")
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
     if predicate == "k-free" and ell is None:
@@ -352,12 +357,10 @@ def extremal_number(
     """Exact maximum edge count over all r-graphs on [n] satisfying the predicate.
 
     Budget exhaustion (more than node_budget nodes) is reported via
-    complete=False, never as a value.  Raises ValueError on a non-positive
-    budget, on a request `check_request` rejects or above the feasibility guard.
+    complete=False, never as a value.  Raises ValueError on a request
+    `check_request` rejects or above the feasibility guard.
     """
-    if node_budget <= 0:
-        raise ValueError("node budget must be positive")
-    check_request(n, r, predicate, ell)
+    check_request(n, r, predicate, ell, node_budget)
     guard = GUARDS.get((r, min(ell or 0, 4)), 10 if r == 2 else 8)
     shape = f"r = {r}" if ell is None else f"r = {r}, ell = {ell}"
     if n > guard and not allow_large:
@@ -374,31 +377,20 @@ def extremal_number(
     # of its first graph
     visited: dict[int, list[tuple[int, ...]]] = {}
     best = 0
-    best_codes: set[tuple[int, ...]] = {()}
-    # sorted labeled edges -> canonical code, for graphs with best edges
-    best_labeled: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
+    # the sorted labeled edges of each graph with best edges, coded after the walk
+    best_graphs: set[tuple[int, ...]] = {()}
     nodes = 0
     exhausted = False
-    cap_hit = False
 
     def note_state() -> None:
-        nonlocal best, cap_hit
+        nonlocal best
         m = len(cur)
         if m < best:
             return
         if m > best:
             best = m
-            best_codes.clear()
-            best_labeled.clear()
-            cap_hit = False
-        labeled = tuple(sorted(cur))
-        code = best_labeled.get(labeled)
-        if code is None:
-            code = best_labeled[labeled] = canonical_code(n, cur)
-        if len(best_codes) < WITNESS_CAP:
-            best_codes.add(code)
-        elif code not in best_codes:
-            cap_hit = True
+            best_graphs.clear()
+        best_graphs.add(tuple(sorted(cur)))
 
     addable, lost = state.addable, state.lost
 
@@ -488,20 +480,23 @@ def extremal_number(
     # the recursive closures hold themselves, and with them every table of this
     # call, until the next cycle collection; break the cycles now
     del dfs, extend_labeled
+    codes = set()
+    for graph in best_graphs:
+        codes.add(canonical_code(n, graph))
+    kept = sorted(codes)[:WITNESS_CAP]
     runtime = time.perf_counter() - t0
-    witnesses = [Hypergraph(n, r, code) for code in sorted(best_codes)]
     return ExtremalRecord(
         n=n,
         r=r,
         predicate=predicate,
         ell=ell,
         value=best,
-        extremal_classes=len(best_codes),
-        witnesses=witnesses,
+        extremal_classes=len(kept),
+        witnesses=[Hypergraph(n, r, code) for code in kept],
         nodes_explored=nodes,
         runtime=runtime,
         complete=not exhausted,
-        cap_hit=cap_hit,
+        cap_hit=len(codes) > WITNESS_CAP,
     )
 
 

@@ -146,13 +146,18 @@ def test_cli_usage_errors(tmp_path, capsys):
         capsys,
     )
     assert code == 2  # unknown option --symmetry-depth
-    code, _, err = run_cli(
-        ["search", "--n", "5", "--r", "3", "--predicate", "cancellative", "--no-cache", "--budget", "0"], capsys
-    )
-    assert code == 2 and "node budget must be positive" in err
-    # r < 2, ell < r and n < 0 fail before the cache lookup, so even a stored
-    # entry for the key is not served
+    # r < 2, ell < r, n < 0 and a non-positive budget fail before the cache
+    # lookup, so even a stored entry for the key is not served
     cache = str(tmp_path / "c.jsonl")
+    stored = entry()
+    stored.predicate, stored.n, stored.r = "triangle-free", 5, 2
+    cache_store(cache, stored)
+    args = ["search", "--n", "5", "--r", "2", "--predicate", "triangle-free"]
+    assert run_cli(args + ["--cache", cache], capsys)[0] == 0  # the planted line is a hit
+    for budget in ("0", "-1"):
+        for flags in (["--cache", cache], ["--no-cache"]):
+            code, out, err = run_cli(args + ["--budget", budget] + flags, capsys)
+            assert code == 2 and out == "" and err == "error: node budget must be positive\n", (budget, flags)
     for n, r, ell, message in (
         (5, 1, 2, "uniformity must be >= 2, got 1"),
         (6, 3, 2, "need ell >= r, got ell = 2, r = 3"),
@@ -228,6 +233,12 @@ def test_cli_search_cache_flow(tmp_path, capsys, monkeypatch):
         complete=True, tool_version="x", timestamp=99.0, stats={},
         search_version=SEARCH_VERSION,
     )
+    cache_store(cache, poisoned)
+    code, _, err = run_cli(args + ["--force"], capsys)
+    assert code == 1
+    assert "tripwire" in err
+    # the right value with a wrong class count trips it as well
+    poisoned.value, poisoned.extremal_classes = 8, 2
     cache_store(cache, poisoned)
     code, _, err = run_cli(args + ["--force"], capsys)
     assert code == 1

@@ -159,14 +159,15 @@ def test_uniqueness_check():
     assert uniqueness_check(rec2, turan_hypergraph(4, 2, 2))
 
 
-class _AtMostTwoEdges:
-    """A trivially hereditary predicate state: at most two edges."""
+class _AtMostEdges:
+    """A trivially hereditary predicate state: at most limit edges."""
 
-    def __init__(self):
+    def __init__(self, limit=2):
         self.count = 0
+        self.limit = limit
 
     def addable(self, e):
-        return self.count < 2
+        return self.count < self.limit
 
     def lost(self, addable, slack):
         return 0
@@ -180,15 +181,26 @@ class _AtMostTwoEdges:
 
 def test_custom_predicate_and_witness_cap(monkeypatch):
     # a stand-in state with two extremal classes drives the search past a cap of 1
-    monkeypatch.setattr(search_mod, "_CancellativeState", lambda n: _AtMostTwoEdges())
+    monkeypatch.setattr(search_mod, "_CancellativeState", lambda n: _AtMostEdges())
     rec = extremal_number(5, 3, "cancellative")
     assert rec.value == 2
     assert rec.extremal_classes == 2  # two triples on [5] share one vertex or two
-    monkeypatch.setattr(search_mod, "WITNESS_CAP", 1)
+    assert not rec.cap_hit
+    # three triples on [5] fall into more classes than a cap of 2 keeps: the
+    # capped run keeps the two smallest canonical codes, and says it was capped
+    codes = sorted({canonical_code(5, g) for g in itertools.combinations(all_r_subsets(5, 3), 3)})
+    assert len(codes) >= 3
+    monkeypatch.setattr(search_mod, "_CancellativeState", lambda n: _AtMostEdges(3))
+    full = extremal_number(5, 3, "cancellative")
+    assert (full.value, full.extremal_classes, full.cap_hit) == (3, len(codes), False)
+    assert [w.edges for w in full.witnesses] == codes
+    monkeypatch.setattr(search_mod, "WITNESS_CAP", 2)
     capped = extremal_number(5, 3, "cancellative")
-    assert capped.value == 2
+    assert capped.value == 3
     assert capped.cap_hit
-    assert capped.extremal_classes == 1  # truncated, and flagged as such
+    assert capped.extremal_classes == 2  # truncated, and flagged as such
+    assert [w.edges for w in capped.witnesses] == codes[:2]
+    assert capped.nodes_explored == full.nodes_explored
 
 
 # an interleaved add/remove sequence: each step adds the i-th candidate edge
@@ -451,7 +463,7 @@ def test_class_key_collisions_change_nothing(monkeypatch):
 
 
 def test_search_leaves_no_cycle_of_its_own():
-    # the recursive closures would otherwise keep the visited set, the memo and
+    # the recursive closures would otherwise keep the visited set, the tally and
     # the predicate state alive until the next cycle collection
     gc.collect()
     was_enabled = gc.isenabled()
@@ -470,11 +482,12 @@ def test_search_leaves_no_cycle_of_its_own():
 
 
 def test_canonical_call_counts(monkeypatch):
-    # only a graph with the best edge count so far is canonicalized, once per
-    # labeled graph; a repeated class is rejected by an isomorphism test against
-    # the graph stored under its key.  Before that test the search also coded
-    # repeats: triangle-free n=8 took 140 calls, cancellative n=7 67; before the
-    # invariant-keyed visited set and the labeled memo, 230 and 113.
+    # only the labeled graphs at the final best are canonicalized, once each,
+    # after the walk; a repeated class is rejected by an isomorphism test against
+    # the graph stored under its key.  While `note_state` coded every labeled graph
+    # that tied the best so far, triangle-free n=8 took 28 calls and cancellative
+    # n=7 26; before the isomorphism test the search also coded repeats, 140 and
+    # 67; before the invariant-keyed visited set and the labeled memo, 230 and 113.
     calls = Counter()
 
     def spy(n, edges):
@@ -482,11 +495,11 @@ def test_canonical_call_counts(monkeypatch):
         return canonical_code(n, edges)
 
     monkeypatch.setattr(search_mod, "canonical_code", spy)
-    for n, r, predicate, want in ((8, 2, "triangle-free", 28), (7, 3, "cancellative", 26)):
+    for n, r, predicate, want in ((8, 2, "triangle-free", 7), (7, 3, "cancellative", 10)):
         calls.clear()
         rec = extremal_number(n, r, predicate)
         assert rec.complete
-        assert calls == {"note_state": want}, (predicate, n, calls)
+        assert calls == {"extremal_number": want}, (predicate, n, calls)
 
 
 def test_addable_call_counts(monkeypatch):
