@@ -21,10 +21,9 @@ CACHE_ENV_VAR = "TURANLAB_CACHE"
 
 
 def resolve_cache_path(cli_value: Optional[str]) -> str:
-    """Flag > environment override > default working-directory store."""
-    if cli_value:
-        return cli_value
-    return os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_PATH)
+    """Flag > environment override > default working-directory store; an
+    empty flag or variable counts as unset."""
+    return cli_value or os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_PATH
 
 
 def _search_version() -> int:

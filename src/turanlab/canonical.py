@@ -1,13 +1,15 @@
 """`canonical_code`: the exact isomorphism-class key of a small hypergraph.
 
 The canonical code of an r-graph on [n] is the lexicographically smallest
-sorted tuple of relabeled edge masks over all vertex relabelings, so equal
-codes mean isomorphic and the code doubles as a total-order key.  The
-search is an honest permutation branch-and-bound: iterated color
-refinement narrows the candidate relabelings, assignment proceeds
-position by position with prefix pruning against the best code so far,
-and swap-twin vertices are collapsed to one branch.  Exponential in the
-worst case, which is fine at the small-n scale this artifact works at.
+sorted tuple of relabeled edge masks over the relabelings that follow the
+refined colour cells, not over all of them (the path 1-2-3 codes as (5, 6),
+not (3, 5)); the cells depend on invariant data alone, so equal codes mean
+isomorphic and the code doubles as a total-order key.  The search is an
+honest permutation branch-and-bound: iterated color refinement narrows the
+candidate relabelings, assignment proceeds position by position with prefix
+pruning against the best code so far, and swap-twin vertices are collapsed
+to one branch.  Exponential in the worst case, which is fine at the small-n
+scale this artifact works at.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def _twin_classes(n: int, edges: Sequence[int]) -> list[int]:
 
 
 def canonical_code(n: int, edges: Sequence[int]) -> tuple[int, ...]:
-    """Minimal relabeled edge-mask tuple; the isomorphism-class key for fixed (n, r)."""
+    """Smallest relabeled edge-mask tuple over the colour-cell relabelings; equal iff isomorphic."""
     m = len(edges)
     if m == 0:
         return ()

@@ -18,8 +18,8 @@ time.  Cancellativity and independent neighborhoods are then one test per
 vertex (`_partner_covered`).  A certificate that needs a cancellative
 input shares one index with its precondition (`_cancellative_index`): the
 index is built once, tested for cancellativity, then read by the
-certificate.  The incremental search state keeps N(T) masks, per-vertex link
-masks and the pair-cover adjacency it reads off the N(T) masks.
+certificate.  The index and the incremental search state both keep N(T)
+for the pair {j, k}, j < k, at slot j*n + k.
 
 The pair-link certificate (`mantel_link_bound`) is decided by its
 precondition and one cap test.  On a cancellative input the vertex set of
@@ -33,8 +33,7 @@ scans the triples (T, u, v).
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -144,14 +143,14 @@ def _first_witness(ix: _Incidence) -> Optional[tuple]:
 
     A (+) B inside C needs A = T + x and B = T + y with the pair {x, y}
     covered: take the first T and the first x < y in N(T) with y in adj[x],
-    and for C the lowest edge covering {x, y}.
+    and for C the lowest edge covering {x, y}, read off slot x*n + y.
     """
     for t, m in zip(ix.ts, ix.nbr):
         for x in iter_bits(m):
             hit = ix.adj[x] & m & ~((2 << x) - 1)
             if hit:
                 y = hit & -hit
-                w = ix.nbr[bisect_left(ix.ts, (1 << x) | y)]
+                w = ix.nbrs[x * ix.n + y.bit_length() - 1]
                 c = (1 << x) | y | (w & -w)
                 return (vertices_of(t | (1 << x)), vertices_of(t | y), vertices_of(c))
     return None
@@ -197,12 +196,15 @@ def links_triangle_free(h: Hypergraph) -> bool:
 
     A triangle {a, b, c} in L(u) puts a and c in N({u, b}) with {a, c}
     covered, so only an input that fails `_partner_covered` can have one;
-    only those walk the links.
+    only those walk the links; vertex a of L(u) has the neighbours N({u, a}).
     """
     if h.r != 3:
         raise ValueError("links_triangle_free expects r = 3")
     ix = _Incidence(h)
-    return not _partner_covered(ix) or not any(has_clique(rows, vs, 3) for rows, vs in zip(ix.pair_nbr, ix.adj))
+    n, nbrs = ix.n, ix.nbrs
+    return not _partner_covered(ix) or not any(
+        has_clique({a: nbrs[min(a, u) * n + max(a, u)] for a in iter_bits(vs)}, vs, 3) for u, vs in enumerate(ix.adj)
+    )
 
 
 def neighborhoods_independent(h: Hypergraph) -> bool:
@@ -231,55 +233,61 @@ class _Incidence:
     """The relation u in N(T) of a 3-graph, over its shadow pairs T.
 
     Vertices are 0-based bit indices u, v:
-      ts[i]   -- the shadow pairs, ascending masks; for r = 3 these are
-                 exactly the pairs some edge covers
-      nbr[i]  -- N(ts[i]) as a vertex mask
-      col[u]  -- L(u) as a mask over shadow indices (bit i iff u in N(ts[i]))
+      nbrs    -- N({j, k}) at slot j*n + k (j < k), for the shadow pairs
+                 alone, the pairs some edge covers (r = 3)
       adj[u]  -- the pair-cover (auxiliary graph) adjacency mask of u, which
                  is also the vertex set of the link L(u)
+      ts[i]   -- the shadow pairs as ascending masks (upper vertex first)
+      nbr[i]  -- N(ts[i]), read off nbrs
+      col[u]  -- L(u) as a mask over shadow indices (bit i iff u in N(ts[i]))
     and, built on first use:
       size     -- size[u][v] = |L(u, v)| = popcount(col[u] & col[v]), with
                   the diagonal |L(u, u)| = |L(u)|
-      pair_nbr -- pair_nbr[u][a] = N({u, a}), 0 off the shadow; the row
-                  pair_nbr[u] is the adjacency of the graph L(u), and
-                  pair_nbr[u][a] & pair_nbr[v][a] that of L(u, v)
       partners -- partners[u] = the union of N(T) over T in L(u), that is
                   the v with size[u][v] > 0 (u itself iff L(u) is nonempty)
     Since L(u, v) is a subgraph of L(u), a property that passes to
     subgraphs holds for every pair link once it holds for the vertex links.
 
-    Past the one pass over the edges that groups them into N(T), nothing
-    visits the incidences u in N(T) one at a time.  The columns are the
-    transpose of the bit matrix whose rows are nbr: the rows go into one
-    byte array, last row first, nb = ceil(n / 8) bytes each, so byte
-    u >> 3 of every row is the slice rows[u >> 3 :: nb], highest shadow
-    index first.  Translating that slice to ASCII '0'/'1' by bit u & 7
-    spells col[u] in base 2, which `int(., 2)` reads in linear time.
+    Past the one pass over the edges that fills nbrs, nothing visits the
+    incidences u in N(T) one at a time.  The columns are the transpose of
+    the bit matrix whose rows are nbr: the rows go into one byte array, last
+    row first, nb = ceil(n / 8) bytes each, so byte u >> 3 of every row is
+    the slice rows[u >> 3 :: nb], highest shadow index first.  Translating
+    that slice to ASCII '0'/'1' by bit u & 7 spells col[u] in base 2, which
+    `int(., 2)` reads in linear time.
     """
 
     def __init__(self, h: Hypergraph) -> None:
-        nbr_of: dict[int, int] = {}
-        get = nbr_of.get
+        n = self.n = h.n
+        nbrs = defaultdict(int)
         for e in h.edges:
             x = e & -e
             y = (e ^ x) & -(e ^ x)
             z = e ^ x ^ y
-            nbr_of[y | z] = get(y | z, 0) | x
-            nbr_of[x | z] = get(x | z, 0) | y
-            nbr_of[x | y] = get(x | y, 0) | z
-        self.n = h.n
-        self.ts = sorted(nbr_of)
-        self.nbr = [nbr_of[t] for t in self.ts]
-        nb = (h.n + 7) >> 3
+            i, j, k = x.bit_length() - 1, y.bit_length() - 1, z.bit_length() - 1
+            nbrs[j * n + k] |= x
+            nbrs[i * n + k] |= y
+            nbrs[i * n + j] |= z
+        self.nbrs = nbrs = dict(nbrs)  # a read of a pair off the shadow raises
+        adj = self.adj = [0] * n
+        for s in nbrs:
+            j, k = divmod(s, n)
+            adj[j] |= 1 << k
+            adj[k] |= 1 << j
+        # ascending masks: upper vertex k first, then its lower partners j
+        self.ts, self.nbr = [], []
+        for k, m in enumerate(adj):
+            low = m & ((1 << k) - 1)
+            while low:
+                b = low & -low
+                low ^= b
+                self.ts.append(b | 1 << k)
+                self.nbr.append(nbrs[(b.bit_length() - 1) * n + k])
+        nb = (n + 7) >> 3
         rows = bytearray()
         for m in reversed(self.nbr):
             rows += m.to_bytes(nb, "little")
-        self.col = [int(rows[u >> 3 :: nb].translate(_BIT_DIGITS[u & 7]) or b"0", 2) for u in range(h.n)]
-        self.adj = [0] * h.n
-        for t in self.ts:
-            low = t & -t
-            self.adj[low.bit_length() - 1] |= t ^ low
-            self.adj[(t ^ low).bit_length() - 1] |= low
+        self.col = [int(rows[u >> 3 :: nb].translate(_BIT_DIGITS[u & 7]) or b"0", 2) for u in range(n)]
 
     @cached_property
     def size(self) -> list[list[int]]:
@@ -291,15 +299,6 @@ class _Incidence:
                 for v in range(u + 1, self.n):
                     size[u][v] = size[v][u] = (cu & col[v]).bit_count()
         return size
-
-    @cached_property
-    def pair_nbr(self) -> list[list[int]]:
-        rows = [[0] * self.n for _ in range(self.n)]
-        for t, m in zip(self.ts, self.nbr):
-            low = t & -t
-            a, b = low.bit_length() - 1, t.bit_length() - 1
-            rows[a][b] = rows[b][a] = m
-        return rows
 
     @cached_property
     def partners(self) -> list[int]:

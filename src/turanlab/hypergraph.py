@@ -11,8 +11,8 @@ the auxiliary-graph reductions keep crossing between the two worlds.  The
 pair-cover (auxiliary) graph comes in two forms, both vertex masks: the
 static `Hypergraph.adjacency`, derived once per instance and read by every
 graph helper here, and the incremental `PairCover`, which counts the current
-edges over each pair.  `KFreeState` builds on it, while the cancellative
-search state reads a pair's coverage off its N(T) masks.
+edges over each pair {j, k}, j < k, at slot j*n + k; `KFreeState` builds on
+it, and the 3-graph index and cancellative state keep N(T) at the same slots.
 
 The constructor checks all edges from one sort, and `parse_hypergraph`
 reads the text in one pass that keeps no list of lines or rows; both walk
@@ -138,46 +138,48 @@ def _edge_fault(n: int, r: int, edges: Iterable[int]) -> str:
 class PairCover:
     """The pair-cover graph of a changing edge set, updated one edge at a time.
 
-    adj holds the masks `Hypergraph.adjacency` gives for the current edges,
-    and cov[p] the number of current edges over the pair mask p; remove
-    clears a pair's bits only when its count reaches 0.
+    adj holds the masks `Hypergraph.adjacency` gives for the current edges, and
+    cov[j*n + k] the number of them over the pair {j, k}, j < k; remove clears
+    a pair's bits only when its count reaches 0.
     """
 
     def __init__(self, n: int) -> None:
+        self.n = n
         self.adj = [0] * n
-        self.cov: dict[int, int] = {}
+        self.cov = [0] * (n * n)
 
     def add(self, e: int) -> None:
-        adj, cov = self.adj, self.cov
+        adj, cov, n = self.adj, self.cov, self.n
         # each pair once, as its low bit lo and a higher bit hi of e
         while e:
             lo = e & -e
             e ^= lo
-            i = lo.bit_length() - 1
+            j = lo.bit_length() - 1
             rest = e
             while rest:
                 hi = rest & -rest
                 rest ^= hi
-                p = lo | hi
-                cov[p] = cov.get(p, 0) + 1
-                adj[i] |= hi
-                adj[hi.bit_length() - 1] |= lo
+                k = hi.bit_length() - 1
+                cov[j * n + k] += 1
+                adj[j] |= hi
+                adj[k] |= lo
 
     def remove(self, e: int) -> None:
-        adj, cov = self.adj, self.cov
+        adj, cov, n = self.adj, self.cov, self.n
         while e:
             lo = e & -e
             e ^= lo
-            i = lo.bit_length() - 1
+            j = lo.bit_length() - 1
             rest = e
             while rest:
                 hi = rest & -rest
                 rest ^= hi
-                p = lo | hi
-                cov[p] -= 1
-                if not cov[p]:
-                    adj[i] ^= hi
-                    adj[hi.bit_length() - 1] ^= lo
+                k = hi.bit_length() - 1
+                s = j * n + k
+                cov[s] -= 1
+                if not cov[s]:
+                    adj[j] ^= hi
+                    adj[k] ^= lo
 
 
 def all_r_subsets(n: int, r: int) -> list[int]:

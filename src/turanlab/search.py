@@ -64,15 +64,12 @@ from .constructions import turan_count
 from .hypergraph import Hypergraph, PairCover, all_r_subsets, has_clique, iter_bits, iter_cliques
 from .partitions import Partition
 
-# (r, ell) -> the largest n searched without allow_large, with every ell >= 4
-# keyed as 4; any other request, one without ell included, admits n <= 10 for
-# r = 2 and n <= 8 otherwise.  k-free prunes less as ell grows: r = 2 takes
-# about 26 s at ell = 3, n = 9, but had not finished after 19 minutes at
-# n = 10; at ell = 4, r = 2 takes about 3 s at n = 8 and r = 3 about 2 s at n = 7,
-# but one vertex more takes over a minute for every ell >= 4 tried (4 to 9 for
-# r = 2, 4, 5, 7 and 8 for r = 3), even ell >= n, where the ties at the optimum
-# are all it walks; r = 3, ell = 4, n = 8 is unfinished after 1 M nodes (3 min)
-GUARDS = {(2, 3): 9, (2, 4): 8, (3, 4): 7}
+# The largest n searched without allow_large: 8 for cancellative, and for
+# k-free (triangle-free is r = ell = 2) GUARDS[r][ell - r], the last entry
+# standing for every larger ell - r; an r not listed takes the smallest bound
+# listed.  Each bound was timed (README): k-free prunes less as ell grows, and
+# every ell >= n gives the same search, which walks all the ties at the optimum.
+GUARDS = {2: (10, 9, 8), 3: (8, 7, 6), 4: (8, 7, 7, 6), 5: (8, 8, 7), 6: (8,)}
 
 PREDICATES = ("cancellative", "k-free", "triangle-free")
 _UNIFORMITY = {"cancellative": 3, "triangle-free": 2}  # "k-free" takes any r
@@ -361,7 +358,8 @@ def extremal_number(
     `check_request` rejects or above the feasibility guard.
     """
     check_request(n, r, predicate, ell, node_budget)
-    guard = GUARDS.get((r, min(ell or 0, 4)), 10 if r == 2 else 8)
+    bounds = (8,) if predicate == "cancellative" else GUARDS.get(r, (min(map(min, GUARDS.values())),))
+    guard = bounds[min((ell or r) - r, len(bounds) - 1)]
     shape = f"r = {r}" if ell is None else f"r = {r}, ell = {ell}"
     if n > guard and not allow_large:
         raise ValueError(f"n = {n} exceeds the feasibility guard {guard} for {shape} (pass allow_large to override)")

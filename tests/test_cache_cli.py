@@ -72,6 +72,17 @@ def test_resolve_cache_path(monkeypatch):
     assert resolve_cache_path(None) == "env.jsonl"
     monkeypatch.delenv("TURANLAB_CACHE")
     assert resolve_cache_path(None) == "./turanlab-cache.jsonl"
+    # an empty variable is unset, as an empty flag is
+    monkeypatch.setenv("TURANLAB_CACHE", "")
+    assert resolve_cache_path(None) == resolve_cache_path("") == "./turanlab-cache.jsonl"
+
+
+def test_cli_search_with_empty_cache_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("TURANLAB_CACHE", "")
+    code, out, err = run_cli(["search", "--n", "4", "--r", "2", "--predicate", "triangle-free"], capsys)
+    assert code == 0 and json.loads(out)["value"] == 4, err
+    assert len(cache_entries(str(tmp_path / "turanlab-cache.jsonl"))) == 1
 
 
 def run_cli(args, capsys):

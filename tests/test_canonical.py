@@ -38,6 +38,16 @@ def test_distinguishes_known_pairs():
     assert not are_isomorphic(h1, h2)
 
 
+def test_path_codes_by_colour_cells_not_over_all_relabelings():
+    # P3 = 1-2-3: all 6 relabelings give one code, (5, 6), with the middle
+    # vertex in the last colour cell; the smallest over all relabelings
+    # would be (3, 5), which puts the middle vertex first
+    p3 = Hypergraph.from_edges(3, 2, [(1, 2), (2, 3)])
+    codes = {canonical_code(3, permute_hypergraph(p3, p).edges) for p in itertools.permutations((1, 2, 3))}
+    assert codes == {(0b101, 0b110)}
+    assert min(permute_hypergraph(p3, p).edges for p in itertools.permutations((1, 2, 3))) == (0b011, 0b101)
+
+
 def test_two_edge_3graphs_on_4_vertices_form_one_class():
     # hand-enumeration oracle: any two distinct triples of [4] share two
     # vertices, so there is exactly one isomorphism class

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from turanlab import checkers, stability
 from turanlab.checkers import (
+    _CancellativeState,
     _first_witness,
     _mantel_caps_hold,
     _Incidence,
@@ -35,6 +36,7 @@ from turanlab.constructions import (
 )
 from turanlab.hypergraph import (
     Hypergraph,
+    PairCover,
     all_r_subsets,
     auxiliary_graph,
     contains_clique,
@@ -298,8 +300,6 @@ def test_witness_present_iff_fails():
     st.lists(st.tuples(st.sampled_from(["add", "add", "add", "remove"]), st.integers(0, 1000)), max_size=40),
 )
 def test_incremental_state_matches_direct_checker(n, steps):
-    from turanlab.checkers import _CancellativeState
-
     index = {mask_of(p): (p[0] - 1) * n + p[1] - 1 for p in itertools.combinations(range(1, n + 1), 2)}
 
     def assert_tables_match(state, current):
@@ -403,6 +403,12 @@ def oracle_cancellative_witness(h):
             for c in by_pair.get(a ^ b, ()):
                 return (vertices_of(a), vertices_of(b), vertices_of(c))
     return None
+
+
+def _link_row(ix, u):
+    """row[a] = N({u, a}) read off the index's slot min * n + max, 0 off the
+    shadow: the adjacency of the graph L(u)."""
+    return [ix.nbrs.get(min(u, a) * ix.n + max(u, a), 0) for a in range(ix.n)]
 
 
 def _pair_link_size(links, u, v):
@@ -650,11 +656,11 @@ def test_pair_link_table_matches_per_pair_links():
             lg = links[u - 1] if u == v else links[u - 1] & links[v - 1]
             assert ix.size[u - 1][v - 1] == _pair_link_size(links, u, v) == len(lg)
             assert ix.link(u - 1, v - 1) == sorted(lg)
-            # pair_nbr[u][a] & pair_nbr[v][a] is the adjacency of L(u, v)
+            # N({u, a}) & N({v, a}), read off the slots, is the adjacency of L(u, v)
             link_graph = Hypergraph(h.n, 2, tuple(lg))
-            assert [a & b for a, b in zip(ix.pair_nbr[u - 1], ix.pair_nbr[v - 1])] == list(link_graph.adjacency)
+            assert [a & b for a, b in zip(_link_row(ix, u - 1), _link_row(ix, v - 1))] == list(link_graph.adjacency)
             if u == v:
-                assert has_clique(ix.pair_nbr[u - 1], ix.adj[u - 1], 3) == contains_clique(link_graph, 3)
+                assert has_clique(_link_row(ix, u - 1), ix.adj[u - 1], 3) == contains_clique(link_graph, 3)
 
 
 def test_incidence_index_matches_oracles():
@@ -667,6 +673,8 @@ def test_incidence_index_matches_oracles():
         pairs = _pair_cover_oracle(h)
         assert ix.ts == sorted(sh) == pairs
         assert ix.nbr == [mask_of(sh[t]) for t in ix.ts]
+        # the table holds each shadow pair {u, v}, u < v, at slot u*n + v, and nothing else
+        assert ix.nbrs == {(u - 1) * h.n + v - 1: mask_of(sh[t]) for t in sh for u, v in [vertices_of(t)]}
         adj = [0] * h.n
         for p in pairs:
             u, v = vertices_of(p)
@@ -675,12 +683,42 @@ def test_incidence_index_matches_oracles():
         assert ix.adj == adj
         for u in range(h.n):
             assert [ix.ts[i] for i in range(len(ix.ts)) if ix.col[u] >> i & 1] == sorted(links[u])
-            assert has_clique(ix.pair_nbr[u], ix.adj[u], 3) == contains_clique(
+            assert has_clique(_link_row(ix, u), ix.adj[u], 3) == contains_clique(
                 Hypergraph(h.n, 2, tuple(links[u])), 3
             )
         assert ix.size == [
             [_pair_link_size(links, u, v) for v in range(1, h.n + 1)] for u in range(1, h.n + 1)
         ]
+
+
+@st.composite
+def three_graphs_with_isolated_vertices(draw):
+    """A 3-graph on n <= 12 vertices whose edges span a random m of them, so
+    n - m stay isolated: random (mostly not cancellative when dense) or
+    maximal cancellative on the m, then relabeled."""
+    n = draw(st.integers(0, 12))
+    m = draw(st.integers(0, n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        edges = random_hypergraph(m, 3, draw(st.sampled_from((0.05, 0.2, 0.6))), random.Random(seed)).edges
+    else:
+        edges = random_maximal_cancellative(m, seed).edges if m else ()
+    return permute_hypergraph(Hypergraph(n, 3, edges), draw(st.permutations(range(1, n + 1))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(three_graphs_with_isolated_vertices())
+def test_state_index_and_pair_cover_share_the_pair_slots(h):
+    # the search state, grown one edge at a time, the 3-graph index and the
+    # pair-cover counts address the pair {j, k}, j < k, at the same slot j*n + k
+    state, cover = _CancellativeState(h.n), PairCover(h.n)
+    for e in h.edges:
+        state.add(e)
+        cover.add(e)
+    ix = _Incidence(h)
+    assert state.nbrs == [ix.nbrs.get(s, 0) for s in range(h.n * h.n)]
+    assert state.adj == ix.adj == cover.adj
+    assert [s for s, c in enumerate(cover.cov) if c] == sorted(ix.nbrs)
 
 
 def test_cancellative_witness_matches_by_pair_oracle():

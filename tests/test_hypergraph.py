@@ -1,6 +1,7 @@
 """Core hypergraph machinery against definition-level oracles."""
 
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -316,9 +317,10 @@ def test_pair_cover_keeps_a_shared_pair():
         pc.remove(a)
         # {1, 2} is still covered by b; a's other pairs are gone
         assert list(pc.adj) == list(Hypergraph(2 * r, r, (b,)).adjacency)
-        assert pc.adj[0] >> 1 & 1 and pc.cov[0b11] == 1
+        assert pc.adj[0] >> 1 & 1 and pc.cov[1] == 1  # {1, 2} at slot 0*n + 1
+        assert sum(pc.cov) == math.comb(r, 2)
         pc.remove(b)
-        assert pc.adj == [0] * (2 * r)
+        assert pc.adj == [0] * (2 * r) and not any(pc.cov)
 
 
 # each step adds the i-th r-set (mod their count) or removes the i-th current
@@ -345,6 +347,10 @@ def test_pair_cover_matches_static_adjacency(n, r, steps):
             pc.add(e)
             current.append(e)
         assert list(pc.adj) == list(Hypergraph(n, r, tuple(current)).adjacency)
+    # cov[j*n + k] counts the current edges over {j, k}, j < k; other slots stay 0
+    assert pc.cov == [
+        sum(e >> j & e >> k & 1 for e in current) if j < k else 0 for j in range(n) for k in range(n)
+    ]
 
 
 def test_text_format_tolerance_and_errors():

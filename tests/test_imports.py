@@ -16,6 +16,7 @@ caller fails here.
 
 import ast
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -198,3 +199,13 @@ def test_lazy_package_exports():
     assert "__version__" in dir(turanlab)
     with pytest.raises(AttributeError, match="no_such_name"):
         turanlab.no_such_name
+
+
+def test_package_parses_at_the_declared_python_floor():
+    # pyproject.toml's requires-python names the oldest grammar src/ may use
+    floor = re.search(r'requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    assert floor, "pyproject.toml declares no requires-python floor"
+    version = (int(floor[1]), int(floor[2]))
+    assert version == (3, 10)
+    for path in PACKAGE:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=version)

@@ -127,17 +127,27 @@ def test_feasibility_guard(capsys):
         extremal_number(11, 2, "triangle-free")
     with pytest.raises(ValueError):
         extremal_number(9, 3, "cancellative")
-    # r >= 3 stops at n = 8, and k-free is tighter: n <= 9 for r = 2, ell = 3, and with
-    # ell >= 4, n <= 8 for r = 2 and n <= 7 for r = 3; one vertex above those, every
-    # ell timed took minutes, ell >= n among them
-    refused = ((10, 2, 3), (9, 2, 4), (9, 2, 5), (9, 2, 9), (9, 3, 3), (8, 3, 4), (8, 3, 5), (8, 3, 8), (9, 4, 4))
-    for n, r, ell in refused:
-        with pytest.raises(ValueError, match=f"n = {n} exceeds the feasibility guard {n - 1} for r = {r}, ell = {ell}"):
+    # k-free is keyed by r and ell - r, and tightens as ell grows; one vertex above
+    # each bound, every shape timed took minutes or stopped at a node budget, ell >= n
+    # among them (the ties at the optimum are all it walks); an r not listed falls to 6
+    refused = (
+        (10, 2, 3, 9), (9, 2, 4, 8), (9, 2, 5, 8), (9, 2, 9, 8), (9, 3, 3, 8), (8, 3, 4, 7), (7, 3, 5, 6),
+        (7, 3, 8, 6), (9, 4, 4, 8), (8, 4, 5, 7), (8, 4, 6, 7), (7, 4, 7, 6), (8, 5, 9, 7), (7, 7, 7, 6),
+    )
+    for n, r, ell, guard in refused:
+        with pytest.raises(ValueError, match=f"n = {n} exceeds the feasibility guard {guard} for r = {r}, ell = {ell}"):
             extremal_number(n, r, "k-free", ell=ell)
         assert not extremal_number(n, r, "k-free", ell=ell, allow_large=True, node_budget=1).complete
-    # a budget of one node admits a request without running it
-    for n, r, ell in ((8, 2, 4), (7, 3, 4), (9, 2, 3), (10, 2, 2), (8, 3, 3), (8, 4, 4)):
+    # a budget of one node admits a request without running it; the benchmark's
+    # four searches among them
+    admitted = (
+        (8, 2, 4), (8, 2, 12), (7, 3, 4), (9, 2, 3), (10, 2, 2), (8, 3, 3), (6, 3, 9), (8, 4, 4), (7, 4, 6),
+        (6, 4, 9), (8, 5, 6), (7, 5, 9), (8, 6, 12), (7, 2, 3), (7, 3, 3),
+    )
+    for n, r, ell in admitted:
         assert not extremal_number(n, r, "k-free", ell=ell, node_budget=1).complete
+    for n, r, predicate in ((9, 2, "triangle-free"), (8, 3, "cancellative")):
+        assert not extremal_number(n, r, predicate, node_budget=1).complete
     argv = ["search", "--n", "9", "--r", "2", "--predicate", "k-free", "--ell", "4", "--no-cache"]
     assert run(argv) == 2
     assert "feasibility guard 8 for r = 2, ell = 4" in capsys.readouterr().err
