@@ -9,17 +9,18 @@ report.
 
 Every 3-graph check reads one incidence index (`_Incidence`), built from
 the edges: which vertices lie in N(T) for each shadow pair T, and from it
-the vertex links, the pair-cover adjacency and the pair-link sizes.  After
-one pass over the edges the index is built in bulk: the vertex links are
-the bit-matrix transpose of the N(T) masks, done with bytes operations,
-and each vertex's partners (the v sharing some N(T) with it) come from the
-pair-link size table, so nothing walks the incidences u in N(T) one at a
-time.  Cancellativity and independent neighborhoods are then one test per
-vertex (`_partner_covered`).  A certificate that needs a cancellative
-input shares one index with its precondition (`_cancellative_index`): the
-index is built once, tested for cancellativity, then read by the
-certificate.  The index and the incremental search state both keep N(T)
-for the pair {j, k}, j < k, at slot j*n + k.
+the vertex links and the pair-cover adjacency.  After one pass over the
+edges the index is built in bulk: the vertex links are the bit-matrix
+transpose of the N(T) masks, done with bytes operations, so nothing walks
+the incidences u in N(T) one at a time, and a pair link L(u, v) is the AND
+of two link masks.  A 3-graph is cancellative, and its neighborhoods are
+independent, iff no covered pair {x, y} has L(x) and L(y) meeting: one
+AND per shadow pair (`_first_witness`).  A certificate that needs a
+cancellative input shares one index with its precondition
+(`_cancellative_index`): the index is built once, tested for
+cancellativity, then read by the certificate.  The index and the
+incremental search state both keep N(T) for the pair {j, k}, j < k, at
+slot j*n + k.
 
 The pair-link certificate (`mantel_link_bound`) is decided by its
 precondition and one cap test.  On a cancellative input the vertex set of
@@ -36,7 +37,6 @@ import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import comb
 from typing import Optional
 
@@ -141,42 +141,38 @@ class _CancellativeState:
 def _first_witness(ix: _Incidence) -> Optional[tuple]:
     """The first violating (A, B, C) of a 3-graph, read off its index, or None.
 
-    A (+) B inside C needs A = T + x and B = T + y with the pair {x, y}
-    covered: take the first T and the first x < y in N(T) with y in adj[x],
-    and for C the lowest edge covering {x, y}, read off slot x*n + y.
+    A (+) B inside C needs A = T + x and B = T + y for a shadow pair T, with
+    the pair {x, y} covered by C: T lies in L(x) and L(y) for a shadow pair
+    {x, y}.  So the OR of col[x] & col[y] over the shadow slots x*n + y
+    marks the shadow indices of exactly the violating T, and the 3-graph is
+    cancellative iff it is 0.  The witness takes the lowest such T, the
+    first x < y in N(T) with y in adj[x], and for C the lowest edge
+    covering {x, y}, read off slot x*n + y.
     """
-    for t, m in zip(ix.ts, ix.nbr):
-        for x in iter_bits(m):
-            hit = ix.adj[x] & m & ~((2 << x) - 1)
-            if hit:
-                y = hit & -hit
-                w = ix.nbrs[x * ix.n + y.bit_length() - 1]
-                c = (1 << x) | y | (w & -w)
-                return (vertices_of(t | (1 << x)), vertices_of(t | y), vertices_of(c))
-    return None
-
-
-def _partner_covered(ix: _Incidence) -> bool:
-    """Some x has a pair-cover neighbor among its partners.
-
-    A y in adj[x] & partners[x] is covered with x and lies in some N(T)
-    with x: an edge meets N(T) in {x, y}, the violation `_first_witness`
-    finds.  So the 3-graph is cancellative iff this is False, decided per
-    vertex instead of per incidence.
-    """
-    return any(a & p for a, p in zip(ix.adj, ix.partners))
-
-
-def _witness(ix: _Incidence) -> Optional[tuple]:
-    """`_first_witness`, scanned only when the per-vertex test fails."""
-    return _first_witness(ix) if _partner_covered(ix) else None
+    n, col = ix.n, ix.col
+    bad = 0
+    for s in ix.nbrs:
+        x, y = divmod(s, n)
+        bad |= col[x] & col[y]
+    if not bad:
+        return None
+    i = (bad & -bad).bit_length() - 1
+    t, m = ix.ts[i], ix.nbr[i]
+    for x in iter_bits(m):
+        hit = ix.adj[x] & m & ~((2 << x) - 1)
+        if hit:
+            break
+    y = hit & -hit
+    w = ix.nbrs[x * n + y.bit_length() - 1]
+    c = (1 << x) | y | (w & -w)
+    return (vertices_of(t | (1 << x)), vertices_of(t | y), vertices_of(c))
 
 
 def cancellative_witness(h: Hypergraph) -> Optional[tuple]:
     """A violating (A, B, C) with A (+) B inside C, or None if cancellative."""
     if h.r != 3:
         raise ValueError("cancellativity checks expect r = 3")
-    return _witness(_Incidence(h))
+    return _first_witness(_Incidence(h))
 
 
 def is_cancellative(h: Hypergraph) -> bool:
@@ -195,14 +191,15 @@ def links_triangle_free(h: Hypergraph) -> bool:
     """Every vertex link of a 3-graph is triangle-free (a cancellativity consequence).
 
     A triangle {a, b, c} in L(u) puts a and c in N({u, b}) with {a, c}
-    covered, so only an input that fails `_partner_covered` can have one;
-    only those walk the links; vertex a of L(u) has the neighbours N({u, a}).
+    covered, so only a non-cancellative input (`_first_witness`) can have
+    one; only those walk the links; vertex a of L(u) has the neighbours
+    N({u, a}).
     """
     if h.r != 3:
         raise ValueError("links_triangle_free expects r = 3")
     ix = _Incidence(h)
     n, nbrs = ix.n, ix.nbrs
-    return not _partner_covered(ix) or not any(
+    return _first_witness(ix) is None or not any(
         has_clique({a: nbrs[min(a, u) * n + max(a, u)] for a in iter_bits(vs)}, vs, 3) for u, vs in enumerate(ix.adj)
     )
 
@@ -211,14 +208,12 @@ def neighborhoods_independent(h: Hypergraph) -> bool:
     """No edge meets any shadow neighborhood N(T) in two or more vertices.
 
     An edge meets N(T) twice exactly when it covers a pair {x, y} inside
-    N(T), that is when adj[x] & N(T) != 0 for some x in N(T), with adj the
-    adjacency masks of the pair-cover (auxiliary) graph.  The union of
-    those N(T) over T with x in N(T) is partners[x], so the test is
-    adj[x] & partners[x] != 0 for some vertex x.
+    N(T), that is when T lies in L(x) and L(y) for a covered pair {x, y}:
+    the violation of cancellativity `_first_witness` looks for.
     """
     if h.r != 3:
         raise ValueError("neighborhoods_independent expects r = 3")
-    return not _partner_covered(_Incidence(h))
+    return _first_witness(_Incidence(h)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +235,10 @@ class _Incidence:
       ts[i]   -- the shadow pairs as ascending masks (upper vertex first)
       nbr[i]  -- N(ts[i]), read off nbrs
       col[u]  -- L(u) as a mask over shadow indices (bit i iff u in N(ts[i]))
-    and, built on first use:
-      size     -- size[u][v] = |L(u, v)| = popcount(col[u] & col[v]), with
-                  the diagonal |L(u, u)| = |L(u)|
-      partners -- partners[u] = the union of N(T) over T in L(u), that is
-                  the v with size[u][v] > 0 (u itself iff L(u) is nonempty)
-    Since L(u, v) is a subgraph of L(u), a property that passes to
-    subgraphs holds for every pair link once it holds for the vertex links.
+    so the pair link L(u, v) is col[u] & col[v], with L(u, u) = L(u); no
+    table over all n^2 vertex pairs is kept.  Since L(u, v) is a subgraph
+    of L(u), a property that passes to subgraphs holds for every pair link
+    once it holds for the vertex links.
 
     Past the one pass over the edges that fills nbrs, nothing visits the
     incidences u in N(T) one at a time.  The columns are the transpose of
@@ -289,21 +281,6 @@ class _Incidence:
             rows += m.to_bytes(nb, "little")
         self.col = [int(rows[u >> 3 :: nb].translate(_BIT_DIGITS[u & 7]) or b"0", 2) for u in range(n)]
 
-    @cached_property
-    def size(self) -> list[list[int]]:
-        col = self.col
-        size = [[0] * self.n for _ in range(self.n)]
-        for u, cu in enumerate(col):
-            size[u][u] = cu.bit_count()
-            if cu:
-                for v in range(u + 1, self.n):
-                    size[u][v] = size[v][u] = (cu & col[v]).bit_count()
-        return size
-
-    @cached_property
-    def partners(self) -> list[int]:
-        return [sum(1 << v for v, s in enumerate(row) if s) for row in self.size]
-
     def link(self, u: int, v: int) -> list[int]:
         """L(u, v) as ascending pair masks."""
         return [self.ts[i] for i in iter_bits(self.col[u] & self.col[v])]
@@ -314,15 +291,13 @@ def _cancellative_index(
 ) -> _Incidence:
     """The incidence index of h, after the r = 3 and cancellativity
     preconditions of `name`; the check reads the same index the caller
-    goes on to read, so it is built once.
-
-    The test is `_partner_covered`; `inequality2` reads `partners` anyway,
-    and the witness scan runs only when the test fails.
+    goes on to read, so it is built once.  The test is `_first_witness`,
+    one AND of two link masks per shadow pair.
     """
     if h.r != 3:
         raise ValueError(f"{name} expects r = 3")
     ix = _Incidence(h)
-    if _witness(ix) is not None:
+    if _first_witness(ix) is not None:
         raise ValueError(failure)
     return ix
 
@@ -380,7 +355,10 @@ def link_count_identity(h: Hypergraph) -> CertificateReport:
     counts[u] for all u, v in N(T).  A field counts at most len(ts) pairs,
     so it never carries.  The right side is popcount(col[u] & col[v]) over
     the link masks, so the two sides really are computed along different
-    paths.  Holds for every 3-graph, cancellative or not.
+    paths.  Holds for every 3-graph, cancellative or not.  A vertex on no
+    edge lies in no N(T) and has an empty link, so both sides of its pairs
+    are 0 and only the pairs of the other vertices are compared, in the
+    same (u, v) order.
     """
     if h.r != 3:
         raise ValueError("link_count_identity expects r = 3")
@@ -394,11 +372,11 @@ def link_count_identity(h: Hypergraph) -> CertificateReport:
         for u in vs:
             counts[u] += spread
     ones = (1 << w) - 1
-    sizes = ix.size
+    col = ix.col
     mismatch = None
-    for u, v in itertools.product(range(h.n), repeat=2):
+    for u, v in itertools.product([u for u, a in enumerate(ix.adj) if a], repeat=2):
         lhs = counts[u] >> (w * v) & ones
-        rhs = sizes[u][v]
+        rhs = (col[u] & col[v]).bit_count()
         if lhs != rhs:
             mismatch = {"u": u + 1, "v": v + 1, "containment_count": lhs, "link_size": rhs}
             break
@@ -421,13 +399,14 @@ def inequality2_certificate(h: Hypergraph) -> CertificateReport:
     The sum of 1/|L(u, v)| over T in the shadow and ordered (u, v) in
     N(T)^2 is an integer: (u, v) lies in N(T)^2 for exactly the |L(u, v)|
     pairs T of L(u, v), so each ordered pair with L(u, v) nonempty adds 1.
-    lhs counts those pairs; v is such a partner of u iff v lies in N(T) for
-    some T with u in N(T), so u's partners are the union of those N(T).
+    lhs counts those pairs off the link masks: each u with L(u) nonempty
+    once, and each u < v with col[u] & col[v] != 0 twice.
     """
     ix = _cancellative_index(h, "inequality2_certificate")
     if not ix.ts:
         return _vacuous("inequality2", h.n)
-    lhs = Fraction(sum(p.bit_count() for p in ix.partners))
+    links = [c for c in ix.col if c]
+    lhs = Fraction(len(links) + 2 * sum(1 for a, b in itertools.combinations(links, 2) if a & b))
     rhs = h.n * h.n - 2 * len(ix.ts)
     holds = lhs <= rhs
     return CertificateReport(

@@ -148,8 +148,7 @@ def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
     ix = _cancellative_index(h, "the cancellative extractor", "input is not cancellative")
     if h.size == 0:
         raise ValueError("empty shadow: the extractor needs at least one edge")
-    n = h.n
-    sizes = ix.size
+    n, col = h.n, ix.col
 
     # (i) T maximizing  4 * mass / (d^2 (n-d)^2), where mass is the sum of
     # |L(u, v)| over (u, v) in N(T)^2; ties by larger d then lex T, so the
@@ -171,13 +170,11 @@ def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
 
     # (ii) ordered pair (u, v) in N(T)^2 with the largest pair link; max keeps
     # the first maximal pair, so ties go lex
-    u, v = max(itertools.product(nbrs, repeat=2), key=lambda p: sizes[p[0] - 1][p[1] - 1])
-    best_size = sizes[u - 1][v - 1]
+    u, v = max(itertools.product(nbrs, repeat=2), key=lambda p: (col[p[0] - 1] & col[p[1] - 1]).bit_count())
 
     # (iii) the pair link as a graph, then lemma25_pair: its max-degree-sum
     # edge {x, y} with V2 = N_L(x) and V3 = N_L(y)
     link_graph = ix.link(u - 1, v - 1)
-    assert len(link_graph) == best_size, "pair-link recount must match the co-link table"
     support = 0
     for a in link_graph:
         support |= a
@@ -201,7 +198,7 @@ def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
         "T_neighborhood": nbrs,
         "score": float(score),
         "pair": [u, v],
-        "pair_link_size": best_size,
+        "pair_link_size": len(link_graph),
         "edge": [x, y],
     }
     return _measure(h, part, bad, h.size, turan_count(n, 3, 3), chain)
@@ -210,13 +207,15 @@ def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
 def _colink_masses(ix: _Incidence) -> list[int]:
     """mass[i] = the sum of |L(u, v)| over (u, v) in N(ts[i])^2.
 
-    Row u of the size table is packed into R[u] = sum of |L(u, v)| 2^(w v)
-    with w = (n^2 |shadow|).bit_length() + 1.  Summing R[u] over u in N(T)
-    adds the rows field by field, and masking with the all-ones fields of
-    the v in N(T) keeps the terms of the mass.  Every field, and the mass
-    itself, is at most n^2 |shadow| < 2^w - 1, so no field carries and,
-    since 2^w = 1 modulo 2^w - 1, the masked sum taken mod 2^w - 1 is
-    exactly the sum of its fields: the mass.
+    Row u of the pair-link sizes |L(u, v)| = popcount(col[u] & col[v]) is
+    packed into R[u] = sum of |L(u, v)| 2^(w v) with
+    w = (n^2 |shadow|).bit_length() + 1; a vertex on no edge has an empty
+    link, so its row and its fields are 0 and are not computed.  Summing
+    R[u] over u in N(T) adds the rows field by field, and masking with the
+    all-ones fields of the v in N(T) keeps the terms of the mass.  Every
+    field, and the mass itself, is at most n^2 |shadow| < 2^w - 1, so no
+    field carries and, since 2^w = 1 modulo 2^w - 1, the masked sum taken
+    mod 2^w - 1 is exactly the sum of its fields: the mass.
 
     The sums over N(T) are read from tables, four vertices at a time (the
     lookup-table method of Arlazarov, Dinic, Kronrod and Faradzev): hex
@@ -228,7 +227,9 @@ def _colink_masses(ix: _Incidence) -> list[int]:
     w = (n * n * len(ix.ts)).bit_length() + 1
     ones = (1 << w) - 1
     nb = (n + 7) >> 3
-    packed = [sum(s << (w * v) for v, s in enumerate(row)) for row in ix.size]
+    col = ix.col
+    linked = [v for v in range(n) if col[v]]
+    packed = [sum((c & col[v]).bit_count() << (w * v) for v in linked) if c else 0 for c in col]
     packed += [0] * (8 * nb - n)
     hex_digits = "0123456789abcdef"
     row_tables, mask_tables = [], []

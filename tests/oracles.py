@@ -10,7 +10,9 @@ the incidence index, the auxiliary-graph shortcut, the search and its
 early-exit invariant filter, the cuts, the streaming parser, the bulk
 constructor checks and the per-block bad-edge pass must agree with.
 The index's bulk build is checked against per-incidence builders that
-visit each u in N(T) one bit at a time.
+visit each u in N(T) one bit at a time, and its one cancellativity test, an
+AND of two link masks per shadow pair, against the per-vertex partner rule
+and the per-T witness scan it replaced.
 The search's cancellative state, which flips per-vertex link bits, is
 checked against the co-link counting state it replaced, and its k-free
 state, one clique test per subset of the new edge, against the state with
@@ -241,6 +243,27 @@ def partners_by_bit(ix):
     return partners
 
 
+def partner_covered_by_bit(ix):
+    """The per-vertex rule: some x has a pair-cover neighbour among its
+    partners, so an edge meets some N(T) in two vertices (not cancellative)."""
+    return any(a & p for a, p in zip(ix.adj, partners_by_bit(ix)))
+
+
+def first_witness_by_scan(ix):
+    """The first violating (A, B, C) found by scanning the shadow pairs T in
+    index order, each N(T) for the first x < y with {x, y} covered, and for
+    C the lowest edge covering {x, y}; None if cancellative."""
+    for t, m in zip(ix.ts, ix.nbr):
+        for x in iter_bits(m):
+            hit = ix.adj[x] & m & ~((2 << x) - 1)
+            if hit:
+                y = hit & -hit
+                w = ix.nbrs[x * ix.n + y.bit_length() - 1]
+                c = (1 << x) | y | (w & -w)
+                return (vertices_of(t | (1 << x)), vertices_of(t | y), vertices_of(c))
+    return None
+
+
 def neighborhoods_independent_by_pair(ix):
     """No x in any N(T) has a pair-cover neighbor in N(T), tested per (T, x)."""
     return not any(ix.adj[x] & m for m in ix.nbr for x in iter_bits(m))
@@ -251,14 +274,11 @@ def mantel_caps_by_incidence(ix):
     return all(4 * ix.col[u].bit_count() <= (ix.n - m.bit_count()) ** 2 for m in ix.nbr for u in iter_bits(m))
 
 
-def colink_masses(ix):
-    """mass[i] = sum of |L(u, v)| over (u, v) in N(ts[i])^2, one size-table lookup per pair."""
-    sizes = ix.size
-    masses = []
-    for m in ix.nbr:
-        vs = list(iter_bits(m))
-        masses.append(sum(sum(map(sizes[u].__getitem__, vs)) for u in vs))
-    return masses
+def colink_masses(h):
+    """The sum of |L(u, v)| over (u, v) in N(T)^2 for each shadow pair T, in
+    ascending mask order, with each pair link intersected from the vertex links."""
+    links, sh = link_sets(h), shadow_neighborhoods(h)
+    return [sum(len(links[u - 1] & links[v - 1]) for u in sh[t] for v in sh[t]) for t in sorted(sh)]
 
 
 def hypergraph_fault(n, r, edges):

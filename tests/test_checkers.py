@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
@@ -58,12 +59,13 @@ from oracles import (
     CancellativeStateByColink,
     colink_masses,
     columns_by_bit,
+    first_witness_by_scan,
     is_subgraph,
     k_family,
     link_sets,
     mantel_caps_by_incidence,
     neighborhoods_independent_by_pair,
-    partners_by_bit,
+    partner_covered_by_bit,
     permute_hypergraph,
     shadow_neighborhoods,
 )
@@ -654,7 +656,7 @@ def test_pair_link_table_matches_per_pair_links():
         links = link_sets(h)
         for u, v in itertools.product(range(1, h.n + 1), repeat=2):
             lg = links[u - 1] if u == v else links[u - 1] & links[v - 1]
-            assert ix.size[u - 1][v - 1] == _pair_link_size(links, u, v) == len(lg)
+            assert (ix.col[u - 1] & ix.col[v - 1]).bit_count() == _pair_link_size(links, u, v) == len(lg)
             assert ix.link(u - 1, v - 1) == sorted(lg)
             # N({u, a}) & N({v, a}), read off the slots, is the adjacency of L(u, v)
             link_graph = Hypergraph(h.n, 2, tuple(lg))
@@ -686,7 +688,7 @@ def test_incidence_index_matches_oracles():
             assert has_clique(_link_row(ix, u), ix.adj[u], 3) == contains_clique(
                 Hypergraph(h.n, 2, tuple(links[u])), 3
             )
-        assert ix.size == [
+        assert [[(a & b).bit_count() for b in ix.col] for a in ix.col] == [
             [_pair_link_size(links, u, v) for v in range(1, h.n + 1)] for u in range(1, h.n + 1)
         ]
 
@@ -756,13 +758,11 @@ def small_three_graphs(draw):
 def _check_bulk_index(h):
     ix = _Incidence(h)
     assert ix.col == columns_by_bit(ix)
-    assert ix.partners == partners_by_bit(ix)
-    assert _colink_masses(ix) == colink_masses(ix)
+    assert _colink_masses(ix) == colink_masses(h)
     assert _mantel_caps_hold(ix) == mantel_caps_by_incidence(ix)
     independent = neighborhoods_independent(h)
     assert independent == neighborhoods_independent_by_pair(ix) == oracle_neighborhoods_independent(h)
     witness = cancellative_witness(h)
-    # the per-vertex test gates the scan without changing its witness
     assert witness == _first_witness(ix) == oracle_cancellative_witness(h)
     assert is_cancellative(h) == (witness is None) == independent
     assert links_triangle_free(h) == all(
@@ -786,6 +786,46 @@ def test_bulk_index_on_empty_and_single_edge_inputs(n):
             _check_bulk_index(Hypergraph.from_edges(n, 3, [edge]))
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_three_graphs())
+def test_shadow_pair_test_matches_per_vertex_rule_and_scan(case):
+    # cancellative iff no covered pair {x, y} has L(x) and L(y) meeting: the
+    # OR of col[x] & col[y] over the covered pairs marks exactly the T whose
+    # N(T) holds a covered pair, and its lowest T gives the scan's witness
+    h, perm = case
+    for g in (h, permute_hypergraph(h, perm)):
+        ix = _Incidence(g)
+        meet = 0
+        for x, y in itertools.combinations(range(g.n), 2):
+            if ix.adj[x] >> y & 1:
+                meet |= ix.col[x] & ix.col[y]
+        scanned = [any(ix.adj[x] & m for x in iter_bits(m)) for m in ix.nbr]
+        assert meet == sum(1 << i for i, hit in enumerate(scanned) if hit)
+        witness = _first_witness(ix)
+        assert witness == first_witness_by_scan(ix) == oracle_cancellative_witness(g)
+        assert (witness is None) == (meet == 0) == (not partner_covered_by_bit(ix))
+
+
+def test_sparse_input_checks_take_no_vertex_pair_table():
+    # n = 2000 with 50 random 3-edges: the cancellativity test and
+    # inequality2 pay for the shadow pairs, not for the n^2 vertex pairs (a
+    # table of |L(u, v)| over all of them peaks at 32.3 MB on this input)
+    rng = random.Random(2000)
+    edges = set()
+    while len(edges) < 50:
+        edges.add(tuple(sorted(rng.sample(range(1, 2001), 3))))
+    h = Hypergraph.from_edges(2000, 3, sorted(edges))
+    assert is_cancellative(h) and inequality2_certificate(h).holds
+    for check in (is_cancellative, inequality2_certificate):
+        tracemalloc.start()
+        try:
+            check(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, (check.__name__, peak)
+
+
 def test_mantel_caps_per_vertex_match_per_incidence_oracle():
     # on a cancellative input the caps follow from Mantel's theorem, so the
     # per-vertex degree masks are compared where caps fail as well
@@ -801,7 +841,7 @@ def test_mantel_caps_per_vertex_match_per_incidence_oracle():
 
 
 def test_bulk_index_never_walks_the_incidences(monkeypatch):
-    # building the index, partners and co-link masses, and the per-vertex
+    # building the index and the co-link masses, and the shadow-pair
     # predicates on a passing input, take no per-incidence iter_bits loop
     calls = []
 
@@ -812,9 +852,7 @@ def test_bulk_index_never_walks_the_incidences(monkeypatch):
     monkeypatch.setattr(checkers, "iter_bits", counting_iter_bits)
     monkeypatch.setattr(stability, "iter_bits", counting_iter_bits)
     h = turan_hypergraph(60, 3, 3)
-    ix = _Incidence(h)
-    ix.partners
-    _colink_masses(ix)
+    _colink_masses(_Incidence(h))
     assert is_cancellative(h) and neighborhoods_independent(h) and links_triangle_free(h)
     assert mantel_link_bound(h).holds
     assert len(calls) < h.n, len(calls)

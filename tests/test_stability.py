@@ -108,7 +108,7 @@ def test_cancellative_extractor_perturbed_recount():
         assert rep.epsilon == 1.0 - h.size / turan_count(12, 3, 3)
 
 
-def test_colink_masses_match_size_table_oracle():
+def test_colink_masses_match_vertex_link_oracle():
     rng = random.Random(97)
     inputs = [perturb(turan_hypergraph(30, 3, 3), 0.05, 0, 3), turan_hypergraph(12, 3, 3)]
     for _ in range(80):
@@ -116,7 +116,7 @@ def test_colink_masses_match_size_table_oracle():
         inputs.append(Hypergraph(n, 3, tuple(m for m in all_r_subsets(n, 3) if rng.random() < p)))
     for h in inputs:
         ix = _Incidence(h)
-        assert _colink_masses(ix) == colink_masses(ix)
+        assert _colink_masses(ix) == colink_masses(h)
 
 
 def test_colink_masses_exceed_a_single_field():
@@ -126,7 +126,7 @@ def test_colink_masses_exceed_a_single_field():
     h = Hypergraph.from_edges(12, 3, itertools.combinations(range(1, 13), 3))
     ix = _Incidence(h)
     assert (h.n * len(ix.ts)).bit_length() == 10
-    assert _colink_masses(ix) == colink_masses(ix) == [4600] * 66
+    assert _colink_masses(ix) == colink_masses(h) == [4600] * 66
 
 
 def test_kfree_extractor():
