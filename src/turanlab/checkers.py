@@ -75,6 +75,12 @@ def _frac_str(x: Fraction) -> str:
 # Cancellativity
 
 
+# The search hands a node with at most `tail` addable edges to its labeled
+# branch and bound.  A predicate state with no bound of its own (its lost is
+# always 0) takes this many: a longer labeled tail only walks more nodes (README).
+UNBOUNDED_TAIL = 16
+
+
 class _CancellativeState:
     """Incrementally maintained cancellativity of a growing/shrinking 3-graph.
 
@@ -96,6 +102,8 @@ class _CancellativeState:
     removing are the same update.  Bit positions are pair indices, not pair
     masks, so a link has n^2 bits, not 2^n.
     """
+
+    tail = UNBOUNDED_TAIL
 
     def __init__(self, n: int) -> None:
         self.n = n

@@ -109,12 +109,16 @@ class Hypergraph:
         """adjacency[b] = mask of the vertices sharing an edge with vertex bit b.
 
         For r = 2 this is the graph's adjacency, for r >= 3 that of the
-        pair-cover (auxiliary) graph.  Built in one pass over the edges.
+        pair-cover (auxiliary) graph.  Built in one pass over the edges, each
+        split into its bits inline, as `PairCover.add` does.
         """
         adj = [0] * self.n
         for e in self.edges:
-            for b in iter_bits(e):
-                adj[b] |= e
+            rest = e
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                adj[low.bit_length() - 1] |= e
         return tuple(m & ~(1 << b) for b, m in enumerate(adj))
 
 

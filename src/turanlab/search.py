@@ -23,11 +23,12 @@ sums of the edges through the vertex); `_child_invariants` stops at the
 first edge that beats e.  The filter loses no class: H is reached from H-e
 for an edge e of H with the largest invariant, and H-e satisfies the
 predicate with a bound at least that of H.  Once a node has at most
-LABELED_TAIL addable edges, its subtree goes to plain labeled subset branch
-and bound, which costs far less per node than a canonical labelling.  The
-tail re-tests the later edges after each push and stops at the child's
-bound: once more of them have failed than current-size + addable-count >=
-best can afford, the child is dropped without testing the rest.
+`state.tail` addable edges, a size each predicate state chooses, its subtree
+goes to plain labeled subset branch and bound, which costs far less per node
+than a canonical labelling.  The tail re-tests the later edges after each
+push and stops at the child's bound: once more of them have failed than
+current-size + addable-count >= best can afford, the child is dropped
+without testing the rest.
 
 A repeated class is rejected by a direct isomorphism test, not by a
 canonical code (McKay's invariant-first isomorph rejection).  The visited
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .canonical import _twin_classes, canonical_code
-from .checkers import _CancellativeState
+from .checkers import UNBOUNDED_TAIL, _CancellativeState
 from .constructions import turan_count
 from .hypergraph import Hypergraph, PairCover, all_r_subsets, has_clique, iter_bits, iter_cliques
 from .partitions import Partition
@@ -67,20 +68,18 @@ from .partitions import Partition
 # The largest n searched without allow_large: 8 for cancellative, and for
 # k-free (triangle-free is r = ell = 2) GUARDS[r][ell - r], the last entry
 # standing for every larger ell - r; an r not listed takes the smallest bound
-# listed.  Each bound was timed (README): k-free prunes less as ell grows, and
+# listed.  Each bound was timed (README): an admitted shape takes at most about
+# 30 s, and one vertex more took close to a minute or longer, or stopped
+# unfinished at a node budget.  For r >= 3, k-free prunes less as ell grows, and
 # every ell >= n gives the same search, which walks all the ties at the optimum.
-GUARDS = {2: (10, 9, 8), 3: (8, 7, 6), 4: (8, 7, 7, 6), 5: (8, 8, 7), 6: (8,)}
+GUARDS = {2: (12, 10), 3: (8, 7, 6), 4: (8, 7, 7, 6), 5: (8, 8, 7), 6: (8,)}
 
 PREDICATES = ("cancellative", "k-free", "triangle-free")
 _UNIFORMITY = {"cancellative": 3, "triangle-free": 2}  # "k-free" takes any r
 
 # Bump whenever a change to the search can change what it reports for some
 # (predicate, n, r, ell): result-cache entries of another version are misses.
-SEARCH_VERSION = 5
-
-# A node with at most this many addable edges hands its subtree to the labeled
-# branch and bound.
-LABELED_TAIL = 16
+SEARCH_VERSION = 6
 
 NODE_BUDGET = 50_000_000
 # Extremal classes kept as witnesses, the smallest codes; past this many,
@@ -250,6 +249,14 @@ class KFreeState(PairCover):
                 a, b = iter_bits(e)
                 self.ends[e] = (a, b, 1 << a, 1 << b)
         self.ell = ell
+        # A node with at most tail addable edges goes to the labeled branch and
+        # bound.  With the packing (r = 2) that search prunes hard, and class
+        # branching pays only near the root: a sweep of tails (README) ran
+        # fastest at C(n, 2) - 1 for ell >= 3, one class step at the root, and
+        # near C(n, 2) - n for triangles.  Without a bound (r >= 3) the tail
+        # stays short.
+        pairs = len(self.plan)
+        self.tail = (pairs - (n if ell == 2 else 1)) if r == 2 else UNBOUNDED_TAIL
 
     def addable(self, e: int) -> bool:
         adj = self.adj
@@ -390,7 +397,7 @@ def extremal_number(
             best_graphs.clear()
         best_graphs.add(tuple(sorted(cur)))
 
-    addable, lost = state.addable, state.lost
+    addable, lost, tail = state.addable, state.lost, state.tail
 
     def push(e: int) -> None:
         cur.append(e)
@@ -408,7 +415,7 @@ def extremal_number(
             exhausted = True
             return
         note_state()
-        if len(addable) <= LABELED_TAIL:
+        if len(addable) <= tail:
             extend_labeled(addable)
             return
         # one representative extension per twin-orbit of addable edges;

@@ -207,21 +207,23 @@ def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
 def _colink_masses(ix: _Incidence) -> list[int]:
     """mass[i] = the sum of |L(u, v)| over (u, v) in N(ts[i])^2.
 
-    Row u of the pair-link sizes |L(u, v)| = popcount(col[u] & col[v]) is
-    packed into R[u] = sum of |L(u, v)| 2^(w v) with
-    w = (n^2 |shadow|).bit_length() + 1; a vertex on no edge has an empty
-    link, so its row and its fields are 0 and are not computed.  Summing
-    R[u] over u in N(T) adds the rows field by field, and masking with the
-    all-ones fields of the v in N(T) keeps the terms of the mass.  Every
-    field, and the mass itself, is at most n^2 |shadow| < 2^w - 1, so no
-    field carries and, since 2^w = 1 modulo 2^w - 1, the masked sum taken
+    Only the vertices on an edge have a nonempty link, and only they lie in
+    some N(T); the k-th of them, v, gets field k.  Row u of the pair-link
+    sizes |L(u, v)| = popcount(col[u] & col[v]) is packed into
+    R[u] = sum of |L(u, v)| 2^(w k) with w = (n^2 |shadow|).bit_length() + 1.
+    Summing R[u] over u in N(T) adds the rows field by field, and masking
+    with the all-ones fields of the v in N(T) keeps the terms of the mass.
+    Every field, and the mass itself, is at most n^2 |shadow| < 2^w - 1, so
+    no field carries and, since 2^w = 1 modulo 2^w - 1, the masked sum taken
     mod 2^w - 1 is exactly the sum of its fields: the mass.
 
     The sums over N(T) are read from tables, four vertices at a time (the
     lookup-table method of Arlazarov, Dinic, Kronrod and Faradzev): hex
-    digit j of N(T).to_bytes(nb, "little").hex() picks one of 16
-    precomputed sums of R over its four vertices, and a matching entry of
-    their field masks.
+    digit j of N(T).to_bytes(nb, "little").hex() picks the precomputed sum of
+    R over the vertices it names among its four, and a matching entry of
+    their field masks.  A table holds only the digits made of linked
+    vertices, the others never occurring, so the groups of four with no
+    linked vertex share one table holding "0".
     """
     n = ix.n
     w = (n * n * len(ix.ts)).bit_length() + 1
@@ -229,20 +231,34 @@ def _colink_masses(ix: _Incidence) -> list[int]:
     nb = (n + 7) >> 3
     col = ix.col
     linked = [v for v in range(n) if col[v]]
-    packed = [sum((c & col[v]).bit_count() << (w * v) for v in linked) if c else 0 for c in col]
-    packed += [0] * (8 * nb - n)
+    packed = [0] * (8 * nb)
+    field = packed[:]
+    for k, v in enumerate(linked):
+        field[v] = ones << (w * k)
+    for u in linked:
+        cu = col[u]
+        packed[u] = sum((cu & col[v]).bit_count() << (w * k) for k, v in enumerate(linked))
     hex_digits = "0123456789abcdef"
+    zero = {"0": 0}
     row_tables, mask_tables = [], []
     for j in range(2 * nb):
         # digit j of the hex string: the high nibble of byte j >> 1 first
         base = 4 * (j ^ 1)
-        rows, masks = [0] * 16, [0] * 16
+        live = sum(1 << i for i in range(4) if field[base + i])
+        if not live:
+            row_tables.append(zero)
+            mask_tables.append(zero)
+            continue
+        rows, masks = {"0": 0}, {"0": 0}
         for d in range(1, 16):
+            if d & ~live:
+                continue
             low = (d & -d).bit_length() - 1
-            rows[d] = rows[d & (d - 1)] + packed[base + low]
-            masks[d] = masks[d & (d - 1)] | ones << (w * (base + low))
-        row_tables.append(dict(zip(hex_digits, rows)))
-        mask_tables.append(dict(zip(hex_digits, masks)))
+            prev, digit = hex_digits[d & (d - 1)], hex_digits[d]
+            rows[digit] = rows[prev] + packed[base + low]
+            masks[digit] = masks[prev] | field[base + low]
+        row_tables.append(rows)
+        mask_tables.append(masks)
     masses = []
     for m in ix.nbr:
         digits = m.to_bytes(nb, "little").hex()

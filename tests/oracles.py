@@ -41,6 +41,15 @@ def link_sets(h):
     return links
 
 
+def adjacency_by_iter_bits(h):
+    """`Hypergraph.adjacency` in its earlier form: one `iter_bits` generator per edge."""
+    adj = [0] * h.n
+    for e in h.edges:
+        for b in iter_bits(e):
+            adj[b] |= e
+    return tuple(m & ~(1 << b) for b, m in enumerate(adj))
+
+
 def shadow_neighborhoods(h):
     """Shadow mask T -> sorted 1-based labels of N(T) = {v : T + {v} an edge}."""
     out = {}

@@ -27,7 +27,7 @@ from turanlab.hypergraph import (
 )
 from turanlab.constructions import perturb, turan_hypergraph
 
-from oracles import hypergraph_fault, is_subgraph, link_sets, parse_hypergraph_by_line, shadow_neighborhoods
+from oracles import adjacency_by_iter_bits, hypergraph_fault, is_subgraph, link_sets, parse_hypergraph_by_line, shadow_neighborhoods
 
 
 def edge_sets(masks):
@@ -175,6 +175,17 @@ def test_adjacency_examples():
     assert h.adjacency is h.adjacency
     fresh = Hypergraph(h.n, h.r, h.edges)
     assert fresh == h and hash(fresh) == hash(h) and "adjacency" not in vars(fresh)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 9), st.data())
+def test_adjacency_matches_iter_bits_form(r, extra, data):
+    # random r-graphs, with isolated vertices among the n = r + extra, against
+    # the one-generator-per-edge form the inline bit loop replaced
+    n = r + extra
+    edges = data.draw(st.sets(st.sampled_from(all_r_subsets(n, r)), max_size=12))
+    h = Hypergraph(n, r, tuple(sorted(edges)))
+    assert h.adjacency == adjacency_by_iter_bits(h)
 
 
 def count_cliques_oracle(g, i):

@@ -124,14 +124,15 @@ def test_budget_exhaustion_is_incomplete():
 
 def test_feasibility_guard(capsys):
     with pytest.raises(ValueError):
-        extremal_number(11, 2, "triangle-free")
+        extremal_number(13, 2, "triangle-free")
     with pytest.raises(ValueError):
         extremal_number(9, 3, "cancellative")
-    # k-free is keyed by r and ell - r, and tightens as ell grows; one vertex above
-    # each bound, every shape timed took minutes or stopped at a node budget, ell >= n
-    # among them (the ties at the optimum are all it walks); an r not listed falls to 6
+    # k-free is keyed by r and ell - r, and for r >= 3 tightens as ell grows; one
+    # vertex above each bound, every shape timed took close to a minute or longer, or
+    # stopped at a node budget, ell >= n among them for r >= 3 (the ties at the optimum
+    # are all it walks); an r not listed falls to 6
     refused = (
-        (10, 2, 3, 9), (9, 2, 4, 8), (9, 2, 5, 8), (9, 2, 9, 8), (9, 3, 3, 8), (8, 3, 4, 7), (7, 3, 5, 6),
+        (11, 2, 3, 10), (11, 2, 4, 10), (11, 2, 5, 10), (11, 2, 6, 10), (9, 3, 3, 8), (8, 3, 4, 7), (7, 3, 5, 6),
         (7, 3, 8, 6), (9, 4, 4, 8), (8, 4, 5, 7), (8, 4, 6, 7), (7, 4, 7, 6), (8, 5, 9, 7), (7, 7, 7, 6),
     )
     for n, r, ell, guard in refused:
@@ -141,20 +142,20 @@ def test_feasibility_guard(capsys):
     # a budget of one node admits a request without running it; the benchmark's
     # four searches among them
     admitted = (
-        (8, 2, 4), (8, 2, 12), (7, 3, 4), (9, 2, 3), (10, 2, 2), (8, 3, 3), (6, 3, 9), (8, 4, 4), (7, 4, 6),
+        (10, 2, 4), (10, 2, 12), (7, 3, 4), (10, 2, 3), (12, 2, 2), (8, 3, 3), (6, 3, 9), (8, 4, 4), (7, 4, 6),
         (6, 4, 9), (8, 5, 6), (7, 5, 9), (8, 6, 12), (7, 2, 3), (7, 3, 3),
     )
     for n, r, ell in admitted:
         assert not extremal_number(n, r, "k-free", ell=ell, node_budget=1).complete
-    for n, r, predicate in ((9, 2, "triangle-free"), (8, 3, "cancellative")):
+    for n, r, predicate in ((12, 2, "triangle-free"), (8, 3, "cancellative")):
         assert not extremal_number(n, r, predicate, node_budget=1).complete
-    argv = ["search", "--n", "9", "--r", "2", "--predicate", "k-free", "--ell", "4", "--no-cache"]
+    argv = ["search", "--n", "11", "--r", "2", "--predicate", "k-free", "--ell", "4", "--no-cache"]
     assert run(argv) == 2
-    assert "feasibility guard 8 for r = 2, ell = 4" in capsys.readouterr().err
+    assert "feasibility guard 10 for r = 2, ell = 4" in capsys.readouterr().err
     assert run(argv + ["--allow-large", "--budget", "1"]) == 3
-    argv = ["search", "--n", "10", "--r", "2", "--predicate", "k-free", "--ell", "3", "--no-cache"]
+    argv = ["search", "--n", "11", "--r", "2", "--predicate", "k-free", "--ell", "3", "--no-cache"]
     assert run(argv) == 2
-    assert "feasibility guard 9 for r = 2, ell = 3" in capsys.readouterr().err
+    assert "feasibility guard 10 for r = 2, ell = 3" in capsys.readouterr().err
     assert run(argv + ["--allow-large", "--budget", "1"]) == 3
 
 
@@ -171,6 +172,8 @@ def test_uniqueness_check():
 
 class _AtMostEdges:
     """A trivially hereditary predicate state: at most limit edges."""
+
+    tail = 16
 
     def __init__(self, limit=2):
         self.count = 0
@@ -275,7 +278,7 @@ def test_unknown_predicate_and_missing_ell():
 
 # ---------------------------------------------------------------------------
 # The default search (canonical-parent filter, twin-orbit branching, labeled
-# tail) against LABELED_TAIL = C(n, r), plain labeled branch and bound from the root.
+# tail) against a tail of C(n, r), plain labeled branch and bound from the root.
 
 ORACLE_CASES = (
     [(n, 2, "triangle-free", None) for n in range(2, 8)]
@@ -283,6 +286,10 @@ ORACLE_CASES = (
     + [(n, 3, "cancellative", None) for n in range(3, 7)]
     + [(n, 3, "k-free", ell) for n in range(3, 7) for ell in (3, 4)]
 )
+# graph searches with an own tail above 16: the default search branches on
+# classes near the root, then runs a labeled tail longer than any the r = 2
+# ORACLE_CASES reach (C(7, 2) = 21 pairs)
+ABOVE_TAIL_CASES = [(9, 2, "triangle-free", None), (8, 2, "k-free", 3)]
 
 
 def _outcome(rec):
@@ -290,30 +297,69 @@ def _outcome(rec):
     return rec.value, rec.extremal_classes, [w.edges for w in rec.witnesses]
 
 
-def _with_tail(monkeypatch, tail, search):
-    """Outcome of search under LABELED_TAIL = tail."""
+def _with_tail(monkeypatch, tail, search, report=_outcome):
+    """report of search with the predicate state's labeled tail set to tail
+    (None keeps the state's own).
+
+    The state classes the search builds are wrapped: the state built must
+    carry a tail, and exactly one must be built, so a patch that sets nothing
+    fails here."""
+    built = []
+
+    def retailed(make):
+        def build(*args):
+            state = make(*args)
+            assert isinstance(state.tail, int), state
+            if tail is not None:
+                state.tail = tail
+            built.append(state)
+            return state
+
+        return build
+
     with monkeypatch.context() as m:
-        m.setattr(search_mod, "LABELED_TAIL", tail)
-        return _outcome(search())
+        for name in ("KFreeState", "_CancellativeState"):
+            m.setattr(search_mod, name, retailed(getattr(search_mod, name)))
+        got = report(search())
+    assert len(built) == 1, built
+    return got
 
 
 def _fast_paths(monkeypatch, search):
     """Outcomes of the default search and of the filter kept on down to the leaves."""
-    return [_outcome(search()), _with_tail(monkeypatch, 0, search)]
+    return [_with_tail(monkeypatch, None, search), _with_tail(monkeypatch, 0, search)]
 
 
 def test_default_search_matches_labeled_oracle(monkeypatch):
-    for n, r, predicate, ell in ORACLE_CASES:
+    # the state's own tail, no tail, the old fixed tail of 16 and plain labeled
+    # branch and bound give the same value, classes and witnesses.  Above 16 the
+    # graph states' own tail lies strictly between 16 and C(n, 2), and each tail
+    # walks its own number of nodes: the tail the state carries is the one the
+    # walk reads
+    from turanlab.search import KFreeState
+
+    for case in ORACLE_CASES + ABOVE_TAIL_CASES:
+        n, r, predicate, ell = case
         search = partial(extremal_number, n, r, predicate, ell=ell)
-        slow = _with_tail(monkeypatch, comb(n, r), search)
-        assert _fast_paths(monkeypatch, search) == [slow, slow], (n, r, predicate, ell)
+        runs = [
+            _with_tail(monkeypatch, tail, search, lambda rec: (_outcome(rec), rec.nodes_explored))
+            for tail in (None, 0, 16, comb(n, r))
+        ]
+        assert [outcome for outcome, _ in runs] == [runs[-1][0]] * 4, case
+        if case in ABOVE_TAIL_CASES:
+            assert 16 < KFreeState(n, r, ell or 2).tail < comb(n, r), case
+            assert len({nodes for _, nodes in runs}) == 4, (case, runs)
+    assert KFreeState(9, 3, 3).tail == search_mod._CancellativeState(9).tail == 16
 
 
 class _BoundedDegree(PairCover):
     """A hereditary stand-in with several extremal classes: every vertex degree at most d.
 
     Like the real predicate states it keeps the pair-cover adjacency `adj`,
-    which the search's repeat test reads, and a bound `lost`, here 0."""
+    which the search's repeat test reads, a bound `lost`, here 0, and a labeled
+    tail."""
+
+    tail = 16
 
     def __init__(self, n, d):
         super().__init__(n)
@@ -378,7 +424,7 @@ def test_search_matches_labeled_oracle_on_many_classes(monkeypatch):
 
 
 def _without_packing(monkeypatch, tail, search):
-    """Outcome of search under LABELED_TAIL = tail with `KFreeState.lost` at 0."""
+    """Outcome of search at labeled tail `tail` with `KFreeState.lost` at 0."""
     with monkeypatch.context() as m:
         m.setattr(search_mod.KFreeState, "lost", lambda self, addable, slack: 0)
         return _with_tail(m, tail, search)
@@ -462,13 +508,13 @@ def test_class_key_collisions_change_nothing(monkeypatch):
     # with one key for every graph each child is canonicalized and compared
     # against every class seen so far, so the key decides nothing
     cases = ((7, 2, "triangle-free", None), (6, 3, "cancellative", None), (6, 2, "k-free", 3), (6, 3, "k-free", 3))
-    for tail in (search_mod.LABELED_TAIL, 0):
+    for tail in (None, 0):
         for n, r, predicate, ell in cases:
+            search = partial(extremal_number, n, r, predicate, ell=ell)
             with monkeypatch.context() as m:
-                m.setattr(search_mod, "LABELED_TAIL", tail)
-                want = _full_report(extremal_number(n, r, predicate, ell=ell))
+                want = _with_tail(m, tail, search, _full_report)
                 m.setattr(search_mod, "_class_key", lambda inv: 0)
-                got = _full_report(extremal_number(n, r, predicate, ell=ell))
+                got = _with_tail(m, tail, search, _full_report)
             assert got == want, (tail, n, r, predicate, ell)
 
 
@@ -498,6 +544,8 @@ def test_canonical_call_counts(monkeypatch):
     # that tied the best so far, triangle-free n=8 took 28 calls and cancellative
     # n=7 26; before the isomorphism test the search also coded repeats, 140 and
     # 67; before the invariant-keyed visited set and the labeled memo, 230 and 113.
+    # triangle-free n=8 took 7 calls at a labeled tail of 16, and takes 10 at its
+    # own tail of 20, which reaches more labeled copies of the optimum
     calls = Counter()
 
     def spy(n, edges):
@@ -505,7 +553,7 @@ def test_canonical_call_counts(monkeypatch):
         return canonical_code(n, edges)
 
     monkeypatch.setattr(search_mod, "canonical_code", spy)
-    for n, r, predicate, want in ((8, 2, "triangle-free", 7), (7, 3, "cancellative", 10)):
+    for n, r, predicate, want in ((8, 2, "triangle-free", 10), (7, 3, "cancellative", 10)):
         calls.clear()
         rec = extremal_number(n, r, predicate)
         assert rec.complete
@@ -518,7 +566,9 @@ def test_addable_call_counts(monkeypatch):
     # list, with 33,156 calls on triangle-free n=8 and 7,410 on cancellative n=7.
     # Since the graph searches also subtract a packing of forbidden cliques,
     # triangle-free n=8 takes 479 nodes and 9,851 calls, down from 2,270 and
-    # 25,142; cancellative has no packing and stays at 383 and 6,089
+    # 25,142; cancellative has no packing and stays at 383 and 6,089.  With a
+    # labeled tail of C(8, 2) - 8 = 20 instead of 16, triangle-free n=8 walks 433
+    # nodes with 11,629 calls: the longer tail tests more edges per node
     calls = Counter()
     for cls in (search_mod.KFreeState, search_mod._CancellativeState):
 
@@ -528,7 +578,7 @@ def test_addable_call_counts(monkeypatch):
 
         monkeypatch.setattr(cls, "addable", spy)
     for n, r, predicate, nodes, want in (
-        (8, 2, "triangle-free", 479, {"KFreeState": 9851}),
+        (8, 2, "triangle-free", 433, {"KFreeState": 11629}),
         (7, 3, "cancellative", 383, {"_CancellativeState": 6089}),
     ):
         calls.clear()
