@@ -15,34 +15,34 @@ half the addable count, and stops once it exceeds the slack.  The r >= 3
 and cancellative states return 0.  Ties at the optimum survive the strict
 prune, so the extremal class count comes out exact.
 
-Near the root the search works one isomorphism class at a time.  It
-branches on one addable edge per twin orbit and keeps a child G+e only if e
-has the largest invariant among the edges of G+e, where the invariant of an
-edge is the sorted list of its vertices' colours (degree, and the degree
-sums of the edges through the vertex); `_child_invariants` stops at the
-first edge that beats e.  The filter loses no class: H is reached from H-e
-for an edge e of H with the largest invariant, and H-e satisfies the
-predicate with a bound at least that of H.  Once a node has at most
-`state.tail` addable edges, a size each predicate state chooses, its subtree
-goes to plain labeled subset branch and bound, which costs far less per node
-than a canonical labelling.  The tail re-tests the later edges after each
-push and stops at the child's bound: once more of them have failed than
-current-size + addable-count >= best can afford, the child is dropped
-without testing the rest.
+The walk is one recursive closure, `dfs`.  On entry a node is counted,
+checked against the node budget and recorded in the class tally.  A node
+with at most `state.tail` addable edges, a size each predicate state
+chooses, takes its labeled children: cur + e for each addable e in turn,
+keeping only the later edges, far cheaper per node than class work.  Above
+that the node works one isomorphism class at a time: one addable edge per
+twin orbit, and a child G+e is kept only if e has the largest invariant
+among the edges of G+e, the sorted list of its vertices' colours (degree,
+and the degree sums of the edges through the vertex).  The filter loses no
+class: H is reached from H-e for an edge e of H with the largest
+invariant, and H-e satisfies the predicate with a bound at least that of
+H.  One rule, `child`, bounds every child in both branches: it re-tests
+the candidate edges after the push, drops the child once more of them
+have failed than its slack, then asks `lost`.  A child whose slack is
+negative before any test ends its parent's loop, as best only rises.
 
 A repeated class is rejected by a direct isomorphism test, not by a
 canonical code (McKay's invariant-first isomorph rejection).  The visited
-set is keyed by a hash of the sorted invariant list the filter already
-built and keeps, per key, the labeled edge tuple of the first graph of
-each class seen under it; a child is expanded iff `_isomorphic` maps it
-onto none of them.  That test compares the sorted vertex colours, then
-backtracks over colour-preserving vertex maps with the adjacency rule of
-VF2 (Cordella et al., 2004).  Isomorphic graphs share a key, so the key
-only decides which graphs are compared, never what a class is.  The class
-tally keeps the sorted edge tuple of each labeled graph with the best edge
-count so far, in a set emptied whenever the best count rises; once the
-walk ends, each graph left in it gets one canonical code, and the sorted
-codes are the classes.
+set is keyed by a hash of the child's sorted vertex colours and keeps, per
+key, the labeled edge tuple of the first graph of each class seen under it;
+a child is expanded iff `_isomorphic` maps it onto none of them.  That test
+compares the sorted vertex colours, then backtracks over colour-preserving
+vertex maps with the adjacency rule of VF2 (Cordella et al., 2004).
+Isomorphic graphs share a key, so the key only decides which graphs are
+compared, never what a class is.  The class tally keeps the sorted edge
+tuple of each labeled graph with the best edge count so far, in a set
+emptied whenever the best count rises; once the walk ends, each graph left
+in it gets one canonical code, and the sorted codes are the classes.
 
 The predicates are a fixed set, `PREDICATES`: "cancellative" (3-graphs in
 which no edge contains the symmetric difference of two others), "k-free"
@@ -56,6 +56,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from math import comb
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -70,8 +71,9 @@ from .partitions import Partition
 # standing for every larger ell - r; an r not listed takes the smallest bound
 # listed.  Each bound was timed (README): an admitted shape takes at most about
 # 30 s, and one vertex more took close to a minute or longer, or stopped
-# unfinished at a node budget.  For r >= 3, k-free prunes less as ell grows, and
-# every ell >= n gives the same search, which walks all the ties at the optimum.
+# unfinished at a node budget.  For r >= 3, k-free prunes less as ell grows.
+# An ell >= n forbids nothing and takes C(n, r) + 1 nodes, but is still refused
+# above the bound of its shape.
 GUARDS = {2: (12, 10), 3: (8, 7, 6), 4: (8, 7, 7, 6), 5: (8, 8, 7), 6: (8,)}
 
 PREDICATES = ("cancellative", "k-free", "triangle-free")
@@ -79,9 +81,13 @@ _UNIFORMITY = {"cancellative": 3, "triangle-free": 2}  # "k-free" takes any r
 
 # Bump whenever a change to the search can change what it reports for some
 # (predicate, n, r, ell): result-cache entries of another version are misses.
-SEARCH_VERSION = 6
+SEARCH_VERSION = 7
 
 NODE_BUDGET = 50_000_000
+# The walk recurses once per edge it adds, so a search has at most this many
+# candidate r-sets: under Python's default recursion limit of 1000 that leaves
+# room for the caller's frames and the clique tests below the deepest node.
+MAX_DEPTH = 800
 # Extremal classes kept as witnesses, the smallest codes; past this many,
 # cap_hit is set.
 WITNESS_CAP = 1000
@@ -109,9 +115,9 @@ def _colours(n: int, mems: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
 
 def _child_invariants(
     n: int, cur: Sequence[int], e: int, members: dict[int, tuple[int, ...]]
-) -> Optional[tuple[list[tuple[tuple[int, int], ...]], list[tuple[int, int]]]]:
-    """The edge invariants of cur + [e] and its vertex colours, or None if
-    some edge of cur has a larger invariant than e.
+) -> Optional[list[tuple[int, int]]]:
+    """The vertex colours of cur + [e], or None if some edge of cur has a
+    larger invariant than e.
 
     The invariant of an edge f is the sorted list of the colours of its
     vertices; a relabeling permutes the list with the edges.  Edges are
@@ -121,20 +127,17 @@ def _child_invariants(
     mems = [members[f] for f in cur]
     mems.append(members[e])
     colour = _colours(n, mems)
-    top = tuple(sorted([colour[b] for b in mems[-1]]))
-    inv = []
+    top = sorted([colour[b] for b in mems[-1]])
     for mem in mems:
-        x = tuple(sorted([colour[b] for b in mem]))
-        if x > top:
+        if sorted([colour[b] for b in mem]) > top:
             return None
-        inv.append(x)
-    return inv, colour
+    return colour
 
 
-def _class_key(inv: list[tuple[tuple[int, int], ...]]) -> int:
-    """Visited-set key of a graph from its edge invariants: equal for
+def _class_key(colour: list[tuple[int, int]]) -> int:
+    """Visited-set key of a graph from its vertex colours: equal for
     isomorphic graphs, and a plain int so the visited set holds no key tuples."""
-    return hash(tuple(sorted(inv)))
+    return hash(tuple(sorted(colour)))
 
 
 def _isomorphic(
@@ -254,9 +257,11 @@ class KFreeState(PairCover):
         # branching pays only near the root: a sweep of tails (README) ran
         # fastest at C(n, 2) - 1 for ell >= 3, one class step at the root, and
         # near C(n, 2) - n for triangles.  Without a bound (r >= 3) the tail
-        # stays short.
-        pairs = len(self.plan)
-        self.tail = (pairs - (n if ell == 2 else 1)) if r == 2 else UNBOUNDED_TAIL
+        # stays short, unless ell >= n: then nothing is forbidden, the first
+        # labeled path reaches the complete r-graph, and every later child
+        # fails its bound.
+        edges = len(self.plan)
+        self.tail = edges - (n if ell == 2 and n > 2 else 1) if r == 2 or ell >= n else UNBOUNDED_TAIL
 
     def addable(self, e: int) -> bool:
         adj = self.adj
@@ -331,7 +336,7 @@ class ExtremalRecord:
 
 def check_request(n: int, r: int, predicate: str, ell: Optional[int], node_budget: int = NODE_BUDGET) -> None:
     """Raise ValueError unless (n, r, predicate, ell) names a search with a positive
-    node budget; ell belongs to k-free alone."""
+    node budget and at most MAX_DEPTH candidate edges; ell belongs to k-free alone."""
     if node_budget <= 0:
         raise ValueError("node budget must be positive")
     if predicate not in PREDICATES:
@@ -348,6 +353,8 @@ def check_request(n: int, r: int, predicate: str, ell: Optional[int], node_budge
         raise ValueError(f"need ell >= r, got ell = {ell}, r = {r}")
     if n < 0:
         raise ValueError(f"vertex count must be >= 0, got {n}")
+    if comb(n, r) > MAX_DEPTH:
+        raise ValueError(f"n = {n}, r = {r} gives {comb(n, r)} candidate edges, above the search depth limit {MAX_DEPTH}")
 
 
 def extremal_number(
@@ -386,110 +393,88 @@ def extremal_number(
     best_graphs: set[tuple[int, ...]] = {()}
     nodes = 0
     exhausted = False
+    addable, lost, add, remove, tail = state.addable, state.lost, state.add, state.remove, state.tail
 
-    def note_state() -> None:
-        nonlocal best
-        m = len(cur)
-        if m < best:
-            return
-        if m > best:
-            best = m
-            best_graphs.clear()
-        best_graphs.add(tuple(sorted(cur)))
+    def child(cands: list[int], slack: int) -> Optional[list[int]]:
+        """The edges of cands addable to cur, or None once the child cur fails
+        its bound; slack is len(cur) + len(cands) - best."""
+        kept = []
+        for f in cands:
+            if addable(f):
+                kept.append(f)
+            else:
+                slack -= 1
+                if slack < 0:
+                    return None
+        return kept if lost(kept, slack) <= slack else None
 
-    addable, lost, tail = state.addable, state.lost, state.tail
-
-    def push(e: int) -> None:
-        cur.append(e)
-        state.add(e)
-
-    def pop(e: int) -> None:
-        state.remove(e)
-        cur.pop()
-
-    def dfs(addable: list[int]) -> None:
-        """Expand a node whose bound len(cur) + len(addable) - lost its caller checked."""
-        nonlocal nodes, exhausted
+    def dfs(rem: list[int]) -> None:
+        """Expand the node cur, whose addable edges are rem; its caller checked its bound."""
+        nonlocal nodes, exhausted, best
         nodes += 1
         if nodes > node_budget:
             exhausted = True
             return
-        note_state()
-        if len(addable) <= tail:
-            extend_labeled(addable)
+        m = len(cur)
+        if m >= best:
+            if m > best:
+                best = m
+                best_graphs.clear()
+            best_graphs.add(tuple(sorted(cur)))
+        if len(rem) <= tail:
+            # every labeled extension, in rem order: cur + e keeps the later edges
+            for i, e in enumerate(rem):
+                slack = m + len(rem) - i - best
+                if slack < 0:
+                    return
+                cur.append(e)
+                add(e)
+                sub = child(rem[i + 1 :], slack)
+                if sub is not None:
+                    dfs(sub)
+                remove(e)
+                cur.pop()
+                if exhausted:
+                    return
             return
         # one representative extension per twin-orbit of addable edges;
         # products of twin swaps fix the current graph, so orbit-mates
         # produce isomorphic children
         twin = _twin_classes(n, cur)
-        reps: dict[tuple[int, ...], int] = {}
-        for e in addable:
-            key = tuple(sorted([twin[b] for b in members[e]]))
-            reps.setdefault(key, e)
-        m = len(cur)
-        for e in reps.values():
+        reps: dict[tuple[int, ...], tuple[int, int]] = {}
+        for i, e in enumerate(rem):
+            reps.setdefault(tuple(sorted([twin[b] for b in members[e]])), (i, e))
+        for i, e in reps.values():
+            slack = m + len(rem) - best
+            if slack < 0:
+                return
             # canonical-parent filter: keep G+e only if e has the largest
             # invariant in it; G+e is still reached by dropping such an edge
-            found = _child_invariants(n, cur, e, members)
-            if found is None:
+            colour = _child_invariants(n, cur, e, members)
+            if colour is None:
                 continue
-            inv, colour = found
-            push(e)
-            child_addable = [f for f in addable if f != e and state.addable(f)]
-            slack = m + 1 + len(child_addable) - best
-            if slack >= 0 and lost(child_addable, slack) <= slack:
+            cur.append(e)
+            add(e)
+            sub = child(rem[:i] + rem[i + 1 :], slack)
+            if sub is not None:
                 # a child is new iff it is isomorphic to no class under its key
-                seen = visited.setdefault(_class_key(inv), [])
+                seen = visited.setdefault(_class_key(colour), [])
                 if not any(_isomorphic(n, cur, colour, state.adj, rep, members) for rep in seen):
                     seen.append(tuple(cur))
-                    dfs(child_addable)
-            pop(e)
+                    dfs(sub)
+            remove(e)
+            cur.pop()
             if exhausted:
                 return
 
-    def extend_labeled(rem: list[int]) -> None:
-        """Every labeled extension of cur by edges of rem, in rem order."""
-        nonlocal nodes, exhausted
-        m = len(cur)
-        for i, e in enumerate(rem):
-            # the child cur + e meets its bound m + 1 + len(new_rem) >= best iff
-            # at most slack of the later edges fail their test
-            slack = m + len(rem) - i - best
-            if slack < 0:
-                break
-            push(e)
-            new_rem = []
-            for f in rem[i + 1 :]:
-                if addable(f):
-                    new_rem.append(f)
-                else:
-                    slack -= 1
-                    if slack < 0:
-                        break
-            else:
-                # slack is now m + 1 + len(new_rem) - best, the child's own
-                if lost(new_rem, slack) <= slack:
-                    nodes += 1
-                    if nodes > node_budget:
-                        exhausted = True
-                    else:
-                        if m + 1 >= best:
-                            note_state()
-                        if new_rem:
-                            extend_labeled(new_rem)
-            pop(e)
-            if exhausted:
-                return
-
-    dfs([e for e in members if state.addable(e)])
-    # the recursive closures hold themselves, and with them every table of this
-    # call, until the next cycle collection; break the cycles now
-    del dfs, extend_labeled
+    dfs([e for e in members if addable(e)])
+    # the recursive closure holds itself, and with it every table of this call,
+    # until the next cycle collection; break the cycle now
+    del dfs
     codes = set()
     for graph in best_graphs:
         codes.add(canonical_code(n, graph))
     kept = sorted(codes)[:WITNESS_CAP]
-    runtime = time.perf_counter() - t0
     return ExtremalRecord(
         n=n,
         r=r,
@@ -499,7 +484,7 @@ def extremal_number(
         extremal_classes=len(kept),
         witnesses=[Hypergraph(n, r, code) for code in kept],
         nodes_explored=nodes,
-        runtime=runtime,
+        runtime=time.perf_counter() - t0,
         complete=not exhausted,
         cap_hit=len(codes) > WITNESS_CAP,
     )

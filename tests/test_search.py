@@ -1,6 +1,7 @@
 """Extremal search against brute-force oracles, and the multiway cuts."""
 
 import gc
+import hashlib
 import itertools
 import random
 import sys
@@ -122,15 +123,59 @@ def test_budget_exhaustion_is_incomplete():
         extremal_number(5, 3, "cancellative", node_budget=0)
 
 
+
+def _guard(r, ell):
+    bounds = search_mod.GUARDS[r]
+    return bounds[min(ell - r, len(bounds) - 1)]
+
+
+def test_nothing_forbidden_takes_one_labeled_path():
+    # with ell >= n no K_{ell+1} fits on n vertices: the answer is every r-set, one
+    # class, and after one class step at the root the first labeled path reaches
+    # it, so every later child fails its bound
+    for r in range(2, 7):
+        for n in range(r, 13):
+            for ell in {max(n, r), n + 3}:
+                if n > _guard(r, ell):
+                    continue
+                rec = extremal_number(n, r, "k-free", ell=ell)
+                assert rec.complete and rec.value == comb(n, r), (n, r, ell)
+                assert [set(w.edges) for w in rec.witnesses] == [set(all_r_subsets(n, r))], (n, r, ell)
+                assert rec.nodes_explored <= comb(n, r) + 1, (n, r, ell, rec.nodes_explored)
+    # above the guard, where the old tail walked the ties at the optimum
+    rec = extremal_number(7, 3, "k-free", 12, allow_large=True)
+    assert (rec.value, rec.extremal_classes, rec.nodes_explored, rec.complete) == (35, 1, 36, True)
+
+
+def test_search_depth_limit(capsys):
+    # the walk recurses once per edge it adds: C(n, r) above MAX_DEPTH is refused
+    # before any walk, and the largest admitted searches run to the bottom
+    limit = search_mod.MAX_DEPTH
+    assert comb(40, 2) <= limit < comb(41, 2) and comb(17, 3) <= limit < comb(18, 3)
+    for n, r in ((41, 2), (46, 2), (18, 3)):
+        message = f"n = {n}, r = {r} gives {comb(n, r)} candidate edges, above the search depth limit {limit}"
+        with pytest.raises(ValueError, match=message):
+            check_request(n, r, "k-free", n + 4)
+        with pytest.raises(ValueError, match=message):
+            extremal_number(n, r, "k-free", n + 4, allow_large=True)
+    for n, r in ((40, 2), (17, 3)):
+        rec = extremal_number(n, r, "k-free", n, allow_large=True)
+        assert rec.complete and rec.value == comb(n, r) and rec.nodes_explored == comb(n, r) + 1
+    argv = ["search", "--n", "46", "--r", "2", "--predicate", "k-free", "--ell", "50", "--allow-large", "--no-cache"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n = 46, r = 2 ") and f"depth limit {limit}" in err
+
 def test_feasibility_guard(capsys):
     with pytest.raises(ValueError):
         extremal_number(13, 2, "triangle-free")
     with pytest.raises(ValueError):
         extremal_number(9, 3, "cancellative")
     # k-free is keyed by r and ell - r, and for r >= 3 tightens as ell grows; one
-    # vertex above each bound, every shape timed took close to a minute or longer, or
-    # stopped at a node budget, ell >= n among them for r >= 3 (the ties at the optimum
-    # are all it walks); an r not listed falls to 6
+    # vertex above each bound, every shape timed with ell < n took close to a minute
+    # or longer, or stopped at a node budget.  An ell >= n, where nothing is
+    # forbidden, takes C(n, r) + 1 nodes but is refused with the rest of its shape;
+    # an r not listed falls to 6
     refused = (
         (11, 2, 3, 10), (11, 2, 4, 10), (11, 2, 5, 10), (11, 2, 6, 10), (9, 3, 3, 8), (8, 3, 4, 7), (7, 3, 5, 6),
         (7, 3, 8, 6), (9, 4, 4, 8), (8, 4, 5, 7), (8, 4, 6, 7), (7, 4, 7, 6), (8, 5, 9, 7), (7, 7, 7, 6),
@@ -352,6 +397,67 @@ def test_default_search_matches_labeled_oracle(monkeypatch):
     assert KFreeState(9, 3, 3).tail == search_mod._CancellativeState(9).tail == 16
 
 
+
+BUDGETS = (1, 2, 5, 50, 500)
+# per case, the values and nodes_explored at each of BUDGETS, and the first 12
+# hex digits of the sha256 of the repr of the five witness lists, recorded at
+# commit 642a6bb, when the labeled tail was a recursive closure of its own
+BUDGET_RUNS = {
+    (2, 2, "triangle-free", None): ((0, 1, 1, 1, 1), (2, 2, 2, 2, 2), "197a5c989beb"),
+    (3, 2, "triangle-free", None): ((0, 1, 2, 2, 2), (2, 3, 3, 3, 3), "6fbd2a0af4e1"),
+    (4, 2, "triangle-free", None): ((0, 1, 3, 4, 4), (2, 3, 6, 7, 7), "9c9c0e55396e"),
+    (5, 2, "triangle-free", None): ((0, 1, 4, 6, 6), (2, 3, 6, 22, 22), "9fdb5e02ddb5"),
+    (6, 2, "triangle-free", None): ((0, 1, 4, 9, 9), (2, 3, 6, 51, 61), "6c8152ec4edd"),
+    (7, 2, "triangle-free", None): ((0, 1, 4, 12, 12), (2, 3, 6, 51, 201), "7c9ef6687d64"),
+    (2, 2, "k-free", 2): ((0, 1, 1, 1, 1), (2, 2, 2, 2, 2), "197a5c989beb"),
+    (2, 2, "k-free", 3): ((0, 1, 1, 1, 1), (2, 2, 2, 2, 2), "197a5c989beb"),
+    (2, 2, "k-free", 4): ((0, 1, 1, 1, 1), (2, 2, 2, 2, 2), "197a5c989beb"),
+    (3, 2, "k-free", 2): ((0, 1, 2, 2, 2), (2, 3, 3, 3, 3), "6fbd2a0af4e1"),
+    (3, 2, "k-free", 3): ((0, 1, 3, 3, 3), (2, 3, 4, 4, 4), "b6f5e0f6cbb9"),
+    (3, 2, "k-free", 4): ((0, 1, 3, 3, 3), (2, 3, 4, 4, 4), "b6f5e0f6cbb9"),
+    (4, 2, "k-free", 2): ((0, 1, 3, 4, 4), (2, 3, 6, 7, 7), "9c9c0e55396e"),
+    (4, 2, "k-free", 3): ((0, 1, 4, 5, 5), (2, 3, 6, 16, 16), "b4406dcde10d"),
+    (4, 2, "k-free", 4): ((0, 1, 4, 6, 6), (2, 3, 6, 7, 7), "2840468331e7"),
+    (5, 2, "k-free", 2): ((0, 1, 4, 6, 6), (2, 3, 6, 22, 22), "9fdb5e02ddb5"),
+    (5, 2, "k-free", 3): ((0, 1, 4, 8, 8), (2, 3, 6, 51, 56), "939b69aea05b"),
+    (5, 2, "k-free", 4): ((0, 1, 4, 9, 9), (2, 3, 6, 46, 46), "e295a9b2f12c"),
+    (6, 2, "k-free", 2): ((0, 1, 4, 9, 9), (2, 3, 6, 51, 61), "6c8152ec4edd"),
+    (6, 2, "k-free", 3): ((0, 1, 4, 12, 12), (2, 3, 6, 51, 124), "cb85254332e4"),
+    (6, 2, "k-free", 4): ((0, 1, 4, 13, 13), (2, 3, 6, 51, 223), "e2a298aba21b"),
+    (7, 2, "k-free", 2): ((0, 1, 4, 12, 12), (2, 3, 6, 51, 201), "7c9ef6687d64"),
+    (7, 2, "k-free", 3): ((0, 1, 4, 16, 16), (2, 3, 6, 51, 501), "b25244f33599"),
+    (7, 2, "k-free", 4): ((0, 1, 4, 18, 18), (2, 3, 6, 51, 501), "67a69ca8153a"),
+    (3, 3, "cancellative", None): ((0, 1, 1, 1, 1), (2, 2, 2, 2, 2), "dfb450d97a8f"),
+    (4, 3, "cancellative", None): ((0, 1, 2, 2, 2), (2, 3, 6, 10, 10), "a60b5b4b8c11"),
+    (5, 3, "cancellative", None): ((0, 1, 3, 4, 4), (2, 3, 6, 51, 57), "503894164ffc"),
+    (6, 3, "cancellative", None): ((0, 1, 4, 8, 8), (2, 3, 6, 51, 57), "6bf21853c9b3"),
+    (3, 3, "k-free", 3): ((0, 1, 1, 1, 1), (2, 2, 2, 2, 2), "dfb450d97a8f"),
+    (3, 3, "k-free", 4): ((0, 1, 1, 1, 1), (2, 2, 2, 2, 2), "dfb450d97a8f"),
+    (4, 3, "k-free", 3): ((0, 1, 2, 2, 2), (2, 3, 6, 10, 10), "a60b5b4b8c11"),
+    (4, 3, "k-free", 4): ((0, 1, 4, 4, 4), (2, 3, 5, 5, 5), "a6e8f6d267fc"),
+    (5, 3, "k-free", 3): ((0, 1, 3, 4, 4), (2, 3, 6, 51, 57), "503894164ffc"),
+    (5, 3, "k-free", 4): ((0, 1, 4, 7, 7), (2, 3, 6, 51, 79), "09204851e899"),
+    (6, 3, "k-free", 3): ((0, 1, 4, 8, 8), (2, 3, 6, 51, 57), "6bf21853c9b3"),
+    (6, 3, "k-free", 4): ((0, 1, 4, 12, 12), (2, 3, 6, 51, 501), "f86c748e3ab8"),
+    (9, 2, "triangle-free", None): ((0, 1, 4, 18, 20), (2, 3, 6, 51, 501), "6859760a1d56"),
+    (8, 2, "k-free", 3): ((0, 1, 4, 20, 21), (2, 3, 6, 51, 501), "1a93e4c7f2a7"),
+}
+
+
+def test_budget_stops_match_the_recorded_walk():
+    # a stop at the budget leaves the value and witnesses of the graphs tied at
+    # the best so far; several stops fall in a graph state's labeled branch (its
+    # own tail starts below the root), so each names the node the walk stopped at
+    assert set(BUDGET_RUNS) == set(ORACLE_CASES + ABOVE_TAIL_CASES)
+    for case, (values, nodes, digest) in BUDGET_RUNS.items():
+        n, r, predicate, ell = case
+        recs = [extremal_number(n, r, predicate, ell=ell, node_budget=budget) for budget in BUDGETS]
+        assert tuple(rec.value for rec in recs) == values, case
+        assert tuple(rec.nodes_explored for rec in recs) == nodes, case
+        assert [rec.complete for rec in recs] == [k <= budget for k, budget in zip(nodes, BUDGETS)], case
+        witnesses = repr([[w.edges for w in rec.witnesses] for rec in recs])
+        assert hashlib.sha256(witnesses.encode()).hexdigest()[:12] == digest, case
+
 class _BoundedDegree(PairCover):
     """A hereditary stand-in with several extremal classes: every vertex degree at most d.
 
@@ -513,7 +619,7 @@ def test_class_key_collisions_change_nothing(monkeypatch):
             search = partial(extremal_number, n, r, predicate, ell=ell)
             with monkeypatch.context() as m:
                 want = _with_tail(m, tail, search, _full_report)
-                m.setattr(search_mod, "_class_key", lambda inv: 0)
+                m.setattr(search_mod, "_class_key", lambda colour: 0)
                 got = _with_tail(m, tail, search, _full_report)
             assert got == want, (tail, n, r, predicate, ell)
 
@@ -540,7 +646,7 @@ def test_search_leaves_no_cycle_of_its_own():
 def test_canonical_call_counts(monkeypatch):
     # only the labeled graphs at the final best are canonicalized, once each,
     # after the walk; a repeated class is rejected by an isomorphism test against
-    # the graph stored under its key.  While `note_state` coded every labeled graph
+    # the graph stored under its key.  While the walk coded every labeled graph
     # that tied the best so far, triangle-free n=8 took 28 calls and cancellative
     # n=7 26; before the isomorphism test the search also coded repeats, 140 and
     # 67; before the invariant-keyed visited set and the labeled memo, 230 and 113.
@@ -568,7 +674,9 @@ def test_addable_call_counts(monkeypatch):
     # triangle-free n=8 takes 479 nodes and 9,851 calls, down from 2,270 and
     # 25,142; cancellative has no packing and stays at 383 and 6,089.  With a
     # labeled tail of C(8, 2) - 8 = 20 instead of 16, triangle-free n=8 walks 433
-    # nodes with 11,629 calls: the longer tail tests more edges per node
+    # nodes with 11,629 calls: the longer tail tests more edges per node.  Since the
+    # class steps above the tail also stop testing a child's edges once its bound
+    # fails, cancellative n=7 takes 6,085 calls, not 6,089, with the same nodes
     calls = Counter()
     for cls in (search_mod.KFreeState, search_mod._CancellativeState):
 
@@ -579,7 +687,7 @@ def test_addable_call_counts(monkeypatch):
         monkeypatch.setattr(cls, "addable", spy)
     for n, r, predicate, nodes, want in (
         (8, 2, "triangle-free", 433, {"KFreeState": 11629}),
-        (7, 3, "cancellative", 383, {"_CancellativeState": 6089}),
+        (7, 3, "cancellative", 383, {"_CancellativeState": 6085}),
     ):
         calls.clear()
         rec = extremal_number(n, r, predicate)
@@ -709,12 +817,11 @@ def test_child_invariants_match_edge_invariants(case):
     n, r, cur, e = case
     edges = cur + [e]
     want = edge_invariants(n, edges)
-    got = search_mod._child_invariants(n, cur, e, _members(n, r))
+    colour = search_mod._child_invariants(n, cur, e, _members(n, r))
     if want[-1] < max(want):
-        assert got is None
+        assert colour is None
         return
-    inv, colour = got
-    assert inv == want
+    assert [tuple(sorted([colour[b] for b in iter_bits(f)])) for f in edges] == want
     deg = [sum(f >> x & 1 for f in edges) for x in range(n)]
     for b in range(n):
         through = [f for f in edges if f >> b & 1]
