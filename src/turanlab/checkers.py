@@ -9,18 +9,19 @@ report.
 
 Every 3-graph check reads one incidence index (`_Incidence`), built from
 the edges: which vertices lie in N(T) for each shadow pair T, and from it
-the vertex links and the pair-cover adjacency.  After one pass over the
-edges the index is built in bulk: the vertex links are the bit-matrix
-transpose of the N(T) masks, done with bytes operations, so nothing walks
-the incidences u in N(T) one at a time, and a pair link L(u, v) is the AND
-of two link masks.  A 3-graph is cancellative, and its neighborhoods are
-independent, iff no covered pair {x, y} has L(x) and L(y) meeting: one
-AND per shadow pair (`_first_witness`).  A certificate that needs a
-cancellative input shares one index with its precondition
-(`_cancellative_index`): the index is built once, tested for
-cancellativity, then read by the certificate.  The index and the
-incremental search state both keep N(T) for the pair {j, k}, j < k, at
-slot j*n + k.
+the vertex links and the pair-cover adjacency.  The index refuses an input
+with r != 3, so that precondition of every 3-graph check is stated once.
+After one pass over the edges the index is built in bulk: the vertex links
+are the bit-matrix transpose of the N(T) masks, done with bytes
+operations, so nothing walks the incidences u in N(T) one at a time, and
+a pair link L(u, v) is the AND of two link masks.  A 3-graph is
+cancellative, and its neighborhoods are independent, iff no covered pair
+{x, y} has L(x) and L(y) meeting: one AND per shadow pair
+(`_first_witness`).  A certificate that needs a cancellative input shares
+one index with its precondition (`_cancellative_index`): the index is
+built once, tested for cancellativity, then read by the certificate.  The
+index and the incremental search state both keep N(T) for the pair
+{j, k}, j < k, at slot j*n + k.
 
 The pair-link certificate (`mantel_link_bound`) is decided by its
 precondition and one cap test.  On a cancellative input the vertex set of
@@ -178,8 +179,6 @@ def _first_witness(ix: _Incidence) -> Optional[tuple]:
 
 def cancellative_witness(h: Hypergraph) -> Optional[tuple]:
     """A violating (A, B, C) with A (+) B inside C, or None if cancellative."""
-    if h.r != 3:
-        raise ValueError("cancellativity checks expect r = 3")
     return _first_witness(_Incidence(h))
 
 
@@ -203,8 +202,6 @@ def links_triangle_free(h: Hypergraph) -> bool:
     one; only those walk the links; vertex a of L(u) has the neighbours
     N({u, a}).
     """
-    if h.r != 3:
-        raise ValueError("links_triangle_free expects r = 3")
     ix = _Incidence(h)
     n, nbrs = ix.n, ix.nbrs
     return _first_witness(ix) is None or not any(
@@ -219,8 +216,6 @@ def neighborhoods_independent(h: Hypergraph) -> bool:
     N(T), that is when T lies in L(x) and L(y) for a covered pair {x, y}:
     the violation of cancellativity `_first_witness` looks for.
     """
-    if h.r != 3:
-        raise ValueError("neighborhoods_independent expects r = 3")
     return _first_witness(_Incidence(h)) is None
 
 
@@ -258,6 +253,8 @@ class _Incidence:
     """
 
     def __init__(self, h: Hypergraph) -> None:
+        if h.r != 3:
+            raise ValueError(f"the 3-graph checks expect r = 3, got r = {h.r}")
         n = self.n = h.n
         nbrs = defaultdict(int)
         for e in h.edges:
@@ -289,24 +286,16 @@ class _Incidence:
             rows += m.to_bytes(nb, "little")
         self.col = [int(rows[u >> 3 :: nb].translate(_BIT_DIGITS[u & 7]) or b"0", 2) for u in range(n)]
 
-    def link(self, u: int, v: int) -> list[int]:
-        """L(u, v) as ascending pair masks."""
-        return [self.ts[i] for i in iter_bits(self.col[u] & self.col[v])]
 
-
-def _cancellative_index(
-    h: Hypergraph, name: str, failure: str = "precondition failed: input is not cancellative"
-) -> _Incidence:
-    """The incidence index of h, after the r = 3 and cancellativity
-    preconditions of `name`; the check reads the same index the caller
-    goes on to read, so it is built once.  The test is `_first_witness`,
-    one AND of two link masks per shadow pair.
+def _cancellative_index(h: Hypergraph) -> _Incidence:
+    """The incidence index of h, after its cancellativity precondition; the
+    check reads the same index the caller goes on to read, so it is built
+    once.  The test is `_first_witness`, one AND of two link masks per
+    shadow pair.
     """
-    if h.r != 3:
-        raise ValueError(f"{name} expects r = 3")
     ix = _Incidence(h)
     if _first_witness(ix) is not None:
-        raise ValueError(failure)
+        raise ValueError("precondition failed: input is not cancellative")
     return ix
 
 
@@ -368,8 +357,6 @@ def link_count_identity(h: Hypergraph) -> CertificateReport:
     are 0 and only the pairs of the other vertices are compared, in the
     same (u, v) order.
     """
-    if h.r != 3:
-        raise ValueError("link_count_identity expects r = 3")
     ix = _Incidence(h)
     w = len(ix.ts).bit_length()
     unit = [1 << (w * v) for v in range(h.n)]
@@ -410,7 +397,7 @@ def inequality2_certificate(h: Hypergraph) -> CertificateReport:
     lhs counts those pairs off the link masks: each u with L(u) nonempty
     once, and each u < v with col[u] & col[v] != 0 twice.
     """
-    ix = _cancellative_index(h, "inequality2_certificate")
+    ix = _cancellative_index(h)
     if not ix.ts:
         return _vacuous("inequality2", h.n)
     links = [c for c in ix.col if c]
@@ -439,7 +426,7 @@ def theorem13_certificate(h: Hypergraph) -> CertificateReport:
     chain down to 27|H| <= n^3 plus the sharp balanced-partition bound
     |H| <= t_3(n, 3); all comparisons in exact rationals.
     """
-    degrees = [m.bit_count() for m in _cancellative_index(h, "theorem13_certificate").nbr]
+    degrees = [m.bit_count() for m in _cancellative_index(h).nbr]
     if not degrees:
         return _vacuous("theorem13", h.n)
     from .constructions import turan_count
@@ -520,7 +507,7 @@ def mantel_link_bound(h: Hypergraph) -> CertificateReport:
     since |L(u, v)| <= |L(u)| and every (T, u, u) with u in N(T) is a
     triple.
     """
-    ix = _cancellative_index(h, "mantel_link_bound")
+    ix = _cancellative_index(h)
     if not ix.ts:
         return _vacuous("mantel-link", h.n)
     if not _mantel_caps_hold(ix):

@@ -72,8 +72,8 @@ from .partitions import Partition
 # listed.  Each bound was timed (README): an admitted shape takes at most about
 # 30 s, and one vertex more took close to a minute or longer, or stopped
 # unfinished at a node budget.  For r >= 3, k-free prunes less as ell grows.
-# An ell >= n forbids nothing and takes C(n, r) + 1 nodes, but is still refused
-# above the bound of its shape.
+# An ell >= n forbids nothing and takes C(n, r) + 1 nodes, so it passes the
+# guard whatever n; MAX_DEPTH still bounds it.
 GUARDS = {2: (12, 10), 3: (8, 7, 6), 4: (8, 7, 7, 6), 5: (8, 8, 7), 6: (8,)}
 
 PREDICATES = ("cancellative", "k-free", "triangle-free")
@@ -375,7 +375,7 @@ def extremal_number(
     bounds = (8,) if predicate == "cancellative" else GUARDS.get(r, (min(map(min, GUARDS.values())),))
     guard = bounds[min((ell or r) - r, len(bounds) - 1)]
     shape = f"r = {r}" if ell is None else f"r = {r}, ell = {ell}"
-    if n > guard and not allow_large:
+    if n > guard and not allow_large and (ell is None or ell < n):
         raise ValueError(f"n = {n} exceeds the feasibility guard {guard} for {shape} (pass allow_large to override)")
 
     t0 = time.perf_counter()
@@ -446,8 +446,6 @@ def extremal_number(
             reps.setdefault(tuple(sorted([twin[b] for b in members[e]])), (i, e))
         for i, e in reps.values():
             slack = m + len(rem) - best
-            if slack < 0:
-                return
             # canonical-parent filter: keep G+e only if e has the largest
             # invariant in it; G+e is still reached by dropping such an edge
             colour = _child_invariants(n, cur, e, members)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .checkers import _cancellative_index, _Incidence, is_k_free
@@ -145,7 +144,7 @@ def extract_partition_kfree(h: Hypergraph, ell: int, seed: int = 0) -> Stability
 
 def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
     """Recover a near-tripartition of a cancellative 3-graph with a witness chain."""
-    ix = _cancellative_index(h, "the cancellative extractor", "input is not cancellative")
+    ix = _cancellative_index(h)
     if h.size == 0:
         raise ValueError("empty shadow: the extractor needs at least one edge")
     n, col = h.n, ix.col
@@ -166,7 +165,7 @@ def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
         ):
             best_i, best_num, best_den, best_d = i, num, den, d
     nbrs = [b + 1 for b in iter_bits(ix.nbr[best_i])]
-    score = Fraction(best_num, best_den) if best_den else Fraction(0)
+    score = best_num / best_den if best_den else 0.0
 
     # (ii) ordered pair (u, v) in N(T)^2 with the largest pair link; max keeps
     # the first maximal pair, so ties go lex
@@ -174,7 +173,7 @@ def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
 
     # (iii) the pair link as a graph, then lemma25_pair: its max-degree-sum
     # edge {x, y} with V2 = N_L(x) and V3 = N_L(y)
-    link_graph = ix.link(u - 1, v - 1)
+    link_graph = [ix.ts[i] for i in iter_bits(col[u - 1] & col[v - 1])]
     support = 0
     for a in link_graph:
         support |= a
@@ -196,7 +195,7 @@ def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
         "T": vertices_of(ix.ts[best_i]),
         "T_degree": len(nbrs),
         "T_neighborhood": nbrs,
-        "score": float(score),
+        "score": score,
         "pair": [u, v],
         "pair_link_size": len(link_graph),
         "edge": [x, y],

@@ -59,11 +59,16 @@ def test_cache_corrupt_lines_skipped(tmp_path, capfd):
     cache_store(path, entry())
     with open(path, "a") as fh:
         fh.write("this is not json\n")
+        fh.write("\n")
         fh.write('{"half": true\n')
     cache_store(path, entry(ts=5.0))
     entries = cache_entries(path)
     assert len(entries) == 2
-    assert "corrupt cache line" in capfd.readouterr().err
+    # a blank line is skipped without a warning
+    assert [line.split(" in ")[0] for line in capfd.readouterr().err.splitlines()] == [
+        "warning: skipping corrupt cache line 2",
+        "warning: skipping corrupt cache line 4",
+    ]
 
 
 def test_resolve_cache_path(monkeypatch):
@@ -120,6 +125,26 @@ def test_cli_verify_violation_and_precondition(tmp_path, capsys):
     # and on a cancellative certificate with a non-cancellative input
     code, _, _ = run_cli(["verify", "inequality2", bad], capsys)
     assert code == 2
+    code, out, err = run_cli(["stability", "cancellative", bad], capsys)
+    assert (code, out, err) == (2, "", "error: precondition failed: input is not cancellative\n")
+
+
+def test_cli_3_graph_checks_refuse_a_graph(tmp_path, capsys):
+    path = str(tmp_path / "g.txt")
+    save_hypergraph(path, turan_hypergraph(6, 2, 2))
+    three_graph_checks = (
+        ["verify", "link-count"],
+        ["verify", "inequality2"],
+        ["verify", "theorem13"],
+        ["verify", "mantel-link"],
+        ["verify", "cancellative"],
+        ["verify", "links-triangle-free"],
+        ["verify", "neighborhoods-independent"],
+        ["stability", "cancellative"],
+    )
+    for argv in three_graph_checks:
+        code, out, err = run_cli([*argv, path], capsys)
+        assert (code, out, err) == (2, "", "error: the 3-graph checks expect r = 3, got r = 2\n"), argv
 
 
 def test_cli_verify_reports_each_parse_error_with_its_line(tmp_path, capsys):
@@ -412,6 +437,20 @@ def test_cli_manifest(tmp_path, capsys):
     manifest = json.loads(err.strip().splitlines()[-1])
     with open(path, "rb") as fh:
         assert manifest["inputs"][path] == hashlib.sha256(fh.read()).hexdigest()
+    assert manifest["seeds"] == []
+
+
+def test_cli_manifest_records_seeds(tmp_path, capsys):
+    # a scan records its --seeds list, a single-seed run its --seed
+    argv = ["--manifest", "scan", "--kind", "kfree", "--n", "9", "--params", "0.0", "--seeds", "3,4"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(err.strip().splitlines()[-1])["seeds"] == [3, 4]
+    path = str(tmp_path / "t9.txt")
+    save_hypergraph(path, turan_hypergraph(9, 3, 3))
+    code, _, err = run_cli(["--manifest", "stability", "kfree", path, "--seed", "7"], capsys)
+    assert code == 0
+    assert json.loads(err.strip().splitlines()[-1])["seeds"] == [7]
 
 
 def test_cli_cache_subcommand(tmp_path, capsys):

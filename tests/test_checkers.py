@@ -657,7 +657,7 @@ def test_pair_link_table_matches_per_pair_links():
         for u, v in itertools.product(range(1, h.n + 1), repeat=2):
             lg = links[u - 1] if u == v else links[u - 1] & links[v - 1]
             assert (ix.col[u - 1] & ix.col[v - 1]).bit_count() == _pair_link_size(links, u, v) == len(lg)
-            assert ix.link(u - 1, v - 1) == sorted(lg)
+            assert [ix.ts[i] for i in iter_bits(ix.col[u - 1] & ix.col[v - 1])] == sorted(lg)
             # N({u, a}) & N({v, a}), read off the slots, is the adjacency of L(u, v)
             link_graph = Hypergraph(h.n, 2, tuple(lg))
             assert [a & b for a, b in zip(_link_row(ix, u - 1), _link_row(ix, v - 1))] == list(link_graph.adjacency)
@@ -691,6 +691,30 @@ def test_incidence_index_matches_oracles():
         assert [[(a & b).bit_count() for b in ix.col] for a in ix.col] == [
             [_pair_link_size(links, u, v) for v in range(1, h.n + 1)] for u in range(1, h.n + 1)
         ]
+
+
+def test_incidence_refuses_a_non_3_graph():
+    # the index states the r = 3 precondition of every 3-graph reader; a 4-graph
+    # would index its 3-sets, a graph would shift by a negative count
+    readers = (
+        _Incidence,
+        cancellative_witness,
+        is_cancellative,
+        links_triangle_free,
+        neighborhoods_independent,
+        link_count_identity,
+        inequality2_certificate,
+        theorem13_certificate,
+        mantel_link_bound,
+        extract_partition_cancellative,
+    )
+    for h in (
+        Hypergraph.from_edges(4, 2, [(1, 2), (2, 3)]),
+        Hypergraph.from_edges(6, 4, [(1, 2, 3, 4), (1, 2, 3, 5), (3, 4, 5, 6)]),
+    ):
+        for read in readers:
+            with pytest.raises(ValueError, match=f"^the 3-graph checks expect r = 3, got r = {h.r}$"):
+                read(h)
 
 
 @st.composite

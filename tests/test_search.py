@@ -173,12 +173,10 @@ def test_feasibility_guard(capsys):
         extremal_number(9, 3, "cancellative")
     # k-free is keyed by r and ell - r, and for r >= 3 tightens as ell grows; one
     # vertex above each bound, every shape timed with ell < n took close to a minute
-    # or longer, or stopped at a node budget.  An ell >= n, where nothing is
-    # forbidden, takes C(n, r) + 1 nodes but is refused with the rest of its shape;
-    # an r not listed falls to 6
+    # or longer, or stopped at a node budget; an r not listed falls to 6
     refused = (
         (11, 2, 3, 10), (11, 2, 4, 10), (11, 2, 5, 10), (11, 2, 6, 10), (9, 3, 3, 8), (8, 3, 4, 7), (7, 3, 5, 6),
-        (7, 3, 8, 6), (9, 4, 4, 8), (8, 4, 5, 7), (8, 4, 6, 7), (7, 4, 7, 6), (8, 5, 9, 7), (7, 7, 7, 6),
+        (9, 4, 4, 8), (8, 4, 5, 7), (8, 4, 6, 7), (8, 4, 7, 6), (8, 7, 7, 6),
     )
     for n, r, ell, guard in refused:
         with pytest.raises(ValueError, match=f"n = {n} exceeds the feasibility guard {guard} for r = {r}, ell = {ell}"):
@@ -192,6 +190,11 @@ def test_feasibility_guard(capsys):
     )
     for n, r, ell in admitted:
         assert not extremal_number(n, r, "k-free", ell=ell, node_budget=1).complete
+    # an ell >= n forbids nothing and takes C(n, r) + 1 nodes, so it passes the
+    # guard whatever n
+    for n, r, ell, nodes in ((7, 3, 8, 36), (7, 4, 7, 36), (8, 5, 9, 57), (7, 7, 7, 2)):
+        rec = extremal_number(n, r, "k-free", ell=ell)
+        assert (rec.value, rec.extremal_classes, rec.nodes_explored, rec.complete) == (nodes - 1, 1, nodes, True)
     for n, r, predicate in ((12, 2, "triangle-free"), (8, 3, "cancellative")):
         assert not extremal_number(n, r, predicate, node_budget=1).complete
     argv = ["search", "--n", "11", "--r", "2", "--predicate", "k-free", "--ell", "4", "--no-cache"]

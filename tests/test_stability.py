@@ -69,7 +69,8 @@ def test_cancellative_extractor_single_triple():
 def test_cancellative_extractor_preconditions():
     with pytest.raises(ValueError):
         extract_partition_cancellative(Hypergraph(4, 3, ()))
-    with pytest.raises(ValueError):
+    # the message every cancellative precondition gives
+    with pytest.raises(ValueError, match="^precondition failed: input is not cancellative$"):
         extract_partition_cancellative(
             Hypergraph.from_edges(5, 3, [(1, 2, 3), (1, 2, 4), (3, 4, 5)])
         )
