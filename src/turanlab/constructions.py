@@ -136,33 +136,20 @@ def random_triangle_free_near_bipartite(n: int, epsilon: float, noise: int, seed
     if noise < 0:
         raise ValueError(f"noise must be >= 0, got {noise}")
     target = round((0.25 - epsilon) * n * n)
-    left = list(range(1, (n + 1) // 2 + 1))
-    right = list(range(len(left) + 1, n + 1))
-    if target > len(left) * len(right):
-        raise ValueError(
-            f"target edge count {target} exceeds the bipartite maximum {len(left) * len(right)}"
-        )
+    half = (n + 1) // 2
+    left, right = range(half), range(half, n)
+    edge_count = half * (n - half)
+    if target > edge_count:
+        raise ValueError(f"target edge count {target} exceeds the bipartite maximum {edge_count}")
     if target < 0:
         raise ValueError("epsilon is too large: negative target edge count")
     rng = random.Random(seed)
-    adj = [0] * (n + 1)
+    low = (1 << half) - 1
+    adj = [((1 << n) - 1) ^ low] * half + [low] * (n - half)
 
-    def has_edge(u: int, v: int) -> bool:
-        return bool(adj[u] & (1 << (v - 1)))
-
-    def add_edge(u: int, v: int) -> None:
-        adj[u] |= 1 << (v - 1)
-        adj[v] |= 1 << (u - 1)
-
-    def del_edge(u: int, v: int) -> None:
-        adj[u] &= ~(1 << (v - 1))
-        adj[v] &= ~(1 << (u - 1))
-
-    edge_count = 0
-    for u in left:
-        for v in right:
-            add_edge(u, v)
-            edge_count += 1
+    def flip(u: int, v: int) -> None:
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
 
     sides = [left, right]
     for _ in range(noise):
@@ -170,36 +157,25 @@ def random_triangle_free_near_bipartite(n: int, epsilon: float, noise: int, seed
         if len(side) < 2:
             continue
         u, v = rng.sample(side, 2)
-        if has_edge(u, v):
+        if adj[u] >> v & 1:
             continue
         common = adj[u] & adj[v]
         cost = common.bit_count()
         if edge_count - cost + 1 < target:
             continue  # cannot pay for this internal edge and still hit the target
-        for b in iter_bits(common):
-            w = b + 1
-            if rng.randrange(2):
-                del_edge(u, w)
-            else:
-                del_edge(v, w)
-            edge_count -= 1
-        add_edge(u, v)
-        edge_count += 1
+        for w in iter_bits(common):
+            flip(u if rng.randrange(2) else v, w)
+        flip(u, v)
+        edge_count += 1 - cost
 
-    cross = [(u, v) for u in left for v in right if has_edge(u, v)]
+    cross = [(u, v) for u in left for v in iter_bits(adj[u] & ~low)]
     rng.shuffle(cross)
     while edge_count > target and cross:
         u, v = cross.pop()
-        if has_edge(u, v):
-            del_edge(u, v)
+        if adj[u] >> v & 1:
+            flip(u, v)
             edge_count -= 1
 
-    edges = []
-    for v in range(1, n + 1):
-        for b in iter_bits(adj[v]):
-            u = b + 1
-            if u > v:
-                edges.append(mask_of((v, u)))
-    g = Hypergraph(n, 2, tuple(edges))
+    g = Hypergraph(n, 2, tuple(1 << u | 1 << v for u in range(n) for v in iter_bits(adj[u]) if v > u))
     assert not contains_clique(g, 3), "generator must stay triangle-free"
     return g

@@ -63,7 +63,7 @@ from typing import Optional, Sequence
 from .canonical import _twin_classes, canonical_code
 from .checkers import UNBOUNDED_TAIL, _CancellativeState
 from .constructions import turan_count
-from .hypergraph import Hypergraph, PairCover, all_r_subsets, has_clique, iter_bits, iter_cliques
+from .hypergraph import Hypergraph, PairCover, all_r_subsets, has_clique, iter_bits, iter_cliques, vertices_of
 from .partitions import Partition
 
 # The largest n searched without allow_large: 8 for cancellative, and for
@@ -568,8 +568,9 @@ def _local_cut(adj: list[int], n: int, ell: int, nedges: int, seed: int) -> tupl
             assign = [rng.randrange(ell) for _ in range(n)]
         bm = _block_masks(assign, ell)
         _descend(adj, assign, bm)
-        _fill_empty_blocks(adj, assign, bm)
-        _descend(adj, assign, bm)
+        if 0 in bm:  # else the refill is a no-op and no single move helps
+            _fill_empty_blocks(adj, assign, bm)
+            _descend(adj, assign, bm)
         cut = _cut_value(adj, assign, bm, nedges)
         if cut > best_cut:
             best_cut = cut
@@ -681,18 +682,14 @@ def max_ell_cut(
         assign, cut = _exact_cut(adj, g.n, ell, g.size, seed)
     else:
         assign, cut = _local_cut(adj, g.n, ell, g.size, seed)
-    blocks: list[list[int]] = [[] for _ in range(ell)]
-    for v0, b in enumerate(assign):
-        blocks[b].append(v0 + 1)
-    part = Partition(g.n, tuple(tuple(b) for b in blocks))
-    return part, cut
+    return Partition(g.n, tuple(map(vertices_of, _block_masks(assign, ell)))), cut
 
 
 def vertex_move_optimal(g: Hypergraph, part: Partition) -> bool:
     """Every vertex's internal degree is <= its degree into each other block."""
     adj = g.adjacency
     idx = part.block_index()
-    masks = part.block_masks()
+    masks = part.masks
     for v, av in enumerate(adj):
         own = (av & masks[idx[v]]).bit_count()
         if any((av & m).bit_count() < own for m in masks):

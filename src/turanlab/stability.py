@@ -164,39 +164,37 @@ def extract_partition_cancellative(h: Hypergraph) -> StabilityReport:
             num * best_den == best_num * den and d > best_d
         ):
             best_i, best_num, best_den, best_d = i, num, den, d
-    nbrs = [b + 1 for b in iter_bits(ix.nbr[best_i])]
+    nbr = ix.nbr[best_i]
     score = best_num / best_den if best_den else 0.0
 
     # (ii) ordered pair (u, v) in N(T)^2 with the largest pair link; max keeps
     # the first maximal pair, so ties go lex
-    u, v = max(itertools.product(nbrs, repeat=2), key=lambda p: (col[p[0] - 1] & col[p[1] - 1]).bit_count())
+    u, v = max(itertools.product(iter_bits(nbr), repeat=2), key=lambda p: (col[p[0]] & col[p[1]]).bit_count())
 
     # (iii) the pair link as a graph, then lemma25_pair: its max-degree-sum
     # edge {x, y} with V2 = N_L(x) and V3 = N_L(y)
-    link_graph = [ix.ts[i] for i in iter_bits(col[u - 1] & col[v - 1])]
+    link_graph = [ix.ts[i] for i in iter_bits(col[u] & col[v])]
     support = 0
     for a in link_graph:
         support |= a
-    assert support & ix.nbr[best_i] == 0, "pair link must avoid N(T) in a cancellative graph"
+    assert support & nbr == 0, "pair link must avoid N(T) in a cancellative graph"
 
     x, y, nx, ny = lemma25_pair(Hypergraph(n, 2, tuple(link_graph)))
-    v2, v3 = sorted(nx), sorted(ny)
-
-    v2_mask, v3_mask = mask_of(v2), mask_of(v3)
-    assert v2_mask & v3_mask == 0, "V2 and V3 must be disjoint (link graph is triangle-free)"
-    v1 = [w for w in range(1, n + 1) if not ((1 << (w - 1)) & (v2_mask | v3_mask))]
-    part = Partition(n, (tuple(v1), tuple(v2), tuple(v3)))
+    v2, v3 = mask_of(nx), mask_of(ny)
+    assert v2 & v3 == 0, "V2 and V3 must be disjoint (link graph is triangle-free)"
+    v1 = (1 << n) - 1 & ~(v2 | v3)
+    part = Partition(n, (vertices_of(v1), vertices_of(v2), vertices_of(v3)))
     bad = bad_edges(h, part)
     for e in bad:  # two vertices in V2 or in V3 make an edge bad
-        for blk in (v2_mask, v3_mask):
+        for blk in (v2, v3):
             assert (e & blk).bit_count() < 2, "V2 and V3 must be independent in H"
 
     chain = {
         "T": vertices_of(ix.ts[best_i]),
-        "T_degree": len(nbrs),
-        "T_neighborhood": nbrs,
+        "T_degree": nbr.bit_count(),
+        "T_neighborhood": list(vertices_of(nbr)),
         "score": score,
-        "pair": [u, v],
+        "pair": [*vertices_of(1 << u), *vertices_of(1 << v)],
         "pair_link_size": len(link_graph),
         "edge": [x, y],
     }
@@ -279,20 +277,14 @@ def lemma25_pair(g: Hypergraph) -> tuple[int, int, frozenset[int], frozenset[int
     if not g.edges:
         raise ValueError("input graph has no edges")
     adj = g.adjacency
-    best = None
-    best_sum = -1
-    for e in g.edges:
-        i, j = sorted(b + 1 for b in iter_bits(e))
-        s = adj[i - 1].bit_count() + adj[j - 1].bit_count()
-        if s > best_sum or (s == best_sum and (i, j) < best):
-            best_sum = s
-            best = (i, j)
-    xe, ye = best
-    nx = frozenset(b + 1 for b in iter_bits(adj[xe - 1]))
-    ny = frozenset(b + 1 for b in iter_bits(adj[ye - 1]))
-    assert not (nx & ny), "neighborhoods of an edge are disjoint in a triangle-free graph"
-    assert g.n * best_sum >= 4 * g.size, "averaging bound must hold for the chosen edge"
-    return xe, ye, nx, ny
+    # the largest degree sum; ties go to the lexicographically least {x, y}:
+    # the least lower end, then the least mask
+    best = min(g.edges, key=lambda e: (-sum(adj[b].bit_count() for b in iter_bits(e)), e & -e, e))
+    xb, yb = iter_bits(best)
+    assert not adj[xb] & adj[yb], "neighborhoods of an edge are disjoint in a triangle-free graph"
+    degree_sum = adj[xb].bit_count() + adj[yb].bit_count()
+    assert g.n * degree_sum >= 4 * g.size, "averaging bound must hold for the chosen edge"
+    return (*vertices_of(best), frozenset(vertices_of(adj[xb])), frozenset(vertices_of(adj[yb])))
 
 
 def greedy_clique_removal(g: Hypergraph, ell: int) -> tuple[Hypergraph, list[tuple[int, int]]]:
@@ -371,57 +363,52 @@ def bipartite_distance_analysis(g: Hypergraph, seed: int = 0) -> BipartiteDistan
 
     adj = g.adjacency
     bad = bad_edges(g, part)
-    masks = part.block_masks()
     # with two blocks every bad edge lies inside exactly one of them
-    internal = [sum(e & m == e for e in bad) for m in masks]
+    internal = [sum(e & m == e for e in bad) for m in part.masks]
     if internal[1] > internal[0]:
         part = Partition(n, part.blocks[::-1])
-        masks.reverse()
         internal.reverse()
 
     move_optimal = vertex_move_optimal(g, part)
     assert move_optimal, "maxant cut must be vertex-move-optimal"
 
-    v1, v2 = part.blocks
-    m1, m2 = masks
+    m1, m2 = part.masks
+    size2 = m2.bit_count()
     b_count = len(bad)
-    missing = sum((m2 & ~adj[u - 1]).bit_count() for u in v1)
-    assert missing == len(v1) * len(v2) - (g.size - b_count)
+    missing = sum((m2 & ~adj[w]).bit_count() for w in iter_bits(m1))
+    assert missing == m1.bit_count() * size2 - (g.size - b_count)
 
-    d1 = {w: (adj[w - 1] & m1).bit_count() for w in v1}
+    d1 = {w: (adj[w] & m1).bit_count() for w in iter_bits(m1)}
     big = max(d1.values(), default=0)
-    vstar = min((w for w in v1 if d1[w] == big), default=None)
+    vstar = min((w for w in d1 if d1[w] == big), default=None)
 
     verified = {"a_per_vertex_move_optimal": move_optimal}
     if vstar is not None and big > 0:
-        n1 = adj[vstar - 1] & m1
-        n2 = adj[vstar - 1] & m2
+        n1 = adj[vstar] & m1
+        n2 = adj[vstar] & m2
         verified["b_neighborhood_product_missing"] = all(not (adj[b] & n2) for b in iter_bits(n1))
         verified["b_missing_ge_delta_sq"] = missing >= d1[vstar] * n2.bit_count() >= big * big
     else:
         verified["b_neighborhood_product_missing"] = True
         verified["b_missing_ge_delta_sq"] = missing >= 0
 
-    # greedy matching inside the heavy side's bad edges, lexicographic order
-    b1_edges = sorted(vertices_of(e) for e in bad if e & m1 == e)
+    # greedy matching inside the heavy side's bad edges, in lexicographic
+    # order: by lower end, then by mask
     used = 0
-    matching: list[tuple[int, int]] = []
-    for a, b in b1_edges:
-        am, bm = 1 << (a - 1), 1 << (b - 1)
-        if used & (am | bm):
-            continue
-        matching.append((a, b))
-        used |= am | bm
+    matching: list[int] = []
+    for e in sorted((e for e in bad if e & m1 == e), key=lambda e: (e & -e, e)):
+        if not used & e:
+            matching.append(e)
+            used |= e
     bound_sum = 0
     pair_ok = True
-    for a, b in matching:
-        da = (adj[a - 1] & m2).bit_count()
-        db = (adj[b - 1] & m2).bit_count()
-        if da + db > len(v2):
+    for e in matching:
+        da, db = ((adj[w] & m2).bit_count() for w in iter_bits(e))
+        if da + db > size2:
             pair_ok = False
-        bound_sum += 2 * len(v2) - da - db
+        bound_sum += 2 * size2 - da - db
     verified["c_matched_degrees_fit"] = pair_ok
-    verified["c_missing_ge_matching_bound"] = missing >= bound_sum >= len(matching) * len(v2)
+    verified["c_missing_ge_matching_bound"] = missing >= bound_sum >= len(matching) * size2
     verified["d_missing_le_eps_plus_delta"] = 4 * missing <= n * n - 4 * g.size + 4 * b_count
 
     return BipartiteDistanceReport(
@@ -436,7 +423,7 @@ def bipartite_distance_analysis(g: Hypergraph, seed: int = 0) -> BipartiteDistan
         b2_internal=internal[1],
         max_internal_degree=big,
         case=1 if big**3 >= b_count * n else 2,
-        matching=matching,
+        matching=list(map(vertices_of, matching)),
         verified=verified,
         notes={
             "case1_bound": "implemented as |M| >= Delta^2 via the neighborhood product; "

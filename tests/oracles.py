@@ -19,10 +19,13 @@ state, one clique test per subset of the new edge, against the state with
 separate paths for graphs and for r >= 3 that it replaced.  The k-free
 state's packing bound (`KFreeState.lost`) is checked against the fewest
 addable edges a K_{ell+1}-free completion must leave out, found by trying
-every completion.
+every completion.  The near-bipartite generator, which keeps 0-based vertex
+bits, is checked against the label-based generator it replaced.
 """
 
 import itertools
+import math
+import random
 from collections import Counter
 
 from turanlab.canonical import canonical_code
@@ -356,12 +359,81 @@ def parse_hypergraph_by_line(text):
 
 def bad_edges_by_edge(h, part):
     """Edges with at least two vertices in one block, tested edge by edge."""
-    masks = part.block_masks()
+    masks = [mask_of(blk) for blk in part.blocks]
     out = []
     for e in h.edges:
         if any((e & bm).bit_count() >= 2 for bm in masks):
             out.append(e)
     return out
+
+
+def random_triangle_free_near_bipartite_by_label(n, epsilon, noise, seed):
+    """The near-bipartite generator on 1-based labels, with an (n+1)-slot
+    adjacency and separate has/add/delete helpers; same draws, same output."""
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if noise < 0:
+        raise ValueError(f"noise must be >= 0, got {noise}")
+    target = round((0.25 - epsilon) * n * n)
+    left = list(range(1, (n + 1) // 2 + 1))
+    right = list(range(len(left) + 1, n + 1))
+    if target > len(left) * len(right):
+        raise ValueError(f"target edge count {target} exceeds the bipartite maximum {len(left) * len(right)}")
+    if target < 0:
+        raise ValueError("epsilon is too large: negative target edge count")
+    rng = random.Random(seed)
+    adj = [0] * (n + 1)
+
+    def has_edge(u, v):
+        return bool(adj[u] & (1 << (v - 1)))
+
+    def add_edge(u, v):
+        adj[u] |= 1 << (v - 1)
+        adj[v] |= 1 << (u - 1)
+
+    def del_edge(u, v):
+        adj[u] &= ~(1 << (v - 1))
+        adj[v] &= ~(1 << (u - 1))
+
+    edge_count = 0
+    for u in left:
+        for v in right:
+            add_edge(u, v)
+            edge_count += 1
+
+    sides = [left, right]
+    for _ in range(noise):
+        side = sides[rng.randrange(2)]
+        if len(side) < 2:
+            continue
+        u, v = rng.sample(side, 2)
+        if has_edge(u, v):
+            continue
+        common = adj[u] & adj[v]
+        if edge_count - common.bit_count() + 1 < target:
+            continue
+        for b in iter_bits(common):
+            w = b + 1
+            if rng.randrange(2):
+                del_edge(u, w)
+            else:
+                del_edge(v, w)
+            edge_count -= 1
+        add_edge(u, v)
+        edge_count += 1
+
+    cross = [(u, v) for u in left for v in right if has_edge(u, v)]
+    rng.shuffle(cross)
+    while edge_count > target and cross:
+        u, v = cross.pop()
+        if has_edge(u, v):
+            del_edge(u, v)
+            edge_count -= 1
+
+    edges = [mask_of((v, b + 1)) for v in range(1, n + 1) for b in iter_bits(adj[v]) if b + 1 > v]
+    return Hypergraph(n, 2, tuple(edges))
 
 
 class CancellativeStateByColink(PairCover):

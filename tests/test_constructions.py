@@ -26,7 +26,13 @@ from turanlab.hypergraph import (
 )
 from turanlab.checkers import _CancellativeState
 
-from oracles import _embed_on_own_support, are_isomorphic, is_subgraph, k_family
+from oracles import (
+    _embed_on_own_support,
+    are_isomorphic,
+    is_subgraph,
+    k_family,
+    random_triangle_free_near_bipartite_by_label,
+)
 
 
 def test_balanced_partition_shapes():
@@ -288,3 +294,18 @@ def test_generator_determinism():
     a = random_triangle_free_near_bipartite(16, 0.02, 8, seed=9)
     b = random_triangle_free_near_bipartite(16, 0.02, 8, seed=9)
     assert a == b
+
+
+def test_generator_matches_label_oracle():
+    # the generator on 0-based bits against the label-based one it replaced:
+    # the same draws in the same order give the same edges, or the same refusal
+    def outcome(generate, *args):
+        try:
+            return generate(*args).edges
+        except ValueError as err:
+            return str(err)
+
+    for args in itertools.product(range(41), (0.0, 0.01, 0.03, 0.1, 0.24), (0, 3, 8), range(3)):
+        assert outcome(random_triangle_free_near_bipartite, *args) == outcome(
+            random_triangle_free_near_bipartite_by_label, *args
+        ), args

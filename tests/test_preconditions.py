@@ -31,6 +31,8 @@ REFUSALS = [
     (lambda: Partition(3, ((1, 2), (2, 3))), r"partition blocks must be disjoint"),
     (lambda: Partition(3, ((1,), (2,))), r"partition blocks must cover 1\.\.3"),
     (lambda: Partition(3, ((1, 2, 3), ())), r"empty block in a partition with n >= block count"),
+    (lambda: Partition(3, ((1, 1, 2), (3,))), r"partition block \(1, 1, 2\) must hold distinct labels in 1\.\.3"),
+    (lambda: Partition(3, ((1, 2, 4), (3,))), r"partition block \(1, 2, 4\) must hold distinct labels in 1\.\.3"),
     (lambda: balanced_partition(5, 0), r"need at least one block, got ell = 0"),
     (lambda: turan_count(-1, 2, 2), r"n must be >= 0"),
     (lambda: turan_hypergraph(5, 3, 2), r"need ell >= r >= 2, got r = 3, ell = 2"),

@@ -400,6 +400,28 @@ def test_bad_edges_matches_per_edge_oracle(case):
     assert bad_edges(h, part) == bad_edges_by_edge(h, part)
 
 
+@st.composite
+def labeled_partitions(draw):
+    # the first min(n, k) labels drawn open one block each, so a block is
+    # empty only when n < k; labels within a block come in drawn order
+    n = draw(st.integers(0, 9))
+    k = draw(st.integers(1, 4))
+    labels = draw(st.permutations(range(1, n + 1)))
+    rest = max(n - k, 0)
+    assign = [*range(min(n, k)), *draw(st.lists(st.integers(0, k - 1), min_size=rest, max_size=rest))]
+    return n, [[v for v, b in zip(labels, assign) if b == c] for c in range(k)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_partitions())
+def test_partition_masks_and_index_match_blocks(case):
+    n, blocks = case
+    part = Partition(n, tuple(map(tuple, blocks)))
+    assert part.blocks == tuple(tuple(sorted(blk)) for blk in blocks)
+    assert part.masks == tuple(mask_of(blk) for blk in blocks)
+    assert part.block_index() == [next(b for b, blk in enumerate(blocks) if v in blk) for v in range(1, n + 1)]
+
+
 def test_partition_label_below_one_raises():
     with pytest.raises(ValueError, match=r"^label 0 out of range 1\.\.3$"):
         Partition(3, ((0, 1), (2, 3)))
