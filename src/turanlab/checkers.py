@@ -11,6 +11,7 @@ Every 3-graph check reads one incidence index (`_Incidence`), built from
 the edges: which vertices lie in N(T) for each shadow pair T, and from it
 the vertex links and the pair-cover adjacency.  The index refuses an input
 with r != 3, so that precondition of every 3-graph check is stated once.
+The index fills the input's `Hypergraph.adjacency` if it is not yet read.
 After one pass over the edges the index is built in bulk: the vertex links
 are the bit-matrix transpose of the N(T) masks, done with bytes
 operations, so nothing walks the incidences u in N(T) one at a time, and
@@ -41,7 +42,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .hypergraph import Hypergraph, contains_clique, count_cliques, has_clique, iter_bits, vertices_of
+from .hypergraph import Hypergraph, contains_clique, count_cliques, fewer_colours, has_clique, iter_bits, vertices_of
 
 
 @dataclass
@@ -188,10 +189,12 @@ def is_cancellative(h: Hypergraph) -> bool:
 
 
 def is_k_free(h: Hypergraph, ell: int) -> bool:
-    """Freeness of the pair-cover family via the auxiliary-graph clique shortcut."""
+    """Freeness of the pair-cover family: no K_{ell+1} in the auxiliary
+    graph, by the colouring bound, else the clique search."""
     if ell < h.r:
         raise ValueError(f"need ell >= r, got ell = {ell}, r = {h.r}")
-    return not has_clique(h.adjacency, (1 << h.n) - 1, ell + 1)
+    adj, full = h.adjacency, (1 << h.n) - 1
+    return fewer_colours(adj, full, ell + 1) or not has_clique(adj, full, ell + 1)
 
 
 def links_triangle_free(h: Hypergraph) -> bool:
@@ -271,6 +274,7 @@ class _Incidence:
             j, k = divmod(s, n)
             adj[j] |= 1 << k
             adj[k] |= 1 << j
+        vars(h).setdefault("adjacency", tuple(adj))  # fills the cached property
         # ascending masks: upper vertex k first, then its lower partners j
         self.ts, self.nbr = [], []
         for k, m in enumerate(adj):

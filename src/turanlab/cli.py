@@ -288,9 +288,9 @@ def _stability_payload(args) -> tuple[str, int]:
     from .hypergraph import load_hypergraph
     from .stability import BipartiteDistanceReport
 
-    h = load_hypergraph(args.file)
     if args.mode != "cancellative" and args.seed is None:
         raise ValueError(f"stability {args.mode} is randomized above the exact-cut ceiling; --seed is required")
+    h = load_hypergraph(args.file)
     report = STABILITY_MODES[args.mode](h, args)
     if isinstance(report, BipartiteDistanceReport):
         code = OK if all(report.verified.values()) else VIOLATED

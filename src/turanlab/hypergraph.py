@@ -13,6 +13,9 @@ static `Hypergraph.adjacency`, derived once per instance and read by every
 graph helper here, and the incremental `PairCover`, which counts the current
 edges over each pair {j, k}, j < k, at slot j*n + k; `KFreeState` builds on
 it, and the 3-graph index and cancellative state keep N(T) at the same slots.
+The static adjacency takes one step per run of edges sharing their top
+vertices and one per covered pair, not one per edge.  A whole-graph clique
+question first tries the colouring bound (`fewer_colours`), then searches.
 
 The constructor checks all edges from one sort, and `parse_hypergraph`
 reads the text in one pass that keeps no list of lines or rows; both walk
@@ -21,10 +24,11 @@ their inputs one item at a time only to phrase an error.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -109,17 +113,29 @@ class Hypergraph:
         """adjacency[b] = mask of the vertices sharing an edge with vertex bit b.
 
         For r = 2 this is the graph's adjacency, for r >= 3 that of the
-        pair-cover (auxiliary) graph.  Built in one pass over the edges, each
-        split into its bits inline, as `PairCover.add` does.
+        pair-cover (auxiliary) graph.  A run of the ascending edges shares
+        its top vertices `upper`; those whose next vertex is t end at the
+        first mask >= upper + 2^(t+1), and their OR below t gives lower
+        neighbours of t.  Runs nest r - 2 levels, so each vertex of an edge
+        but its lowest is some run's t; a last loop mirrors them upwards.
         """
-        adj = [0] * self.n
-        for e in self.edges:
-            rest = e
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                adj[low.bit_length() - 1] |= e
-        return tuple(m & ~(1 << b) for b, m in enumerate(adj))
+        edges = self.edges
+        low = [0] * self.n
+        runs = [(0, len(edges), 0, self.r - 2)]
+        while runs:
+            lo, hi, upper, depth = runs.pop()
+            while lo < hi:
+                t = (edges[lo] ^ upper).bit_length() - 1
+                end = bisect.bisect_left(edges, upper + (2 << t), lo, hi)
+                low[t] |= reduce(operator.or_, edges[lo:end]) & ((1 << t) - 1)
+                if depth:
+                    runs.append((lo, end, upper | 1 << t, depth - 1))
+                lo = end
+        adj = low[:]
+        for t, m in enumerate(low):
+            for b in iter_bits(m):
+                adj[b] |= 1 << t
+        return tuple(adj)
 
 
 def _edge_fault(n: int, r: int, edges: Iterable[int]) -> str:
@@ -249,13 +265,28 @@ def count_cliques(g: Hypergraph, i: int) -> int:
     return sum(1 for _ in iter_cliques(g.adjacency, (1 << g.n) - 1, i))
 
 
+def fewer_colours(adj: Sequence[int], cand: int, size: int) -> bool:
+    """Whether greedy colouring, lowest vertex first, splits the vertex mask
+    cand into fewer than size independent classes, so that no size-clique
+    lies inside it (Tomita and Seki, 2003); False decides nothing."""
+    while cand and size > 1:
+        size -= 1
+        free = cand
+        while free:
+            low = free & -free
+            cand ^= low
+            free &= ~(adj[low.bit_length() - 1] | low)
+    return not cand and size > 0
+
+
 def contains_clique(g: Hypergraph, q: int) -> bool:
-    """True iff the graph has at least one q-clique (early exit)."""
+    """True iff the graph has a q-clique: the colouring bound, else the search."""
     if g.r != 2:
         raise ValueError("clique search expects a graph (r = 2)")
     if q < 1:
         raise ValueError(f"clique size must be >= 1, got {q}")
-    return has_clique(g.adjacency, (1 << g.n) - 1, q)
+    adj, full = g.adjacency, (1 << g.n) - 1
+    return not fewer_colours(adj, full, q) and has_clique(adj, full, q)
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,16 @@ class Partition:
 
 
 def bad_edges(h: Hypergraph, part: Partition) -> list[int]:
-    """Edges with at least two vertices in one block, as sorted masks: one
-    comprehension per block, merged."""
-    edges = h.edges
+    """Edges with at least two vertices in one block, as sorted masks.
+
+    Both ends of a bad edge's in-block pair have an `h.adjacency` neighbour
+    in their own block.  Only the edges with two such marked vertices take
+    the per-block test; with none marked the edges are not read.
+    """
+    adj = h.adjacency
+    marked = sum(1 << b for m in part.masks for b in iter_bits(m) if adj[b] & m)
+    if not marked:
+        return []
+    edges = [e for e in h.edges if (e & marked).bit_count() > 1]
     per_block = [[e for e in edges if (e & bm).bit_count() > 1] for bm in part.masks]
     return sorted(set().union(*per_block))

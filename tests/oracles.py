@@ -21,6 +21,11 @@ state's packing bound (`KFreeState.lost`) is checked against the fewest
 addable edges a K_{ell+1}-free completion must leave out, found by trying
 every completion.  The near-bipartite generator, which keeps 0-based vertex
 bits, is checked against the label-based generator it replaced.
+`Hypergraph.adjacency`, which ORs runs of edges sharing their top vertices,
+is checked against the per-edge loop it replaced; the bad-edge pass, which
+reads only edges with two vertices marked by an in-block neighbour, against
+the per-edge block test; and the clique questions that try a colouring
+bound first against clique counts by brute force.
 """
 
 import itertools
@@ -50,6 +55,19 @@ def adjacency_by_iter_bits(h):
     for e in h.edges:
         for b in iter_bits(e):
             adj[b] |= e
+    return tuple(m & ~(1 << b) for b, m in enumerate(adj))
+
+
+def adjacency_by_edge(h):
+    """`Hypergraph.adjacency` as one step per edge: each edge's bits split
+    inline, the edge ORed into the row of each of them."""
+    adj = [0] * h.n
+    for e in h.edges:
+        rest = e
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            adj[low.bit_length() - 1] |= e
     return tuple(m & ~(1 << b) for b, m in enumerate(adj))
 
 

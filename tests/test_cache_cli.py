@@ -336,6 +336,17 @@ def test_cli_search_budget_exit_code(tmp_path, capsys):
     assert json.loads(out)["complete"] is False
 
 
+def test_cli_checks_the_seed_before_reading_the_file(tmp_path, capsys):
+    # a missing --seed is refused before the input is parsed, so a missing
+    # file reports the seed, not the file
+    absent = str(tmp_path / "absent.txt")
+    for mode in (["kfree", absent, "--ell", "3"], ["bipartite", absent]):
+        code, out, err = run_cli(["stability", *mode], capsys)
+        assert code == 2 and out == "" and "--seed is required" in err and "absent" not in err
+    code, _, err = run_cli(["stability", "kfree", absent, "--ell", "3", "--seed", "1"], capsys)
+    assert code == 2 and "absent.txt" in err
+
+
 def test_cli_stability_and_seed_requirement(tmp_path, capsys):
     path = str(tmp_path / "t9.txt")
     save_hypergraph(path, turan_hypergraph(9, 3, 3))

@@ -588,7 +588,9 @@ def test_cancellative_callers_build_the_index_once(monkeypatch):
 
 
 def test_graph_callers_derive_adjacency_once(monkeypatch):
-    # every clique query, cut and Lemma 2.5 step reads the input's one cached adjacency
+    # every clique query, cut and Lemma 2.5 step reads the input's one cached
+    # adjacency; a 3-graph's incidence index fills that cache, so after it
+    # neither the cancellative extractor's bad-edge pass nor is_k_free derives it
     builds, graphs = [], []
     derive, post_init = Hypergraph.adjacency.func, Hypergraph.__post_init__
 
@@ -615,6 +617,8 @@ def test_graph_callers_derive_adjacency_once(monkeypatch):
 
     h = perturb(turan_hypergraph(12, 3, 3), 0.1, 0, 5)
     assert run(is_k_free, h, 3) == (1, 0)
+    assert run(lambda h: (_Incidence(h), is_k_free(h, 3)), h) == (0, 0)
+    assert run(extract_partition_cancellative, h)[0] == 0
     derived, aux_built = run(extract_partition_kfree, h, 3, seed=1)
     assert derived == 1 and aux_built <= 1
     k4_free = auxiliary_graph(turan_hypergraph(9, 3, 3))

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turanlab import hypergraph
+from turanlab import checkers, hypergraph
+from turanlab.checkers import is_k_free
 from turanlab.hypergraph import (
     Hypergraph,
     PairCover,
     all_r_subsets,
     auxiliary_graph,
     contains_clique,
+    fewer_colours,
     has_clique,
     count_cliques,
     format_hypergraph,
@@ -27,7 +29,7 @@ from turanlab.hypergraph import (
 )
 from turanlab.constructions import perturb, turan_hypergraph
 
-from oracles import adjacency_by_iter_bits, hypergraph_fault, is_subgraph, link_sets, parse_hypergraph_by_line, shadow_neighborhoods
+from oracles import adjacency_by_edge, adjacency_by_iter_bits, hypergraph_fault, is_subgraph, link_sets, parse_hypergraph_by_line, shadow_neighborhoods
 
 
 def edge_sets(masks):
@@ -177,15 +179,38 @@ def test_adjacency_examples():
     assert fresh == h and hash(fresh) == hash(h) and "adjacency" not in vars(fresh)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(2, 4), st.integers(0, 9), st.data())
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 5), st.data())
 def test_adjacency_matches_iter_bits_form(r, extra, data):
     # random r-graphs, with isolated vertices among the n = r + extra, against
-    # the one-generator-per-edge form the inline bit loop replaced
+    # the per-edge loop and the one-generator-per-edge form before it.  Sparse
+    # draws keep at most 12 edges; dense ones keep each r-set with probability
+    # p, up to all of them, so that runs of more than one edge sharing their
+    # top vertices occur at every nesting level
     n = r + extra
-    edges = data.draw(st.sets(st.sampled_from(all_r_subsets(n, r)), max_size=12))
+    subsets = all_r_subsets(n, r)
+    if data.draw(st.booleans()):
+        edges = data.draw(st.sets(st.sampled_from(subsets), max_size=12))
+    else:
+        p = data.draw(st.sampled_from([0.3, 0.6, 0.9, 1.0]))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        edges = [e for e in subsets if rng.random() < p]
     h = Hypergraph(n, r, tuple(sorted(edges)))
-    assert h.adjacency == adjacency_by_iter_bits(h)
+    assert h.adjacency == adjacency_by_edge(h) == adjacency_by_iter_bits(h)
+
+
+def test_adjacency_on_turan_and_auxiliary_inputs():
+    # every vertex count and edge set the run walk meets at its edges: no
+    # vertices, no edges, T_3(n) and its auxiliary graph up to n = 30, and
+    # the complete r-graph, where every run at every level holds several edges
+    assert Hypergraph(0, 3, ()).adjacency == ()
+    assert Hypergraph(7, 4, ()).adjacency == (0,) * 7
+    for n in range(1, 31):
+        for h in (turan_hypergraph(n, 3, 3), auxiliary_graph(turan_hypergraph(n, 3, 3))):
+            assert h.adjacency == adjacency_by_edge(h), (n, h.r)
+    for r in range(2, 7):
+        full = Hypergraph(r + 3, r, tuple(all_r_subsets(r + 3, r)))
+        assert full.adjacency == adjacency_by_edge(full) == tuple(((1 << r + 3) - 1) ^ (1 << b) for b in range(r + 3))
 
 
 def count_cliques_oracle(g, i):
@@ -264,6 +289,66 @@ def test_contains_clique():
         g = random_hypergraph(rng.randint(4, 9), 2, 0.4, rng)
         for q in range(2, 6):
             assert contains_clique(g, q) == (count_cliques_oracle(g, q) > 0)
+
+
+def test_colouring_bound_agrees_with_search_and_counts():
+    # the whole-graph clique questions against the plain search and the
+    # brute-force count, for every size 0..7; a colouring into fewer than q
+    # classes must never hide a q-clique
+    rng = random.Random(17)
+    for _ in range(80):
+        n = rng.randint(0, 9)
+        g = random_hypergraph(n, 2, rng.random(), rng)
+        full = (1 << n) - 1
+        for q in range(8):
+            want = count_cliques_oracle(g, q) > 0 if q else True
+            assert has_clique(g.adjacency, full, q) == want, (g, q)
+            if fewer_colours(g.adjacency, full, q):
+                assert not want, (g, q)
+            if q >= 1:
+                assert contains_clique(g, q) == want, (g, q)
+            if q >= 3:
+                assert is_k_free(g, q - 1) == (not want), (g, q)
+    for _ in range(40):
+        h = random_hypergraph(rng.randint(3, 8), 3, rng.random(), rng)
+        aux = auxiliary_graph(h)
+        for q in range(4, 8):
+            assert is_k_free(h, q - 1) == (count_cliques_oracle(aux, q) == 0) == (not contains_clique(aux, q))
+
+
+def test_colouring_bound_decides_multipartite_and_defers_on_planted_cliques(monkeypatch):
+    searched = []  # the sizes of every search call, recursive ones included
+
+    def spy(adj, cand, size, real=hypergraph.has_clique):
+        searched.append(size)
+        return real(adj, cand, size)
+
+    monkeypatch.setattr(hypergraph, "has_clique", spy)
+    monkeypatch.setattr(checkers, "has_clique", spy)
+    rng = random.Random(23)
+    for ell in range(1, 7):
+        # complete ell-partite graphs on shuffled labels: greedy colouring
+        # finds the ell parts, so K_{ell+1} is refused with no search
+        n = rng.randint(ell, 12)
+        side = [rng.randrange(ell) for _ in range(n)]
+        side[:ell] = range(ell)
+        rng.shuffle(side)
+        g = Hypergraph.from_edges(n, 2, [(u + 1, v + 1) for u, v in itertools.combinations(range(n), 2) if side[u] != side[v]])
+        searched.clear()
+        assert not contains_clique(g, ell + 1)
+        assert (ell + 1 < 3 or is_k_free(g, ell)) and searched == []
+        assert contains_clique(g, ell) and count_cliques_oracle(g, ell) > 0
+    for q in range(3, 7):
+        # a planted q-clique, or an odd cycle for q = 3, needs q colours, so
+        # the search decides
+        n = q + 4
+        base = random_hypergraph(n, 2, 0.3, rng)
+        planted = Hypergraph(n, 2, tuple(sorted(set(base.edges) | set(all_r_subsets(q, 2)))))
+        searched.clear()
+        assert contains_clique(planted, q) and searched[0] == q
+    c5 = Hypergraph.from_edges(5, 2, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    searched.clear()
+    assert not contains_clique(c5, 3) and is_k_free(c5, 2) and searched.count(3) == 2
 
 
 def test_is_subgraph():

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import turanlab.checkers as checkers_mod
+import turanlab.hypergraph as hypergraph_mod
 import turanlab.search as search_mod
 from turanlab.canonical import canonical_code
 from turanlab.cli import run
@@ -696,6 +698,19 @@ def test_addable_call_counts(monkeypatch):
         rec = extremal_number(n, r, predicate)
         assert rec.complete and rec.nodes_explored == nodes
         assert calls == want, (predicate, n, calls)
+
+
+def test_kfree_search_never_colours(monkeypatch):
+    # the colouring bound is for whole-graph questions; the search's own clique
+    # test, `KFreeState.addable`, stays the plain recursion
+    def refuse(*args):
+        raise AssertionError("the search coloured a graph")
+
+    monkeypatch.setattr(hypergraph_mod, "fewer_colours", refuse)
+    monkeypatch.setattr(checkers_mod, "fewer_colours", refuse)
+    monkeypatch.setattr(search_mod, "fewer_colours", refuse, raising=False)
+    rec = extremal_number(7, 2, "k-free", ell=3)
+    assert rec.complete and rec.value == turan_count(7, 2, 3)
 
 
 # ---------------------------------------------------------------------------

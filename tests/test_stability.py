@@ -393,11 +393,35 @@ def graphs_and_partitions(draw):
     return Hypergraph(n, r, tuple(edges)), Partition(n, blocks)
 
 
-@settings(max_examples=200, deadline=None)
-@given(graphs_and_partitions())
+@st.composite
+def graphs_and_any_partitions(draw):
+    # any n from 0, so a partition of n < k vertices has empty blocks
+    r = draw(st.integers(2, 4))
+    n, blocks = draw(labeled_partitions())
+    edges = draw(st.sets(st.sampled_from(all_r_subsets(n, r)))) if n >= r else ()
+    return Hypergraph(n, r, tuple(edges)), Partition(n, tuple(map(tuple, blocks)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(graphs_and_partitions(), graphs_and_any_partitions()))
 def test_bad_edges_matches_per_edge_oracle(case):
     h, part = case
     assert bad_edges(h, part) == bad_edges_by_edge(h, part)
+
+
+def test_bad_edges_reads_no_edge_without_an_in_block_pair():
+    # T_3(n) split into its own parts covers no pair inside a block: the
+    # answer comes from the adjacency alone.  With the edges taken away, any
+    # read of them fails, as it does for a partition with one bad edge
+    for n in (4, 10, 31):
+        h = turan_hypergraph(n, 3, 3)
+        h.adjacency
+        object.__setattr__(h, "edges", None)
+        blocks = balanced_partition(n, 3)
+        assert bad_edges(h, Partition(n, tuple(blocks))) == []
+        moved = (blocks[0][1:], blocks[0][:1] + blocks[1], blocks[2])
+        with pytest.raises(TypeError):
+            bad_edges(h, Partition(n, moved))
 
 
 @st.composite
