@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .hypergraph import Hypergraph, contains_clique, count_cliques, fewer_colours, has_clique, iter_bits, vertices_of
+from .hypergraph import Hypergraph, contains_clique, count_cliques, has_clique, has_clique_bound_first, iter_bits, vertices_of
 
 
 @dataclass
@@ -193,8 +193,7 @@ def is_k_free(h: Hypergraph, ell: int) -> bool:
     graph, by the colouring bound, else the clique search."""
     if ell < h.r:
         raise ValueError(f"need ell >= r, got ell = {ell}, r = {h.r}")
-    adj, full = h.adjacency, (1 << h.n) - 1
-    return fewer_colours(adj, full, ell + 1) or not has_clique(adj, full, ell + 1)
+    return not has_clique_bound_first(h.adjacency, (1 << h.n) - 1, ell + 1)
 
 
 def links_triangle_free(h: Hypergraph) -> bool:
@@ -274,7 +273,7 @@ class _Incidence:
             j, k = divmod(s, n)
             adj[j] |= 1 << k
             adj[k] |= 1 << j
-        vars(h).setdefault("adjacency", tuple(adj))  # fills the cached property
+        h.cache_adjacency(tuple(adj))
         # ascending masks: upper vertex k first, then its lower partners j
         self.ts, self.nbr = [], []
         for k, m in enumerate(adj):

@@ -15,7 +15,8 @@ edges over each pair {j, k}, j < k, at slot j*n + k; `KFreeState` builds on
 it, and the 3-graph index and cancellative state keep N(T) at the same slots.
 The static adjacency takes one step per run of edges sharing their top
 vertices and one per covered pair, not one per edge.  A whole-graph clique
-question first tries the colouring bound (`fewer_colours`), then searches.
+question (`has_clique_bound_first`) first tries a colouring bound, then
+searches.
 
 The constructor checks all edges from one sort, and `parse_hypergraph`
 reads the text in one pass that keeps no list of lines or rows; both walk
@@ -136,6 +137,11 @@ class Hypergraph:
             for b in iter_bits(m):
                 adj[b] |= 1 << t
         return tuple(adj)
+
+    def cache_adjacency(self, adj: tuple[int, ...]) -> None:
+        """Keep an adjacency derived elsewhere, unless one is already cached;
+        the 3-graph incidence index reads it off the shadow pairs."""
+        vars(self).setdefault("adjacency", adj)
 
 
 def _edge_fault(n: int, r: int, edges: Iterable[int]) -> str:
@@ -265,7 +271,7 @@ def count_cliques(g: Hypergraph, i: int) -> int:
     return sum(1 for _ in iter_cliques(g.adjacency, (1 << g.n) - 1, i))
 
 
-def fewer_colours(adj: Sequence[int], cand: int, size: int) -> bool:
+def _fewer_colours(adj: Sequence[int], cand: int, size: int) -> bool:
     """Whether greedy colouring, lowest vertex first, splits the vertex mask
     cand into fewer than size independent classes, so that no size-clique
     lies inside it (Tomita and Seki, 2003); False decides nothing."""
@@ -279,14 +285,20 @@ def fewer_colours(adj: Sequence[int], cand: int, size: int) -> bool:
     return not cand and size > 0
 
 
+def has_clique_bound_first(adj: Sequence[int], cand: int, size: int) -> bool:
+    """`has_clique` for a whole-graph question: the colouring bound refuses
+    the size-clique when fewer than size classes suffice, else the search
+    decides.  The search state's per-edge test calls `has_clique` directly."""
+    return not _fewer_colours(adj, cand, size) and has_clique(adj, cand, size)
+
+
 def contains_clique(g: Hypergraph, q: int) -> bool:
     """True iff the graph has a q-clique: the colouring bound, else the search."""
     if g.r != 2:
         raise ValueError("clique search expects a graph (r = 2)")
     if q < 1:
         raise ValueError(f"clique size must be >= 1, got {q}")
-    adj, full = g.adjacency, (1 << g.n) - 1
-    return not fewer_colours(adj, full, q) and has_clique(adj, full, q)
+    return has_clique_bound_first(g.adjacency, (1 << g.n) - 1, q)
 
 
 # ---------------------------------------------------------------------------

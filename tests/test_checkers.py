@@ -687,6 +687,8 @@ def test_incidence_index_matches_oracles():
             adj[u - 1] |= 1 << (v - 1)
             adj[v - 1] |= 1 << (u - 1)
         assert ix.adj == adj
+        # the index fills the input's adjacency cache with its own derivation
+        assert vars(h)["adjacency"] == tuple(adj) == Hypergraph.adjacency.func(h)
         for u in range(h.n):
             assert [ix.ts[i] for i in range(len(ix.ts)) if ix.col[u] >> i & 1] == sorted(links[u])
             assert has_clique(_link_row(ix, u), ix.adj[u], 3) == contains_clique(

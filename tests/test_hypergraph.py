@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turanlab import checkers, hypergraph
+from turanlab import hypergraph
 from turanlab.checkers import is_k_free
 from turanlab.hypergraph import (
     Hypergraph,
@@ -17,7 +17,6 @@ from turanlab.hypergraph import (
     all_r_subsets,
     auxiliary_graph,
     contains_clique,
-    fewer_colours,
     has_clique,
     count_cliques,
     format_hypergraph,
@@ -177,24 +176,40 @@ def test_adjacency_examples():
     assert h.adjacency is h.adjacency
     fresh = Hypergraph(h.n, h.r, h.edges)
     assert fresh == h and hash(fresh) == hash(h) and "adjacency" not in vars(fresh)
+    # an adjacency derived elsewhere fills an empty cache as given, and
+    # never replaces a cached one
+    fresh.cache_adjacency((0,) * fresh.n)
+    assert fresh.adjacency == (0,) * fresh.n and fresh == h
+    h.cache_adjacency((0,) * h.n)
+    assert h.adjacency == adjacency_by_edge(h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 9), st.data())
+def test_adjacency_matches_iter_bits_form(r, extra, data):
+    # random r-graphs, with isolated vertices among the n = r + extra, against
+    # the per-edge loop and the one-generator-per-edge form before it
+    n = r + extra
+    edges = data.draw(st.sets(st.sampled_from(all_r_subsets(n, r)), max_size=12))
+    h = Hypergraph(n, r, tuple(sorted(edges)))
+    assert h.adjacency == adjacency_by_edge(h) == adjacency_by_iter_bits(h)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(2, 6), st.integers(0, 5), st.data())
-def test_adjacency_matches_iter_bits_form(r, extra, data):
-    # random r-graphs, with isolated vertices among the n = r + extra, against
-    # the per-edge loop and the one-generator-per-edge form before it.  Sparse
-    # draws keep at most 12 edges; dense ones keep each r-set with probability
-    # p, up to all of them, so that runs of more than one edge sharing their
-    # top vertices occur at every nesting level
-    n = r + extra
-    subsets = all_r_subsets(n, r)
+@given(st.integers(2, 6), st.data())
+def test_adjacency_matches_per_edge_loop_up_to_r6(r, data):
+    # r = 2..6: sparse draws keep at most 12 edges on n = r..r + 9 vertices;
+    # dense ones, on n = r..r + 5, keep each r-set with probability p, up to
+    # all of them, so that runs of more than one edge sharing their top
+    # vertices occur at every nesting level
     if data.draw(st.booleans()):
-        edges = data.draw(st.sets(st.sampled_from(subsets), max_size=12))
+        n = r + data.draw(st.integers(0, 9))
+        edges = data.draw(st.sets(st.sampled_from(all_r_subsets(n, r)), max_size=12))
     else:
+        n = r + data.draw(st.integers(0, 5))
         p = data.draw(st.sampled_from([0.3, 0.6, 0.9, 1.0]))
         rng = random.Random(data.draw(st.integers(0, 2**32)))
-        edges = [e for e in subsets if rng.random() < p]
+        edges = [e for e in all_r_subsets(n, r) if rng.random() < p]
     h = Hypergraph(n, r, tuple(sorted(edges)))
     assert h.adjacency == adjacency_by_edge(h) == adjacency_by_iter_bits(h)
 
@@ -303,7 +318,7 @@ def test_colouring_bound_agrees_with_search_and_counts():
         for q in range(8):
             want = count_cliques_oracle(g, q) > 0 if q else True
             assert has_clique(g.adjacency, full, q) == want, (g, q)
-            if fewer_colours(g.adjacency, full, q):
+            if hypergraph._fewer_colours(g.adjacency, full, q):
                 assert not want, (g, q)
             if q >= 1:
                 assert contains_clique(g, q) == want, (g, q)
@@ -324,7 +339,6 @@ def test_colouring_bound_decides_multipartite_and_defers_on_planted_cliques(monk
         return real(adj, cand, size)
 
     monkeypatch.setattr(hypergraph, "has_clique", spy)
-    monkeypatch.setattr(checkers, "has_clique", spy)
     rng = random.Random(23)
     for ell in range(1, 7):
         # complete ell-partite graphs on shuffled labels: greedy colouring

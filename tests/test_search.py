@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import turanlab.checkers as checkers_mod
 import turanlab.hypergraph as hypergraph_mod
 import turanlab.search as search_mod
 from turanlab.canonical import canonical_code
@@ -706,9 +705,7 @@ def test_kfree_search_never_colours(monkeypatch):
     def refuse(*args):
         raise AssertionError("the search coloured a graph")
 
-    monkeypatch.setattr(hypergraph_mod, "fewer_colours", refuse)
-    monkeypatch.setattr(checkers_mod, "fewer_colours", refuse)
-    monkeypatch.setattr(search_mod, "fewer_colours", refuse, raising=False)
+    monkeypatch.setattr(hypergraph_mod, "_fewer_colours", refuse)
     rec = extremal_number(7, 2, "k-free", ell=3)
     assert rec.complete and rec.value == turan_count(7, 2, 3)
 
