@@ -13,10 +13,8 @@ static `Hypergraph.adjacency`, derived once per instance and read by every
 graph helper here, and the incremental `PairCover`, which counts the current
 edges over each pair {j, k}, j < k, at slot j*n + k; `KFreeState` builds on
 it, and the 3-graph index and cancellative state keep N(T) at the same slots.
-The static adjacency takes one step per run of edges sharing their top
-vertices and one per covered pair, not one per edge.  A whole-graph clique
-question (`has_clique_bound_first`) first tries a colouring bound, then
-searches.
+The static adjacency costs one step per run of edges sharing their top
+vertices; whole-graph clique questions try a colouring bound first.
 
 The constructor checks all edges from one sort, and `parse_hypergraph`
 reads the text in one pass that keeps no list of lines or rows; both walk
