@@ -12,13 +12,16 @@ the edges: which vertices lie in N(T) for each shadow pair T, and from it
 the vertex links and the pair-cover adjacency.  The index refuses an input
 with r != 3, so that precondition of every 3-graph check is stated once.
 The index fills the input's `Hypergraph.adjacency` if it is not yet read.
-After one pass over the edges the index is built in bulk: the vertex links
-are the bit-matrix transpose of the N(T) masks, done with bytes
-operations, so nothing walks the incidences u in N(T) one at a time, and
-a pair link L(u, v) is the AND of two link masks.  A 3-graph is
-cancellative, and its neighborhoods are independent, iff no covered pair
-{x, y} has L(x) and L(y) meeting: one AND per shadow pair
-(`_first_witness`).  A certificate that needs a cancellative input shares
+It is built from runs of the ascending edges that share their top pair
+j < k: a run's OR below j is low(j, k), and the other two parts of every
+N(T) are bit-matrix transposes of those rows, per top vertex k and per
+middle vertex j, done with bytes operations; so are the vertex links, of
+the N(T) masks.  Rows too sparse for the bytes to pay take a loop per
+bit, and a top vertex with runs too short to pay one step per edge; on
+T_3(n), n >= 10, every vertex takes the bytes.  A pair link L(u, v) is
+the AND of two link masks.  A 3-graph is cancellative, and its neighborhoods are independent,
+iff no covered pair {x, y} has L(x) and L(y) meeting: one AND per shadow
+pair (`_first_witness`).  A certificate that needs a cancellative input shares
 one index with its precondition (`_cancellative_index`): the index is
 built once, tested for cancellativity, then read by the certificate.  The
 index and the incremental search state both keep N(T) for the pair
@@ -36,10 +39,13 @@ scans the triples (T, u, v).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import or_
 from typing import Optional
 
 from .hypergraph import Hypergraph, contains_clique, count_cliques, has_clique, has_clique_bound_first, iter_bits, vertices_of
@@ -229,6 +235,30 @@ def neighborhoods_independent(h: Hypergraph) -> bool:
 _BIT_DIGITS = [bytes(48 + (b >> k & 1) for b in range(256)) for k in range(8)]
 
 
+def _columns(first: int, rows: list[int]) -> list[tuple[int, int]]:
+    """The transpose of the bit matrix with row i = rows[i - first]: pairs
+    (a, c) whose ORs over each a give the mask of the i with bit a.
+
+    The byte form joins the rows, last first, nb bytes each: column a is
+    buf[a >> 3 :: nb], read by `int(., 2)` once translated to '0'/'1' by bit
+    a & 7.  The bit loop emits a pair per bit.  The cheaper form runs, in
+    units of 0.1 us (CPython 3.11): a bit 6, and 6 span / 16384 to OR it
+    into a column; bytes 1 per row, and per column 10 and span / 32.
+    """
+    acc = reduce(or_, rows, 0)
+    span, cols = len(rows), acc.bit_count()
+    if 3 * sum(map(int.bit_count, rows)) * (16384 + span) < 8192 * (span + 10 * cols) + 256 * cols * span:
+        return [(a, 1 << i) for i, m in enumerate(rows, first) for a in iter_bits(m)]
+    nb = (acc.bit_length() + 7) >> 3
+    buf = b"".join([m.to_bytes(nb, "little") for m in reversed(rows)])
+    out = []
+    while acc:
+        a = (acc & -acc).bit_length() - 1
+        acc &= acc - 1
+        out.append((a, int(buf[a >> 3 :: nb].translate(_BIT_DIGITS[a & 7]), 2) << first))
+    return out
+
+
 class _Incidence:
     """The relation u in N(T) of a 3-graph, over its shadow pairs T.
 
@@ -245,28 +275,54 @@ class _Incidence:
     of L(u), a property that passes to subgraphs holds for every pair link
     once it holds for the vertex links.
 
-    Past the one pass over the edges that fills nbrs, nothing visits the
-    incidences u in N(T) one at a time.  The columns are the transpose of
-    the bit matrix whose rows are nbr: the rows go into one byte array, last
-    row first, nb = ceil(n / 8) bytes each, so byte u >> 3 of every row is
-    the slice rows[u >> 3 :: nb], highest shadow index first.  Translating
-    that slice to ASCII '0'/'1' by bit u & 7 spells col[u] in base 2, which
-    `int(., 2)` reads in linear time.
+    nbrs is filled from runs of the ascending edges sharing their top pair
+    j < k, found by `bisect`: a run's OR below j is low(j, k).  Per top
+    vertex k, the transpose of its rows (j, low(j, k)) puts j into
+    N({a, k}); per middle vertex j, that of its rows (k, low(j, k)) puts k
+    into N({a, j}).  col is the transpose of the rows nbr.  `_columns`
+    prices its byte form against a loop per bit, and a top vertex with
+    fewer than four edges per middle vertex in its span takes one step per
+    edge, its runs being too short to pay.
     """
 
     def __init__(self, h: Hypergraph) -> None:
         if h.r != 3:
             raise ValueError(f"the 3-graph checks expect r = 3, got r = {h.r}")
         n = self.n = h.n
+        edges = h.edges
         nbrs = defaultdict(int)
-        for e in h.edges:
-            x = e & -e
-            y = (e ^ x) & -(e ^ x)
-            z = e ^ x ^ y
-            i, j, k = x.bit_length() - 1, y.bit_length() - 1, z.bit_length() - 1
-            nbrs[j * n + k] |= x
-            nbrs[i * n + k] |= y
-            nbrs[i * n + j] |= z
+        mids = defaultdict(dict)  # j -> {k: low(j, k)} over the tops k walked in runs
+        lo = 0
+        while lo < len(edges):
+            # the edges with top vertex k, whose middle vertices span j0..j1
+            k = edges[lo].bit_length() - 1
+            top = bisect_left(edges, 2 << k, lo)
+            j0, j1 = ((edges[t] ^ 1 << k).bit_length() - 1 for t in (lo, top - 1))
+            if top - lo < 4 * (j1 - j0 + 1):
+                # runs too short to pay for themselves: one step per edge
+                for e in edges[lo:top]:
+                    x = e & -e
+                    a, j = x.bit_length() - 1, (e ^ x ^ 1 << k).bit_length() - 1
+                    nbrs[j * n + k] |= x
+                    nbrs[a * n + k] |= 1 << j
+                    nbrs[a * n + j] |= 1 << k
+                lo = top
+                continue
+            # a run shares its middle vertex j; its OR below j is low(j, k)
+            rows = [0] * (j1 - j0 + 1)
+            while lo < top:
+                upper = edges[lo] ^ (edges[lo] & -edges[lo])
+                j = (upper ^ 1 << k).bit_length() - 1
+                end = bisect_left(edges, upper + (1 << j), lo, top)
+                rows[j - j0] = mids[j][k] = nbrs[j * n + k] = reduce(or_, edges[lo:end]) ^ upper
+                lo = end
+            # a in low(j, k) puts j into N({a, k}) and k into N({a, j})
+            for a, c in _columns(j0, rows):
+                nbrs[a * n + k] |= c
+        for j, lows in mids.items():
+            k0 = next(iter(lows))
+            for a, c in _columns(k0, [lows.get(k, 0) for k in range(k0, next(reversed(lows)) + 1)]):
+                nbrs[a * n + j] |= c
         self.nbrs = nbrs = dict(nbrs)  # a read of a pair off the shadow raises
         adj = self.adj = [0] * n
         for s in nbrs:
@@ -283,11 +339,9 @@ class _Incidence:
                 low ^= b
                 self.ts.append(b | 1 << k)
                 self.nbr.append(nbrs[(b.bit_length() - 1) * n + k])
-        nb = (n + 7) >> 3
-        rows = bytearray()
-        for m in reversed(self.nbr):
-            rows += m.to_bytes(nb, "little")
-        self.col = [int(rows[u >> 3 :: nb].translate(_BIT_DIGITS[u & 7]) or b"0", 2) for u in range(n)]
+        col = self.col = [0] * n
+        for u, c in _columns(0, self.nbr):
+            col[u] |= c
 
 
 def _cancellative_index(h: Hypergraph) -> _Incidence:

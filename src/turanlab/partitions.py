@@ -48,13 +48,11 @@ def bad_edges(h: Hypergraph, part: Partition) -> list[int]:
     """Edges with at least two vertices in one block, as sorted masks.
 
     Both ends of a bad edge's in-block pair have an `h.adjacency` neighbour
-    in their own block.  Only the edges with two such marked vertices take
-    the per-block test; with none marked the edges are not read.
+    in their own block.  So each block is tested by its part of such marked
+    vertices alone, one pass over the edges per block with a marked part,
+    and with none marked the edges are not read.
     """
     adj = h.adjacency
     marked = sum(1 << b for m in part.masks for b in iter_bits(m) if adj[b] & m)
-    if not marked:
-        return []
-    edges = [e for e in h.edges if (e & marked).bit_count() > 1]
-    per_block = [[e for e in edges if (e & bm).bit_count() > 1] for bm in part.masks]
-    return sorted(set().union(*per_block))
+    parts = [bm & marked for bm in part.masks if bm & marked]
+    return sorted(set().union(*([e for e in h.edges if (e & m).bit_count() > 1] for m in parts)))

@@ -645,6 +645,7 @@ def _exact_cut(adj: list[int], n: int, ell: int, nedges: int, seed: int) -> tupl
         assign[v] = -1
 
     rec(0, 0, 0)
+    del rec  # the recursive closure's cycle would keep the cut's tables alive
     # best_assign is a maximum cut: the fill moves only vertices with no neighbour in
     # their block, and no single-vertex move can raise the cut, so no descent follows
     final = list(best_assign)

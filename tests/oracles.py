@@ -9,8 +9,10 @@ program itself never calls them; the tests use them as the reference that
 the incidence index, the auxiliary-graph shortcut, the search and its
 early-exit invariant filter, the cuts, the streaming parser, the bulk
 constructor checks and the per-block bad-edge pass must agree with.
-The index's bulk build is checked against per-incidence builders that
-visit each u in N(T) one bit at a time, and its one cancellativity test, an
+The index's bulk build is checked against the per-edge loop that filled
+its N(T) table before it was built from runs of the edges, and against
+per-incidence builders that visit each u in N(T) one bit at a time; its
+one cancellativity test, an
 AND of two link masks per shadow pair, against the per-vertex partner rule
 and the per-T witness scan it replaced.
 The search's cancellative state, which flips per-vertex link bits, is
@@ -253,6 +255,20 @@ def _embed_on_own_support(edges, r):
     relabel = {old: new for new, old in enumerate(iter_bits(used))}
     out = [sum(1 << relabel[b] for b in iter_bits(e)) for e in edges]
     return Hypergraph(used.bit_count(), r, tuple(sorted(out)))
+
+
+def nbrs_by_edge(h):
+    """`_Incidence.nbrs` in its earlier form: one pass over the edges, each
+    3-edge {i, j, k} ORing its third vertex into the slots of its three pairs."""
+    n, nbrs = h.n, {}
+    for e in h.edges:
+        x = e & -e
+        y = (e ^ x) & -(e ^ x)
+        z = e ^ x ^ y
+        i, j, k = x.bit_length() - 1, y.bit_length() - 1, z.bit_length() - 1
+        for s, b in ((j * n + k, x), (i * n + k, y), (i * n + j, z)):
+            nbrs[s] = nbrs.get(s, 0) | b
+    return nbrs
 
 
 def columns_by_bit(ix):

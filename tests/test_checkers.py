@@ -57,6 +57,7 @@ from turanlab.stability import (
 
 from oracles import (
     CancellativeStateByColink,
+    adjacency_by_edge,
     colink_masses,
     columns_by_bit,
     first_witness_by_scan,
@@ -64,6 +65,7 @@ from oracles import (
     k_family,
     link_sets,
     mantel_caps_by_incidence,
+    nbrs_by_edge,
     neighborhoods_independent_by_pair,
     partner_covered_by_bit,
     permute_hypergraph,
@@ -873,6 +875,80 @@ def test_sparse_input_colink_masses_take_tables_for_linked_vertices_only():
     assert _colink_masses(ix) == colink_masses(h)
     peak = _peak_bytes(_colink_masses, ix)
     assert peak < 2_000_000, peak
+
+
+def _index_by_edge(h):
+    """(nbrs, adj, ts, nbr, col) of the index, from the per-edge oracle's N(T)."""
+    n, nbrs = h.n, nbrs_by_edge(h)
+    adj = [0] * n
+    for s in nbrs:
+        j, k = divmod(s, n)
+        adj[j] |= 1 << k
+        adj[k] |= 1 << j
+    slots = sorted(nbrs, key=lambda s: (s % n, s // n))  # ascending pair masks
+    ts = [1 << (s // n) | 1 << (s % n) for s in slots]
+    nbr = [nbrs[s] for s in slots]
+    col = [sum(1 << i for i, m in enumerate(nbr) if m >> u & 1) for u in range(n)]
+    return nbrs, adj, ts, nbr, col
+
+
+@st.composite
+def index_inputs(draw):
+    """A 3-graph on n <= 40 vertices, n on both sides of a byte boundary or
+    not, dense (p >= 0.3, long runs of edges under one top pair) or sparse
+    (at most 3n edges, runs of one edge), and a relabeling of it."""
+    n = draw(st.sampled_from((3, 5, 8, 9, 16, 17, 24, 25, 31, 40)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        h = random_hypergraph(n, 3, draw(st.sampled_from((0.3, 0.6, 0.9, 1.0))), rng)
+    else:
+        triples = all_r_subsets(n, 3)
+        h = Hypergraph(n, 3, tuple(rng.sample(triples, min(len(triples), draw(st.integers(1, 3 * n))))))
+    return h, draw(st.permutations(range(1, n + 1)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(index_inputs())
+def test_index_matches_per_edge_oracle(case):
+    h, perm = case
+    for g in (h, permute_hypergraph(h, perm)):
+        ix = _Incidence(g)
+        assert (ix.nbrs, ix.adj, ix.ts, ix.nbr, ix.col) == _index_by_edge(g)
+        assert g.adjacency == tuple(ix.adj) == adjacency_by_edge(g)
+
+
+def _index_steps(h, monkeypatch):
+    """The `_columns` and `iter_bits` calls made while building the index of h."""
+    calls = Counter()
+
+    def spy(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return counted
+
+    monkeypatch.setattr(checkers, "_columns", spy("columns", checkers._columns))
+    monkeypatch.setattr(checkers, "iter_bits", spy("bits", checkers.iter_bits))
+    _Incidence(h)
+    return calls
+
+
+@pytest.mark.parametrize("n", [60, 120])
+def test_turan_index_takes_byte_transposes_for_every_vertex(n, monkeypatch):
+    # one transpose per top vertex (the n/3 of the last part) and per middle
+    # vertex (the n/3 of the middle part), one for col, all in the byte form:
+    # no vertex takes the per-edge step and no transpose the bit loop
+    calls = _index_steps(turan_hypergraph(n, 3, 3), monkeypatch)
+    assert calls == Counter(columns=2 * n // 3 + 1)
+
+
+def test_sparse_index_takes_per_edge_steps_and_the_bit_loop(monkeypatch):
+    # every top vertex has too few edges for its runs to pay, so only col is
+    # transposed, by the bit loop: one iter_bits row per shadow pair
+    h = _sparse_input()
+    shadow = len(_Incidence(h).ts)
+    assert _index_steps(h, monkeypatch) == Counter(columns=1, bits=shadow)
 
 
 def test_mantel_caps_per_vertex_match_per_incidence_oracle():

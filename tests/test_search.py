@@ -647,6 +647,23 @@ def test_search_leaves_no_cycle_of_its_own():
     assert not [q for q in leftovers if q.startswith("extremal_number.")]
 
 
+def test_cuts_leave_no_unreachable_objects():
+    # the exact cut's recursive closure kept its tables in a cycle, 21
+    # objects for the cyclic collector per call on this graph
+    rng = random.Random(12)
+    g = Hypergraph(12, 2, tuple(e for e in all_r_subsets(12, 2) if rng.random() < 0.5))
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for mode in ("exact", "local"):
+            max_ell_cut(g, 3, mode)
+            assert gc.collect() == 0, mode
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def test_canonical_call_counts(monkeypatch):
     # only the labeled graphs at the final best are canonicalized, once each,
     # after the walk; a repeated class is rejected by an isomorphism test against

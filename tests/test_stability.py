@@ -431,6 +431,19 @@ def test_bad_edges_reads_no_edge_without_an_in_block_pair():
             bad_edges(h, Partition(n, moved))
 
 
+@pytest.mark.parametrize("n", [12, 31, 60])
+def test_bad_edges_when_every_vertex_is_marked(n):
+    # a random 3-split of T_3(n) puts a covered pair inside every block at
+    # every vertex, so no edge is skipped for want of a marked pair
+    h = turan_hypergraph(n, 3, 3)
+    labels = list(range(1, n + 1))
+    random.Random(n).shuffle(labels)
+    part = Partition(n, tuple(tuple(labels[i::3]) for i in range(3)))
+    assert all(h.adjacency[b] & m for m in part.masks for b in iter_bits(m))
+    got = bad_edges(h, part)
+    assert got == bad_edges_by_edge(h, part) and 0 < len(got) < h.size
+
+
 @st.composite
 def labeled_partitions(draw):
     # the first min(n, k) labels drawn open one block each, so a block is
