@@ -12,16 +12,14 @@ the edges: which vertices lie in N(T) for each shadow pair T, and from it
 the vertex links and the pair-cover adjacency.  The index refuses an input
 with r != 3, so that precondition of every 3-graph check is stated once.
 The index fills the input's `Hypergraph.adjacency` if it is not yet read.
-It is built from runs of the ascending edges that share their top pair
-j < k: a run's OR below j is low(j, k), and the other two parts of every
-N(T) are bit-matrix transposes of those rows, per top vertex k and per
-middle vertex j, done with bytes operations; so are the vertex links, of
-the N(T) masks.  Rows too sparse for the bytes to pay take a loop per
-bit, and a top vertex with runs too short to pay one step per edge; on
-T_3(n), n >= 10, every vertex takes the bytes.  A pair link L(u, v) is
-the AND of two link masks.  A 3-graph is cancellative, and its neighborhoods are independent,
-iff no covered pair {x, y} has L(x) and L(y) meeting: one AND per shadow
-pair (`_first_witness`).  A certificate that needs a cancellative input shares
+Runs of the ascending edges sharing their top pair j < k give low(j, k),
+the part of N({j, k}) below j; the rest of N(T), and the vertex links,
+are bit-matrix transposes done with bytes operations, or a loop per bit
+where the rows are too sparse to pay (`_columns`).  A pair link L(u, v)
+is the AND of two link masks.  A 3-graph is cancellative, and its
+neighborhoods are independent, iff no covered pair {x, y} has L(x) and
+L(y) meeting: one AND per shadow pair (`_first_witness`).  A certificate
+that needs a cancellative input shares
 one index with its precondition (`_cancellative_index`): the index is
 built once, tested for cancellativity, then read by the certificate.  The
 index and the incremental search state both keep N(T) for the pair
@@ -241,9 +239,9 @@ def _columns(first: int, rows: list[int]) -> list[tuple[int, int]]:
 
     The byte form joins the rows, last first, nb bytes each: column a is
     buf[a >> 3 :: nb], read by `int(., 2)` once translated to '0'/'1' by bit
-    a & 7.  The bit loop emits a pair per bit.  The cheaper form runs, in
-    units of 0.1 us (CPython 3.11): a bit 6, and 6 span / 16384 to OR it
-    into a column; bytes 1 per row, and per column 10 and span / 32.
+    a & 7.  The bit loop emits a pair per bit.  The cheaper form runs, by a
+    cost model in units of 0.1 us (CPython 3.11): a bit 6, plus 6 span / 16384
+    to OR it into a column; bytes 1 per row, plus 10 and span / 32 per column.
     """
     acc = reduce(or_, rows, 0)
     span, cols = len(rows), acc.bit_count()
