@@ -13,17 +13,20 @@ the vertex links and the pair-cover adjacency.  The index refuses an input
 with r != 3, so that precondition of every 3-graph check is stated once.
 The index fills the input's `Hypergraph.adjacency` if it is not yet read.
 Runs of the ascending edges sharing their top pair j < k give low(j, k),
-the part of N({j, k}) below j; the rest of N(T), and the vertex links,
-are bit-matrix transposes done with bytes operations, or a loop per bit
-where the rows are too sparse to pay (`_columns`).  A pair link L(u, v)
-is the AND of two link masks.  A 3-graph is cancellative, and its
-neighborhoods are independent, iff no covered pair {x, y} has L(x) and
-L(y) meeting: one AND per shadow pair (`_first_witness`).  A certificate
-that needs a cancellative input shares
-one index with its precondition (`_cancellative_index`): the index is
-built once, tested for cancellativity, then read by the certificate.  The
-index and the incremental search state both keep N(T) for the pair
-{j, k}, j < k, at slot j*n + k.
+the part of N({j, k}) below j.  Two bit-matrix transposes of those rows,
+per top vertex k (a in low(j, k) puts j into N({a, k})) and per middle
+vertex j (k into N({a, j})), give the rest of N(T), and one of the N(T)
+masks gives the vertex links, all with bytes operations; `_columns`
+loops over the bits instead where the rows are too sparse for the bytes
+to pay, and a top vertex with runs too short to pay is walked edge by
+edge.  A pair link L(u, v) is the AND of two link masks.  A 3-graph is
+cancellative, and its neighborhoods are independent, iff no covered pair
+{x, y} has L(x) and L(y) meeting: one AND per shadow pair
+(`_first_witness`).  A certificate that needs a cancellative input
+shares one index with its precondition (`_cancellative_index`): the
+index is built once, tested for cancellativity, then read by the
+certificate.  The index and the incremental search state both keep N(T)
+for the pair {j, k}, j < k, at slot j*n + k.
 
 The pair-link certificate (`mantel_link_bound`) is decided by its
 precondition and one cap test.  On a cancellative input the vertex set of

@@ -918,7 +918,8 @@ def test_index_matches_per_edge_oracle(case):
 
 
 def _index_steps(h, monkeypatch):
-    """The `_columns` and `iter_bits` calls made while building the index of h."""
+    """The `_columns` and `iter_bits` calls made while building the index of
+    h; the index must match the per-edge oracle."""
     calls = Counter()
 
     def spy(name, f):
@@ -930,7 +931,8 @@ def _index_steps(h, monkeypatch):
 
     monkeypatch.setattr(checkers, "_columns", spy("columns", checkers._columns))
     monkeypatch.setattr(checkers, "iter_bits", spy("bits", checkers.iter_bits))
-    _Incidence(h)
+    ix = _Incidence(h)
+    assert (ix.nbrs, ix.adj, ix.ts, ix.nbr, ix.col) == _index_by_edge(h)
     return calls
 
 
