@@ -557,7 +557,66 @@ def _greedy_assign(adj: list[int], n: int, ell: int) -> list[int]:
     return assign
 
 
+def _proven_maximum(adj: list[int], assign: list[int], bm: list[int], nedges: int, cut: int) -> bool:
+    """True if no ell-cut, ell = len(bm), crosses more than `cut`, the cut of assign.
+
+    Cap: no ell-cut crosses more than min(m, t_2(n, ell)) pairs.  For ell = 2,
+    odd cycles: each internal edge uv gets uv plus a path of cross edges that
+    no earlier cycle used, so the cycles are edge-disjoint.  Such a path joins
+    two vertices of one block, so its length is even and the cycle odd, and
+    every 2-cut leaves an edge of each cycle uncut.  The packing is greedy and
+    gives up early: when fewer than two cross edges are left per internal
+    edge, at the first internal edge with no path, and once a vertex has fewer
+    cross edges left than internal edges still to pack, since each of those
+    takes one.  The two-step path cross[u] & cross[v] is tried before a
+    breadth-first search.
+    """
+    n, ell = len(assign), len(bm)
+    if cut >= min(nedges, turan_count(n, 2, ell)):
+        return True
+    if ell != 2 or 2 * (nedges - cut) > cut:
+        return False
+    cross = [av & bm[1 - k] for av, k in zip(adj, assign)]
+    need = [(av & bm[k]).bit_count() for av, k in zip(adj, assign)]
+    for u, k in enumerate(assign):
+        for v in iter_bits(adj[u] & bm[k] & -(2 << u)):
+            need[u] -= 1
+            need[v] -= 1
+            mid = cross[u] & cross[v]
+            if mid:
+                path = [v, (mid & -mid).bit_length() - 1, u]
+            else:
+                layers, seen, frontier = [], 1 << u, 1 << u
+                while not frontier >> v & 1:
+                    layers.append(frontier)
+                    reach = 0
+                    while frontier:
+                        low = frontier & -frontier
+                        reach |= cross[low.bit_length() - 1]
+                        frontier ^= low
+                    frontier = reach & ~seen
+                    if not frontier:
+                        return False
+                    seen |= frontier
+                path = [v]
+                for layer in reversed(layers):
+                    step = cross[path[-1]] & layer
+                    path.append((step & -step).bit_length() - 1)
+            for x, y in zip(path, path[1:]):
+                cross[x] ^= 1 << y
+                cross[y] ^= 1 << x
+            if any(cross[w].bit_count() < need[w] for w in path):
+                return False
+    return True
+
+
 def _local_cut(adj: list[int], n: int, ell: int, nedges: int, seed: int) -> tuple[list[int], int]:
+    """Best of LOCAL_RESTARTS descents, the first from the greedy assignment.
+
+    A restart replaces the best only with a strictly larger cut, so once
+    `_proven_maximum` holds for the best, no later restart can change the
+    result, and the rest are skipped.
+    """
     rng = random.Random(seed)
     best_assign: Optional[list[int]] = None
     best_cut = -1
@@ -575,11 +634,35 @@ def _local_cut(adj: list[int], n: int, ell: int, nedges: int, seed: int) -> tupl
         if cut > best_cut:
             best_cut = cut
             best_assign = assign
+            if _proven_maximum(adj, assign, bm, nedges, cut):
+                break
     assert best_assign is not None
     return best_assign, best_cut
 
 
 def _exact_cut(adj: list[int], n: int, ell: int, nedges: int, seed: int) -> tuple[list[int], int]:
+    """A maximum cut: the local seed if `_proven_maximum` holds for it, else
+    the branch and bound from it.
+
+    The search replaces the seed only with a strictly larger cut, so a
+    proven seed is what it would return.
+    """
+    best_assign, best_cut = _local_cut(adj, n, ell, nedges, seed)
+    if not _proven_maximum(adj, best_assign, _block_masks(best_assign, ell), nedges, best_cut):
+        best_assign, best_cut = _branch_and_bound(adj, n, ell, best_assign, best_cut)
+    # best_assign is a maximum cut: the fill moves only vertices with no neighbour in
+    # their block, and no single-vertex move can raise the cut, so no descent follows
+    final = list(best_assign)
+    bm = _block_masks(final, ell)
+    _fill_empty_blocks(adj, final, bm)
+    cut = _cut_value(adj, final, bm, nedges)
+    assert cut >= best_cut
+    return final, cut
+
+
+def _branch_and_bound(
+    adj: list[int], n: int, ell: int, seed_assign: list[int], seed_cut: int
+) -> tuple[list[int], int]:
     """Branch and bound over block assignments with canonical block introduction.
 
     bm[b] holds the assigned vertices of block b and placed their union, both
@@ -590,8 +673,6 @@ def _exact_cut(adj: list[int], n: int, ell: int, nedges: int, seed: int) -> tupl
     more pairs than the balanced split does.  The bound prunes only branches
     that cannot beat the incumbent strictly, so the cap changes no result.
     """
-    seed_assign, seed_cut = _local_cut(adj, n, ell, nedges, seed)
-
     # static max-adjacency order so constraints bite early; lowest vertex on ties
     order: list[int] = []
     placed = 0
@@ -646,14 +727,7 @@ def _exact_cut(adj: list[int], n: int, ell: int, nedges: int, seed: int) -> tupl
 
     rec(0, 0, 0)
     del rec  # the recursive closure's cycle would keep the cut's tables alive
-    # best_assign is a maximum cut: the fill moves only vertices with no neighbour in
-    # their block, and no single-vertex move can raise the cut, so no descent follows
-    final = list(best_assign)
-    bm = _block_masks(final, ell)
-    _fill_empty_blocks(adj, final, bm)
-    cut = _cut_value(adj, final, bm, nedges)
-    assert cut >= best_cut
-    return final, cut
+    return best_assign, best_cut
 
 
 def max_ell_cut(
@@ -669,6 +743,11 @@ def max_ell_cut(
     modes keep one vertex mask per block beside the assignment: bm[k] is
     always the set of v with assign[v] == k, so a vertex's degree into block
     k is one popcount, (adj[v] & bm[k]).bit_count().
+
+    Both modes stop at a cut that `_proven_maximum` shows no ell-cut beats:
+    local search skips its remaining restarts, and exact mode skips its
+    branch and bound.  Either would replace the cut only with a strictly
+    larger one, so the stop never changes the partition returned.
     """
     if g.r != 2:
         raise ValueError("max_ell_cut expects a graph (r = 2)")

@@ -19,11 +19,12 @@ import turanlab.search as search_mod
 from turanlab.canonical import canonical_code
 from turanlab.cli import run
 from turanlab.checkers import is_cancellative, is_k_free
-from turanlab.constructions import turan_count, turan_hypergraph
+from turanlab.constructions import perturb, random_triangle_free_near_bipartite, turan_count, turan_hypergraph
 from turanlab.hypergraph import (
     Hypergraph,
     PairCover,
     all_r_subsets,
+    auxiliary_graph,
     contains_clique,
     iter_bits,
     mask_of,
@@ -1205,3 +1206,108 @@ def test_vertex_move_optimal_matches_oracle(case, seed):
     assert vertex_move_optimal(g, local_part)
     for part in (random_part, local_part):
         assert vertex_move_optimal(g, part) == _vertex_move_optimal_oracle(g, part)
+
+
+# The proof that a cut is maximum, which ends the local cut's restarts early
+# and lets the exact cut skip its search
+
+
+@st.composite
+def near_bipartite_graphs(draw, max_n, max_noise):
+    n = draw(st.integers(2, max_n))
+    epsilon = draw(st.sampled_from([0.0, 0.01, 0.03, 0.06]))
+    noise = draw(st.integers(0, max_noise))
+    return random_triangle_free_near_bipartite(n, epsilon, noise, draw(st.integers(0, 2**32)))
+
+
+def _maximum_cut(g, ell):
+    """The maximum ell-cut, by the counter oracle's branch and bound from an all-zero seed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search_mod, "_local_cut", lambda adj, n, ell, nedges, seed: ([0] * n, 0))
+        return _exact_cut_counter_oracle(g.adjacency, g.n, ell, g.size, 0)[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(cut_instances(max_n=12), st.tuples(near_bipartite_graphs(12, 4), st.just(2))),
+    st.integers(0, 2**32),
+)
+def test_proven_maximum_never_fires_below_the_maximum(case, seed):
+    # on the local cut's result, on random assignments and on their descents
+    g, ell = case
+    adj, rng = g.adjacency, random.Random(seed)
+    best = _maximum_cut(g, ell)
+    candidates = [search_mod._local_cut(adj, g.n, ell, g.size, seed)[0]]
+    for _ in range(3):
+        assign = [rng.randrange(ell) for _ in range(g.n)]
+        descended = list(assign)
+        search_mod._descend(adj, descended, search_mod._block_masks(descended, ell))
+        candidates += [assign, descended]
+    for assign in candidates:
+        bm = search_mod._block_masks(assign, ell)
+        cut = search_mod._cut_value(adj, assign, bm, g.size)
+        assert cut <= best
+        if search_mod._proven_maximum(adj, assign, bm, g.size, cut):
+            assert cut == best
+
+
+def _t3_auxiliary_graph(n, delete_fraction, add_count, seed):
+    return auxiliary_graph(perturb(turan_hypergraph(n, 3, 3), delete_fraction, add_count, seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(near_bipartite_graphs(80, 8), st.just(2)),
+        st.tuples(
+            st.builds(
+                _t3_auxiliary_graph,
+                st.integers(3, 45),
+                st.sampled_from([0.0, 0.01, 0.03, 0.1]),
+                st.integers(0, 5),
+                st.integers(0, 2**32),
+            ),
+            st.just(3),
+        ),
+    ),
+    st.integers(0, 10**6),
+)
+def test_stopped_local_cut_matches_all_restarts(case, seed):
+    g, ell = case
+    part, cut = max_ell_cut(g, ell, "local", seed=seed)
+    assign, oracle_cut = _local_cut_oracle(g.adjacency, g.n, ell, g.size, seed)
+    assert (part.blocks, cut) == (_blocks(assign, ell), oracle_cut)
+
+
+def test_proven_maximum_ends_the_local_cut_after_the_greedy_restart(monkeypatch):
+    # near-bipartite graphs close by the odd-cycle packing or the cap, the
+    # auxiliary graphs of perturbed T_3(n) by the cap; each cut must then
+    # descend once, from the greedy assignment, and still print what all
+    # LOCAL_RESTARTS restarts give
+    cases = [
+        (random_triangle_free_near_bipartite(n, 0.02, noise, s), 2)
+        for n in (40, 80)
+        for noise in (0, 8)
+        for s in range(3)
+    ]
+    cases += [(_t3_auxiliary_graph(n, 0.03, 3, s), 3) for n in (30, 45) for s in range(3)]
+    proofs = Counter()
+    prove, descend = search_mod._proven_maximum, search_mod._descend
+
+    def spy_prove(adj, assign, bm, nedges, cut):
+        fired = prove(adj, assign, bm, nedges, cut)
+        capped = cut == min(nedges, turan_count(len(assign), 2, len(bm)))
+        proofs["cap" if capped else "packing" if fired else "none"] += 1
+        return fired
+
+    descents = []
+    monkeypatch.setattr(search_mod, "_proven_maximum", spy_prove)
+    monkeypatch.setattr(search_mod, "_descend", lambda *a: descents.append(1) or descend(*a))
+    for g, ell in cases:
+        descents.clear()
+        part, cut = max_ell_cut(g, ell, "local", seed=7)
+        assert len(descents) == 1
+        assign, oracle_cut = _local_cut_oracle(g.adjacency, g.n, ell, g.size, 7)
+        assert (part.blocks, cut) == (_blocks(assign, ell), oracle_cut)
+    assert proofs["none"] == 0 and proofs["packing"] > 0 and proofs["cap"] > 0
+
